@@ -8,6 +8,12 @@ search, overlap resolution in favor of the stronger subchannel, and a
 budget trim that grants bandwidth to the strongest subchannels first. The cross-entropy loop fits per-subchannel
 Gaussians over center frequencies to elite samples with smoothed MLE
 updates.
+
+Inside the loop every center is snapped to a `GridRss` index, so the
+bandwidth search is a lookup in a per-grid width table and all of an
+iteration's plans are built and scored as `(samples, n_sub)` arrays by
+`_plan_rows`. The scalar `coherence_search`, `resolve_overlaps`,
+`trim_to_budget` and `plan_rate` are the reference forms of those steps.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 
 # Chunk length for the expanding bandwidth search against a generic callable.
 _SEARCH_CHUNK = 128
+# Search steps checked per pass of the grid width scan.
+_SCAN_CHUNK = 64
 # Resampling attempts before out-of-band Gaussian draws get clamped.
 _MAX_RESAMPLE = 50
 
@@ -134,6 +142,9 @@ class GridRss:
         self.values = np.asarray(rss_fn(self.freqs), dtype=float)
         with np.errstate(divide="ignore"):
             self.db = 10.0 * np.log10(self.values)
+        # coherence half-widths in steps, one table per (eps_db, cap in
+        # steps), filled by `_grid_widths`; -1 marks an index not yet searched
+        self.k_tables = {}
 
     def index_of(self, f):
         idx = np.round((np.asarray(f, dtype=float) - self.band[0]) / self.step)
@@ -183,26 +194,57 @@ def coherence_search(rss_fn, center, eps_db, band, step, max_width=None):
 
 
 def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width=None):
-    """Vectorized coherence search for many grid-aligned centers at once."""
-    n = grid.values.size
+    """`coherence_search` for grid-aligned centers, read from the grid's
+    width table; indices no earlier call has searched are scanned first."""
     idx = np.atleast_1d(centers_idx)
+    cap = None if max_width is None else int(max_width / (2 * grid.step) + 1e-9)
+    table = grid.k_tables.get((eps_db, cap))
+    if table is None:
+        table = grid.k_tables[(eps_db, cap)] = np.full(grid.values.size, -1)
+    todo = np.unique(idx[table[idx] < 0])
+    if todo.size:
+        table[todo] = _scan_half_widths(grid, todo, eps_db, cap)
+    return 2.0 * table[idx] * grid.step
+
+
+def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
+    """Widest admissible half-width k (in steps) of each center: the last k
+    before the first edge pair (idx - k, idx + k) that is dead or not flat,
+    limited by the band and the cap. Chunks of k are checked for the whole
+    frontier at once; a center leaves the frontier once it has settled."""
+    n = grid.values.size
     k_cap = np.minimum(idx, n - 1 - idx)
-    if max_width is not None:
-        k_cap = np.minimum(k_cap, int(max_width / (2 * grid.step) + 1e-9))
-    k_hi = int(k_cap.max(initial=0))
-    if k_hi == 0:
-        return np.zeros(idx.shape)
-    ks = np.arange(1, k_hi + 1)
-    left = np.clip(idx[:, None] - ks[None, :], 0, n - 1)
-    right = np.clip(idx[:, None] + ks[None, :], 0, n - 1)
-    ok = _edge_pair_ok(grid.values[left], grid.values[right], eps_db)
-    ok &= ks[None, :] <= k_cap[:, None]
-    # number of leading True entries per row = widest admissible k
-    bad = ~ok
-    first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), k_hi)
-    widths = 2.0 * first_bad * grid.step
-    widths[grid.values[idx] <= 0.0] = 0.0
-    return widths
+    if cap is not None:
+        k_cap = np.minimum(k_cap, cap)
+    k_star = np.where(grid.values[idx] > 0.0, k_cap, 0)
+    front = np.flatnonzero(k_star > 0)
+    # dB values with dead points (and a chunk of padding each side) as NaN,
+    # so one comparison rejects dead and non-flat edge pairs alike; edges
+    # below a center are read from the reversed array so that both sides
+    # of a chunk are contiguous runs
+    pad = np.full(_SCAN_CHUNK, np.nan)
+    db = np.concatenate([pad, np.where(grid.values > 0.0, grid.db, np.nan), pad])
+    window = np.lib.stride_tricks.sliding_window_view
+    above, below = window(db, _SCAN_CHUNK), window(db[::-1].copy(), _SCAN_CHUNK)
+    mirror = db.size - 1 - _SCAN_CHUNK
+    k0 = 1
+    while front.size:
+        centers = idx[front]
+        # column j of both blocks holds the edges at k = k0 + j
+        diff = below[mirror - centers + k0]
+        with np.errstate(invalid="ignore"):  # inf - inf where both edges are inf
+            np.subtract(diff, above[_SCAN_CHUNK + centers + k0], out=diff)
+        np.abs(diff, out=diff)
+        # NaN (a dead edge) fails both tests; a diff of 0 passes even at eps 0
+        ok = diff < eps_db if eps_db > 0 else diff == 0.0
+        first_bad = ok.argmin(axis=1)
+        hit = ~ok[np.arange(front.size), first_bad]
+        # pairs past the cap were checked too; the cap bounds the result
+        last_ok = np.where(hit, k0 - 1 + first_bad, k0 - 1 + _SCAN_CHUNK)
+        k_star[front] = np.minimum(last_ok, k_cap[front])
+        front = front[~hit & (k_cap[front] >= k0 + _SCAN_CHUNK)]
+        k0 += _SCAN_CHUNK
+    return k_star
 
 
 def _eval_rss(rss_fn, f_arr):
@@ -315,26 +357,95 @@ def integrated_rate(plan: SubchannelPlan, rss_fn, noise_psd, step):
     return rate
 
 
+def _as_grid(rss_fn, band, step):
+    return rss_fn if isinstance(rss_fn, GridRss) else GridRss(rss_fn, band, step)
+
+
+def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
+    """Build one plan per row of snapped center indices, all rows at once:
+    the coherence widths, then `resolve_overlaps`, then `trim_to_budget`,
+    with the same float operations, so each row equals the scalar chain
+    bit for bit. Returns the plans' (centers, widths), shaped like idx."""
+    rows, n = idx.shape
+    c = grid.freqs[idx]
+    w = _grid_widths(grid, idx.ravel(), eps_db, max_width=total_budget).reshape(rows, n)
+
+    # overlap resolution, one rank at a time (stronger center RSS first,
+    # lower index on ties); each channel is clipped against the intervals
+    # its row has already claimed. Arrays here are (rank, row); an
+    # unclaimed slot holds the empty interval (inf, -inf).
+    rank = np.argsort(-grid.values[idx], axis=1, kind="stable")
+    c_r = np.take_along_axis(c, rank, axis=1).T.copy()
+    w_r = np.take_along_axis(w, rank, axis=1).T.copy()
+    lo = c_r - w_r / 2.0
+    hi = c_r + w_r / 2.0
+    keep = hi - lo > 0
+    claim_lo = np.where(keep, lo, np.inf)
+    claim_hi = np.where(keep, hi, -np.inf)
+    for r in range(1, n):
+        x = c_r[r]
+        c_lo, c_hi = claim_lo[:r], claim_hi[:r]
+        above, below = x <= c_lo, x >= c_hi
+        # clipping by disjoint intervals does not depend on their order
+        hi[r] = np.minimum(hi[r], np.where(above, c_lo, np.inf).min(axis=0))
+        lo[r] = np.maximum(lo[r], np.where(below, c_hi, -np.inf).max(axis=0))
+        # a claim neither above nor below the center covers it: width 0
+        keep[r] = (above | below).all(axis=0) & (hi[r] - lo[r] > 0)
+        claim_lo[r] = np.where(keep[r], lo[r], np.inf)
+        claim_hi[r] = np.where(keep[r], hi[r], -np.inf)
+    centers = np.empty_like(c)
+    widths = np.empty_like(w)
+    np.put_along_axis(centers, rank, np.where(keep, (lo + hi) / 2.0, c_r).T, axis=1)
+    np.put_along_axis(widths, rank, np.where(keep, hi - lo, 0.0).T, axis=1)
+
+    # budget trim of the rows whose total (summed in index order) exceeds
+    # the budget: grant in descending center-RSS order, subtracting each
+    # grant from the remainder in that order
+    total = np.cumsum(widths, axis=1)[:, -1] if n else np.zeros(rows)
+    over = ~(total <= total_budget)
+    if over.any():
+        w_o = widths[over]
+        order = np.argsort(-grid.values[grid.index_of(centers[over])], axis=1, kind="stable")
+        w_s = np.take_along_axis(w_o, order, axis=1)
+        start = np.full((w_s.shape[0], 1), float(total_budget))
+        left = np.subtract.accumulate(np.hstack([start, w_s[:, :-1]]), axis=1)
+        np.put_along_axis(w_o, order, np.minimum(w_s, np.maximum(left, 0.0)), axis=1)
+        widths[over] = w_o
+    return centers, widths
+
+
+def _score_rows(grid: GridRss, centers, widths, noise_psd):
+    """`plan_rate` of every row. Each row is summed over its live channels
+    only, as `plan_rate` does, because numpy's pairwise sum depends on the
+    length of what it adds."""
+    if noise_psd <= 0:
+        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
+    g = grid.values[grid.index_of(centers)]
+    terms = widths * np.log2(1.0 + np.maximum(g, 0.0) / noise_psd)
+    live = widths > 0
+    n_live = live.sum(axis=1)
+    packed = np.take_along_axis(terms, np.argsort(~live, axis=1, kind="stable"), axis=1)
+    scores = np.zeros(len(widths))
+    for n in np.unique(n_live[n_live > 0]):
+        rows = n_live == n
+        scores[rows] = packed[rows, :n].sum(axis=1)
+    return scores
+
+
+def _row_plan(centers, widths, total_budget):
+    return SubchannelPlan(
+        tuple(Subchannel(c, w) for c, w in zip(centers, widths)), total_budget
+    )
+
+
 def build_plan(centers, rss_fn, eps_db, total_budget, band, step, grid=None):
-    """Construct a full plan from candidate centers: bandwidth search,
-    overlap resolution, then the budget shrink."""
-    centers = np.asarray(centers, dtype=float)
-    if grid is not None:
-        idx = grid.index_of(centers)
-        widths = _grid_widths(grid, idx, eps_db, max_width=total_budget)
-        centers = grid.freqs[idx]
-        lookup = grid
-    else:
-        widths = np.array(
-            [
-                coherence_search(rss_fn, c, eps_db, band, step, max_width=total_budget)
-                for c in centers
-            ]
-        )
-        lookup = rss_fn
-    raw = [Subchannel(c, w) for c, w in zip(centers, widths)]
-    resolved = resolve_overlaps(raw, lookup)
-    return trim_to_budget(SubchannelPlan(tuple(resolved), total_budget), lookup)
+    """Construct a full plan from candidate centers: snap them to the grid
+    (built from rss_fn when none is given), then bandwidth search, overlap
+    resolution and the budget trim."""
+    grid = _as_grid(rss_fn, band, step) if grid is None else grid
+    idx = grid.index_of(np.asarray(centers, dtype=float))
+    c, w = _plan_rows(grid, idx.reshape(1, -1), eps_db, total_budget)
+    return _row_plan(c[0], w[0], total_budget)
 
 
 def ce_init(cfg: CEConfig, band) -> CEState:
@@ -370,37 +481,19 @@ def _sample_centers(state: CEState, cfg: CEConfig, rng):
 
 def ce_iterate(state, rss_fn, cfg, rng, *, eps_db, total_budget, noise_psd, grid=None):
     """One cross-entropy iteration: sample center vectors, build and score
-    each plan, refit the Gaussians to the elites with smoothing.
+    every sample's plan in one batch, refit the Gaussians to the elites with
+    smoothing. A plain rss_fn is first cached on a grid, as in `ce_optimize`.
 
     Returns (new_state, best_objective_this_iteration).
     """
     if state.iter >= cfg.max_iter:
         raise ValueError(f"iteration budget {cfg.max_iter} exhausted")
+    grid = _as_grid(rss_fn, state.band, cfg.step) if grid is None else grid
     samples = _sample_centers(state, cfg, rng)
-    scores = np.empty(cfg.samples)
-    best_plan, best_score = None, -np.inf
-    if grid is not None:
-        # batch the bandwidth search over all m*I centers at once
-        idx = grid.index_of(samples)
-        widths = _grid_widths(grid, idx.ravel(), eps_db, max_width=total_budget)
-        widths = widths.reshape(idx.shape)
-        snapped = grid.freqs[idx]
-        for s in range(cfg.samples):
-            raw = [Subchannel(c, w) for c, w in zip(snapped[s], widths[s])]
-            plan = trim_to_budget(
-                SubchannelPlan(tuple(resolve_overlaps(raw, grid)), total_budget), grid
-            )
-            scores[s] = plan_rate(plan, grid, noise_psd)
-            if scores[s] > best_score:
-                best_plan, best_score = plan, scores[s]
-    else:
-        for s in range(cfg.samples):
-            plan = build_plan(
-                samples[s], rss_fn, eps_db, total_budget, state.band, cfg.step
-            )
-            scores[s] = plan_rate(plan, rss_fn, noise_psd)
-            if scores[s] > best_score:
-                best_plan, best_score = plan, scores[s]
+    centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
+    scores = _score_rows(grid, centers, widths, noise_psd)
+    best = int(np.argmax(scores))
+    best_score = scores[best]
     elite_idx = np.argsort(-scores, kind="stable")[: cfg.elites]
     elites = samples[elite_idx]
     elite_mean = elites.mean(axis=0)
@@ -418,7 +511,7 @@ def ce_iterate(state, rss_fn, cfg, rng, *, eps_db, total_budget, noise_psd, grid
         incumbent_value=state.incumbent_value,
     )
     if best_score > state.incumbent_value:
-        new_state.incumbent_plan = best_plan
+        new_state.incumbent_plan = _row_plan(centers[best], widths[best], total_budget)
         new_state.incumbent_value = best_score
     return new_state, best_score
 
@@ -427,8 +520,7 @@ def ce_optimize(rss_fn, cfg, band, rng, *, eps_db, total_budget, noise_psd, grid
     """Run the full cross-entropy loop and build the plan from the final
     means. The best-ever sampled plan and the objective traces come along
     as diagnostics."""
-    if grid is None:
-        grid = rss_fn if isinstance(rss_fn, GridRss) else GridRss(rss_fn, band, cfg.step)
+    grid = _as_grid(rss_fn, band, cfg.step) if grid is None else grid
     state = ce_init(cfg, band)
     best_per_iter = np.empty(cfg.max_iter)
     incumbent_trace = np.empty(cfg.max_iter)
@@ -448,7 +540,7 @@ def ce_optimize(rss_fn, cfg, band, rng, *, eps_db, total_budget, noise_psd, grid
     final_plan = build_plan(
         state.means, rss_fn, eps_db, total_budget, band, cfg.step, grid=grid
     )
-    final_value = plan_rate(final_plan, grid if grid is not None else rss_fn, noise_psd)
+    final_value = plan_rate(final_plan, grid, noise_psd)
     incumbent = state.incumbent_plan if state.incumbent_plan is not None else final_plan
     incumbent_value = max(state.incumbent_value, final_value)
     return CEResult(

@@ -129,15 +129,16 @@ def combined_rss(mask, aps, f, p, cfg, gamma_th, gain_fn=None):
     else:
         pool = [ap for ap in aps if ap.id in mask.static_set]
 
-    per_link = np.empty((len(pool), f_arr.size))
-    for row, ap in enumerate(pool):
-        per_link[row] = _link_rss(f_arr, ap, p, cfg, gain_fn)
-    per_link[per_link < gamma_th] = 0.0
-
-    if mask.scheme is Scheme.BEST_PER_SUBCHANNEL:
-        out = per_link.max(axis=0)
-    else:
-        out = per_link.sum(axis=0)
+    # gated link rows are added one at a time in AP order, so no
+    # links x points array is held; the sum rounds as a column-wise one
+    out = np.zeros(f_arr.size)
+    for ap in pool:
+        row = np.asarray(_link_rss(f_arr, ap, p, cfg, gain_fn), dtype=float)
+        row[row < gamma_th] = 0.0
+        if mask.scheme is Scheme.BEST_PER_SUBCHANNEL:
+            np.maximum(out, row, out=out)
+        else:
+            out += row
     return float(out[0]) if np.ndim(f) == 0 else out
 
 

@@ -10,6 +10,7 @@ the same cross-entropy stream so per-trial comparisons are paired.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -265,19 +266,26 @@ def _with_axis_value(cfg, axis, value):
     raise ValueError(f"axis must be 'n_aps' or 'b_total', got {axis!r}")
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     """Sweep `axis` over `values`, running cfg.trials trials per point.
 
     Results are a deterministic function of (cfg, seed) regardless of the
     thread count: every trial owns its substream and aggregation is ordered
-    by trial index.
+    by trial index. The pool runs at most one thread per usable CPU.
     """
+    workers = min(threads, _usable_cpus())
     rows = []
     for axis_idx, value in enumerate(values):
         cfg_v = _with_axis_value(cfg, axis, value)
         jobs = range(cfg_v.trials)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 cells = list(pool.map(lambda t: _trial_cell(cfg_v, axis_idx, t), jobs))
         else:
             cells = [_trial_cell(cfg_v, axis_idx, t) for t in jobs]

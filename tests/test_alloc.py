@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfthz import alloc, phy, selection
 from cfthz.alloc import (
@@ -16,6 +20,7 @@ from cfthz.alloc import (
     integrated_rate,
     plan_rate,
     resolve_overlaps,
+    trim_to_budget,
     variance_smoothing,
 )
 from cfthz.phy import AntennaConfig
@@ -40,6 +45,63 @@ def oracle_rss(f):
 
 def flat_rss(level=1e-19):
     return lambda f: level * np.ones_like(np.asarray(f, dtype=float))
+
+
+def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
+    """Reference plan of one row of grid indices: `coherence_search` per
+    center, then `resolve_overlaps`, `trim_to_budget` and `plan_rate`."""
+    raw = [
+        Subchannel(c, coherence_search(grid, c, eps_db, grid.band, grid.step,
+                                       max_width=total_budget))
+        for c in grid.freqs[idx_row]
+    ]
+    resolved = SubchannelPlan(tuple(resolve_overlaps(raw, grid)), total_budget)
+    plan = trim_to_budget(resolved, grid)
+    return plan, plan_rate(plan, grid, noise_psd)
+
+
+def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
+    """The batched kernel's centers, widths and scores equal the scalar
+    chain's byte for byte, row by row."""
+    centers, widths = alloc._plan_rows(grid, idx, eps_db, total_budget)
+    scores = alloc._score_rows(grid, centers, widths, NOISE)
+    for s in range(idx.shape[0]):
+        plan, rate = scalar_chain(grid, idx[s], eps_db, total_budget, NOISE)
+        c_ref, w_ref = plan_arrays(plan)
+        assert centers[s].tobytes() == c_ref.tobytes()
+        assert widths[s].tobytes() == w_ref.tobytes()
+        assert scores[s].tobytes() == np.float64(rate).tobytes()
+
+
+def plan_arrays(plan):
+    return (
+        np.array([ch.center for ch in plan.channels], dtype=float),
+        np.array([ch.width for ch in plan.channels], dtype=float),
+    )
+
+
+def gated_link_grid(step=200e6):
+    """One link gated at its median RSS: about half the band is dead."""
+    ap = AccessPoint(0, 12.0, np.radians(55.0))
+    freqs = np.arange(BAND[0], BAND[1] + step / 2, step)
+    gamma = float(np.median(phy.link_rss(freqs, ap, P, CFG)))
+    mask = selection.select_nearest([ap])
+    return GridRss(selection.rss_function(mask, [ap], P, CFG, gamma), BAND, step)
+
+
+def dead_end_grid():
+    """Flat except a dead last point: searches below the middle end on the
+    band edge, the others one step before the dead pair."""
+    values = np.full(301, 1e-19)
+    values[-1] = 0.0
+    return GridRss(lambda f: values, (100e9, 103e9), 10e6)
+
+
+def plateau_grid():
+    """Exactly flat plateaus, a 0.2 dB step, 3 dB steps and dead stretches."""
+    levels = [1e-19, 1e-19, 0.0, 2e-19, 1.05e-19, 0.0, 0.0, 1e-19, 4e-19, 1e-19]
+    values = np.repeat(levels, 37)[:361]
+    return GridRss(lambda f: values, (0.0, 120.0), 1.0 / 3.0)
 
 
 class TestCoherenceSearch:
@@ -75,6 +137,155 @@ class TestCoherenceSearch:
         widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5)
         widths_gen = [coherence_search(oracle_rss, c, 0.5, BAND, STEP) for c in centers]
         np.testing.assert_allclose(widths_grid, widths_gen)
+
+
+class TestGridWidthTable:
+    @pytest.mark.parametrize("make_grid", [gated_link_grid, plateau_grid, dead_end_grid])
+    @pytest.mark.parametrize("eps_db", [0.0, 0.5])
+    @pytest.mark.parametrize("cap_steps", [None, 13, 65])
+    def test_matches_coherence_search_at_every_index(self, make_grid, eps_db, cap_steps):
+        grid = make_grid()
+        max_width = None if cap_steps is None else 2 * cap_steps * grid.step
+        assert np.any(grid.values <= 0) and np.any(grid.values > 0)
+        got = alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db, max_width)
+        expected = [
+            coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=max_width)
+            for c in grid.freqs
+        ]
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_repeated_and_overlapping_calls_scan_only_new_indices(self, monkeypatch):
+        grid = gated_link_grid()
+        scanned = []
+        scan = alloc._scan_half_widths
+
+        def recording_scan(grid, idx, eps_db, cap):
+            scanned.append(idx.tolist())
+            return scan(grid, idx, eps_db, cap)
+
+        monkeypatch.setattr(alloc, "_scan_half_widths", recording_scan)
+        first = alloc._grid_widths(grid, np.array([700, 5, 300, 5]), 0.5, 16e9)
+        second = alloc._grid_widths(grid, np.array([300, 900, 700, 5]), 0.5, 16e9)
+        third = alloc._grid_widths(grid, np.array([900, 300]), 0.5, 16e9)
+        assert scanned == [[5, 300, 700], [900]]
+        assert second.tolist() == [first[2], third[0], first[0], first[1]]
+        assert third.tolist() == [second[1], second[0]]
+
+    def test_two_caps_keep_separate_tables(self):
+        grid = GridRss(flat_rss(), BAND, STEP)
+        idx = grid.index_of(np.array([150e9, 200e9]))
+        capped = alloc._grid_widths(grid, idx, 0.5, max_width=1e9)
+        free = alloc._grid_widths(grid, idx, 0.5)
+        assert capped.tolist() == [1e9, 1e9]
+        assert free.tolist() == [100e9, 200e9]
+        assert sorted(grid.k_tables, key=str) == [(0.5, 50), (0.5, None)]
+        np.testing.assert_array_equal(alloc._grid_widths(grid, idx, 0.5, max_width=1e9), capped)
+
+    def test_no_runtime_warning(self):
+        grid = plateau_grid()
+        grid.values[[3, 200]] = np.inf  # edges with inf - inf in dB
+        grid.db[[3, 200]] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eps_db in (0.0, 0.5):
+                alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random grids and center rows for the batched plan kernel: exact RSS
+    ties from a few levels, dead centers (width 0), plateaus of different
+    lengths (nested and contained intervals), repeated centers, and budgets
+    from a fraction of one channel to far above the total."""
+    band0, step = draw(st.sampled_from([(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)]))
+    levels = [0.0, 1e-19, 1.05e-19, 2e-19, 4e-19]
+    runs = draw(st.lists(st.tuples(st.integers(1, 40), st.sampled_from(levels)),
+                         min_size=1, max_size=10))
+    values = np.concatenate([np.full(n, v) for n, v in runs])
+    if values.size < 3:
+        values = np.resize(values, 3)
+    n = values.size
+    grid = GridRss(lambda f: values, (band0, band0 + step * (n - 1)), step)
+    assert grid.freqs.size == n
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    n_sub = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 6))
+    idx = np.array(draw(st.lists(st.sampled_from(pool), min_size=rows * n_sub,
+                                 max_size=rows * n_sub))).reshape(rows, n_sub)
+    budget = draw(st.floats(0.25, 3.0 * n)) * step
+    eps_db = draw(st.sampled_from([0.0, 0.5]))
+    return grid, idx, eps_db, budget
+
+
+class TestPlanKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_rows_equal_scalar_chain_bitwise(self, case):
+        assert_rows_equal_scalar_chain(*case)
+
+    @pytest.mark.parametrize("band0, step", [(7.3, 0.1), (0.0, 1.0 / 3.0)])
+    def test_rows_equal_scalar_chain_on_inexact_grids(self, band0, step):
+        # grid frequencies that are not exact in binary make the midpoints
+        # and the running budget remainder round; a fixed seed keeps the
+        # rounding cases in every run
+        rng = np.random.default_rng(12)
+        values = np.repeat(rng.choice([0.0, 1e-19, 1.05e-19, 2e-19], 40), rng.integers(1, 30, 40))
+        grid = GridRss(lambda f: values, (band0, band0 + step * (values.size - 1)), step)
+        assert grid.freqs.size == values.size
+        idx = rng.integers(0, values.size, size=(400, 8))
+        for budget in (3.3, 40.0, 1e3):
+            assert_rows_equal_scalar_chain(grid, idx, 0.5, budget * step)
+
+    def test_plan_exactly_at_budget_is_not_trimmed(self):
+        # the budget test sums widths in index order, as trim_to_budget
+        # does; a pairwise or rank-order total can round past the budget
+        rng = np.random.default_rng(13)
+        values = np.repeat(rng.choice([1e-19, 1.05e-19, 2e-19], 60), rng.integers(20, 60, 60))
+        grid = GridRss(lambda f: values, (7.3, 7.3 + 0.1 * (values.size - 1)), 0.1)
+        for row in rng.integers(0, values.size, size=(300, 12)):
+            _, untrimmed = alloc._plan_rows(grid, row[None, :], 0.5, 1e9)
+            budget = np.cumsum(untrimmed[0])[-1]
+            _, widths = alloc._plan_rows(grid, row[None, :], 0.5, budget)
+            plan, _ = scalar_chain(grid, row, 0.5, budget, NOISE)
+            assert widths[0].tobytes() == untrimmed[0].tobytes() == plan_arrays(plan)[1].tobytes()
+
+    def test_center_on_a_claimed_edge_keeps_its_outer_side(self):
+        # the strong channel at 50 spans [15, 85]; the weaker one centered
+        # on its low edge keeps [0, 15], as the scalar chain decides
+        values = np.full(121, 1e-19)
+        values[50], values[86] = 2e-19, 4e-19
+        grid = GridRss(lambda f: values, (0.0, 120.0), 1.0)
+        idx = np.array([[15, 50]])
+        centers, widths = alloc._plan_rows(grid, idx, 0.5, 1e3)
+        assert widths.tolist() == [[15.0, 70.0]]
+        assert centers.tolist() == [[7.5, 50.0]]
+        plan, _ = scalar_chain(grid, idx[0], 0.5, 1e3, NOISE)
+        assert plan_arrays(plan)[1].tolist() == [15.0, 70.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ce_iterate_best_plan_is_scalar_build_of_best_sample(self, seed):
+        grid = GridRss(oracle_rss, BAND, 50e6)
+        cfg = CEConfig(n_sub=12, samples=25, elites=5, max_iter=1, step=50e6)
+        state = ce_init(cfg, BAND)
+        samples = alloc._sample_centers(state, cfg, np.random.default_rng(seed))
+        new_state, best = ce_iterate(state, grid, cfg, np.random.default_rng(seed),
+                                     eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
+        ref_plan, ref_best = None, -np.inf
+        for row in samples:
+            plan, rate = scalar_chain(grid, grid.index_of(row), 0.5, 16e9, NOISE)
+            if rate > ref_best:
+                ref_plan, ref_best = plan, rate
+        assert best == ref_best
+        assert new_state.incumbent_value == ref_best
+        assert new_state.incumbent_plan == ref_plan
+
+    def test_build_plan_is_one_kernel_row(self):
+        grid = GridRss(oracle_rss, BAND, STEP)
+        centers = np.random.default_rng(11).uniform(105e9, 295e9, 30)
+        plan = build_plan(centers, oracle_rss, 0.5, 16e9, BAND, STEP)
+        assert plan == scalar_chain(grid, grid.index_of(centers), 0.5, 16e9, NOISE)[0]
+        assert plan == build_plan(centers, grid, 0.5, 16e9, BAND, STEP, grid=grid)
+        assert build_plan([], grid, 0.5, 16e9, BAND, STEP).channels == ()
 
 
 class TestResolveOverlaps:

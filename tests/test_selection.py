@@ -3,7 +3,7 @@ import pytest
 
 from cfthz import phy, selection
 from cfthz.phy import AntennaConfig
-from cfthz.selection import AccessPoint, Scheme
+from cfthz.selection import AccessPoint, Scheme, SelectionMask
 
 CFG = AntennaConfig(f_co=100e9)
 P = 1.0 / 16e9
@@ -155,6 +155,48 @@ class TestCombinedRss:
         vec = selection.combined_rss(mask, aps, f, P, CFG, GAMMA_TH)
         scal = [selection.combined_rss(mask, aps, fi, P, CFG, GAMMA_TH) for fi in f]
         np.testing.assert_allclose(vec, scal)
+
+
+def materialized_combined_rss(mask, aps, f, gamma_th):
+    """Reference: the (links x points) matrix, gated, then reduced at once."""
+    pool = aps if mask.scheme is Scheme.BEST_PER_SUBCHANNEL else [
+        ap for ap in aps if ap.id in mask.static_set]
+    per_link = np.array([phy.link_rss(f, ap, P, CFG) for ap in pool])
+    per_link[per_link < gamma_th] = 0.0
+    if mask.scheme is Scheme.BEST_PER_SUBCHANNEL:
+        return per_link.max(axis=0)
+    return per_link.sum(axis=0)
+
+
+class TestStreamingCombinedRss:
+    F = np.linspace(100.5e9, 299.5e9, 2001)
+
+    @pytest.mark.parametrize("n_aps", [1, 2, 20, 160])
+    def test_equals_materialized_reduction_bitwise(self, n_aps):
+        aps = random_aps(np.random.default_rng(n_aps), n_aps)
+        # far, steep-angled APs fall below gamma_th over the whole band
+        aps += [AccessPoint(n_aps + i, 50.0, 1.55) for i in range(2)]
+        masks = [
+            selection.select_mrt(aps),
+            selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER),
+            selection.select_best_per_subchannel(),
+            selection.select_nearest(aps),
+            SelectionMask(Scheme.BEST_NSEL, frozenset({n_aps, n_aps + 1})),
+        ]
+        assert np.all(phy.link_rss(self.F, aps[-1], P, CFG) < GAMMA_TH)
+        for mask in masks:
+            got = selection.combined_rss(mask, aps, self.F, P, CFG, GAMMA_TH)
+            expected = materialized_combined_rss(mask, aps, self.F, GAMMA_TH)
+            assert got.tobytes() == expected.tobytes(), mask.scheme
+        dead = selection.combined_rss(masks[-1], aps, self.F, P, CFG, GAMMA_TH)
+        assert not dead.any()
+
+    def test_scalar_query_equals_array_element(self):
+        aps = random_aps(np.random.default_rng(3), 40)
+        for mask in (selection.select_mrt(aps), selection.select_best_per_subchannel()):
+            vec = selection.combined_rss(mask, aps, self.F[::250], P, CFG, GAMMA_TH)
+            for f, v in zip(self.F[::250], vec):
+                assert selection.combined_rss(mask, aps, f, P, CFG, GAMMA_TH) == v
 
 
 class TestProperties:

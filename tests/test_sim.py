@@ -143,6 +143,23 @@ class TestMonteCarlo:
         s4 = sim.monte_carlo(cfg, "n_aps", [3, 4], threads=4)
         assert s1 == s2 == s4
 
+    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(sim.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+        cfg = fast_cfg(trials=2, schemes=("nearest",))
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        capped = sim.monte_carlo(cfg, "n_aps", [4], threads=8)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
+        serial = sim.monte_carlo(cfg, "n_aps", [4], threads=8)
+        assert pools == [2]
+        assert capped == serial
+
     def test_row_schema(self):
         cfg = fast_cfg(trials=2)
         sweep = sim.monte_carlo(cfg, "b_total", [8e9, 16e9])
