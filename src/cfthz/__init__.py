@@ -18,8 +18,6 @@ from .alloc import (
     ce_init,
     ce_iterate,
     ce_optimize,
-    coherence_search,
-    enforce_budget,
     integrated_rate,
     plan_rate,
     resolve_overlaps,
@@ -55,8 +53,6 @@ from .sim import (
     ScenarioConfig,
     SweepResult,
     TrialResult,
-    colocated_baseline,
-    equal_allocation_baseline,
     generate_scenario,
     monte_carlo,
     run_trial,

@@ -12,18 +12,19 @@ updates.
 Inside the loop every center is snapped to a `GridRss` index, so the
 bandwidth search is a lookup in a per-grid width table and all of an
 iteration's plans are built and scored as `(samples, n_sub)` arrays by
-`_plan_rows`. The scalar `coherence_search`, `resolve_overlaps`,
-`trim_to_budget` and `plan_rate` are the reference forms of those steps.
+`_plan_rows`. The scalar `resolve_overlaps`, `trim_to_budget` and
+`plan_rate` are the reference forms of those steps; the tests keep a
+scalar bandwidth search as the width table's reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# Chunk length for the expanding bandwidth search against a generic callable.
-_SEARCH_CHUNK = 128
+from .phy import require_finite_fields
+
 # Search steps checked per pass of the grid width scan.
 _SCAN_CHUNK = 64
 # Resampling attempts before out-of-band Gaussian draws get clamped.
@@ -92,6 +93,7 @@ class CEConfig:
     step: float = 10e6  # Hz, bandwidth-search grid
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not 1 <= self.elites <= self.samples:
             raise ValueError("need 1 <= elites <= samples")
         if not 0 < self.smooth_mean <= 1:
@@ -127,19 +129,32 @@ class CEResult:
     state: CEState
 
 
+def grid_freqs(band, step):
+    """The uniform frequency grid a `GridRss` over `band` samples."""
+    lo, hi, step = float(band[0]), float(band[1]), float(step)
+    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    return lo + step * np.arange(n)
+
+
 class GridRss:
     """RSS samples cached on a uniform frequency grid over the band.
 
-    Calling it looks frequencies up by nearest grid index, so the allocator
-    snaps candidate centers to this grid before searching bandwidths.
+    `rss_fn` is a frequency -> PSD callable, or that PSD already sampled at
+    `grid_freqs(band, step)`. Calling the grid looks frequencies up by
+    nearest grid index, so the allocator snaps candidate centers to this
+    grid before searching bandwidths.
     """
 
     def __init__(self, rss_fn, band, step):
         self.band = (float(band[0]), float(band[1]))
         self.step = float(step)
-        n = int(np.floor((self.band[1] - self.band[0]) / self.step + 1e-9)) + 1
-        self.freqs = self.band[0] + self.step * np.arange(n)
-        self.values = np.asarray(rss_fn(self.freqs), dtype=float)
+        self.freqs = grid_freqs(self.band, self.step)
+        values = rss_fn(self.freqs) if callable(rss_fn) else rss_fn
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != self.freqs.shape:
+            raise ValueError(
+                f"RSS samples have shape {self.values.shape}, grid has {self.freqs.shape}"
+            )
         with np.errstate(divide="ignore"):
             self.db = 10.0 * np.log10(self.values)
         # coherence half-widths in steps, one table per (eps_db, cap in
@@ -158,44 +173,11 @@ class GridRss:
         return float(out) if np.ndim(f) == 0 else out
 
 
-def _edge_pair_ok(g_lo, g_hi, eps_db):
-    """C3 check on one pair of edge values; a dead edge stops expansion."""
-    dead = (g_lo <= 0) | (g_hi <= 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = np.abs(10.0 * np.log10(g_lo) - 10.0 * np.log10(g_hi))
-    flat = diff == 0.0
-    return ~dead & (flat | (diff < eps_db))
-
-
-def coherence_search(rss_fn, center, eps_db, band, step, max_width=None):
-    """Largest grid width 2k*step whose edges stay in band and satisfy the
-    edge-to-edge dB flatness bound; returns the value preceding the first
-    violation. A zero RSS at the center marks a dead subchannel (width 0).
-    """
-    lo_b, hi_b = band
-    if not lo_b <= center <= hi_b:
-        raise ValueError(f"center {center} outside band [{lo_b}, {hi_b}]")
-    if float(rss_fn(center)) <= 0.0:
-        return 0.0
-    k_max = int(min((center - lo_b), (hi_b - center)) / step + 1e-9)
-    if max_width is not None:
-        k_max = min(k_max, int(max_width / (2 * step) + 1e-9))
-    k = 1
-    while k <= k_max:
-        ks = np.arange(k, min(k + _SEARCH_CHUNK, k_max + 1))
-        g_lo = np.atleast_1d(rss_fn(center - ks * step))
-        g_hi = np.atleast_1d(rss_fn(center + ks * step))
-        ok = _edge_pair_ok(g_lo, g_hi, eps_db)
-        if not ok.all():
-            first_bad = ks[int(np.argmin(ok))]
-            return 2.0 * (first_bad - 1) * step
-        k = ks[-1] + 1
-    return 2.0 * k_max * step
-
-
 def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width=None):
-    """`coherence_search` for grid-aligned centers, read from the grid's
-    width table; indices no earlier call has searched are scanned first."""
+    """Coherence widths of grid-aligned centers: the largest width 2k*step
+    whose edges stay in band, under the cap and within eps_db of each other
+    (0 for a dead center). Read from the grid's width table; indices no
+    earlier call has searched are scanned first."""
     idx = np.atleast_1d(centers_idx)
     cap = None if max_width is None else int(max_width / (2 * grid.step) + 1e-9)
     table = grid.k_tables.get((eps_db, cap))
@@ -292,17 +274,6 @@ def resolve_overlaps(raw, rss_fn):
         else:
             resolved[j] = Subchannel(center, 0.0)
     return resolved
-
-
-def enforce_budget(plan: SubchannelPlan) -> SubchannelPlan:
-    """Shrink every width proportionally about its center if the summed
-    width exceeds the budget; disjoint plans stay disjoint."""
-    total = plan.total_width
-    if total <= plan.total_budget:
-        return plan
-    scale = plan.total_budget / total
-    channels = tuple(replace(ch, width=ch.width * scale) for ch in plan.channels)
-    return SubchannelPlan(channels, plan.total_budget)
 
 
 def trim_to_budget(plan: SubchannelPlan, rss_fn) -> SubchannelPlan:

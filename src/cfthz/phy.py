@@ -7,7 +7,8 @@ radians, PSDs in W/Hz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +22,14 @@ _SINC_TAYLOR_CUTOFF = 1e-4
 
 class BelowCutoffError(ValueError):
     """Raised when a frequency below the waveguide cutoff is requested."""
+
+
+def require_finite_fields(obj):
+    """Reject a dataclass whose float fields hold NaN or an infinity."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _check_positive(name, value):
@@ -61,6 +70,7 @@ class AntennaConfig:
     consts: PhysConstants = field(default=PhysConstants())
 
     def __post_init__(self):
+        require_finite_fields(self)
         _check_positive("f_co", self.f_co)
         _check_positive("aperture", self.aperture)
         if self.atten < 0:
@@ -119,15 +129,17 @@ def complex_sinc(z):
     Arguments below |z| = 1e-4 use the 3-term Taylor series to avoid
     cancellation.
     """
-    z = np.asarray(z, dtype=complex)
+    z_in = np.asarray(z, dtype=complex)
+    z = np.atleast_1d(z_in)
     small = np.abs(z) < _SINC_TAYLOR_CUTOFF
     # avoid 0/0 in the vectorized branch; the small entries are overwritten
     safe = np.where(small, 1.0, z)
-    out = np.sin(safe) / safe
-    z2 = z * z
-    taylor = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    out = np.where(small, taylor, out)
-    return complex(out) if out.ndim == 0 else out
+    out = np.sin(safe)
+    out /= safe
+    if small.any():
+        z2 = z[small] * z[small]
+        out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return complex(out[0]) if z_in.ndim == 0 else out
 
 
 def antenna_gain(f, theta, cfg: AntennaConfig, consts=None):

@@ -3,7 +3,9 @@
 Four schemes: MRT (all APs), best N_sel (ranked at each AP's peak-radiation
 frequency), best AP per subchannel (frequency-dependent argmax), and
 nearest neighbor. The combined RSS sums thresholded per-link PSDs for
-set-based masks and takes the max-form for the per-subchannel rule.
+set-based masks and takes the max-form for the per-subchannel rule; one
+streaming pass over the APs serves any number of masks, so every link row
+is computed once per scenario.
 """
 
 from __future__ import annotations
@@ -111,34 +113,55 @@ def _link_rss(f, ap, p, cfg, gain_fn):
     return p * gain_fn(f, ap.angle, cfg) * phy.path_gain(f, ap.distance, cfg.consts)
 
 
-def combined_rss(mask, aps, f, p, cfg, gamma_th, gain_fn=None):
-    """Combined received PSD at frequency f (scalar or array) under `mask`.
+def combined_rss_rows(masks, aps, f, p, cfg, gamma_th, gain_fn=None):
+    """Combined received PSD of each mask in the list `masks` at frequencies f,
+    from one pass over the APs; returns one array per mask.
 
-    Set-based masks: sum of per-link RSS over selected APs, each gated by
-    the outage indicator 1(gamma >= gamma_th). Per-subchannel rule: the
-    max-form, i.e. the largest thresholded per-link RSS. Returns 0 where
-    every selected link falls below gamma_th.
+    Each selected AP's link row is computed once, gated by the outage
+    indicator 1(gamma >= gamma_th), and combined into every mask that
+    selects it, in AP order: summed for set-based masks, max-combined for
+    the per-subchannel rule (which selects every AP). A run of APs with one
+    geometry (a co-located site) reuses its row. Only one link row is held
+    at a time, never a links x points array, and each output rounds as a
+    column-wise sum (or max) over its links would.
     """
     _require_aps(aps)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     if np.any(f_arr < cfg.f_co):
         raise phy.BelowCutoffError(f"f below cutoff {cfg.f_co}")
 
-    if mask.scheme is Scheme.BEST_PER_SUBCHANNEL:
-        pool = list(aps)
-    else:
-        pool = [ap for ap in aps if ap.id in mask.static_set]
+    outs = [np.zeros(f_arr.size) for _ in masks]
+    row, geometry = None, None
+    for ap in aps:
+        users = [
+            (mask.scheme is Scheme.BEST_PER_SUBCHANNEL, out)
+            for mask, out in zip(masks, outs)
+            if mask.scheme is Scheme.BEST_PER_SUBCHANNEL or ap.id in mask.static_set
+        ]
+        if not users:
+            continue
+        if (ap.distance, ap.angle) != geometry:
+            row = np.asarray(_link_rss(f_arr, ap, p, cfg, gain_fn), dtype=float)
+            row[row < gamma_th] = 0.0
+            geometry = (ap.distance, ap.angle)
+        for max_form, out in users:
+            if max_form:
+                np.maximum(out, row, out=out)
+            else:
+                out += row
+    return outs
 
-    # gated link rows are added one at a time in AP order, so no
-    # links x points array is held; the sum rounds as a column-wise one
-    out = np.zeros(f_arr.size)
-    for ap in pool:
-        row = np.asarray(_link_rss(f_arr, ap, p, cfg, gain_fn), dtype=float)
-        row[row < gamma_th] = 0.0
-        if mask.scheme is Scheme.BEST_PER_SUBCHANNEL:
-            np.maximum(out, row, out=out)
-        else:
-            out += row
+
+def combined_rss(mask, aps, f, p, cfg, gamma_th, gain_fn=None):
+    """Combined received PSD at frequency f (scalar or array) under `mask`.
+
+    Set-based masks: sum of per-link RSS over selected APs, each gated by
+    the outage indicator 1(gamma >= gamma_th). Per-subchannel rule: the
+    max-form, i.e. the largest thresholded per-link RSS. Returns 0 where
+    every selected link falls below gamma_th. The one-mask case of
+    `combined_rss_rows`.
+    """
+    (out,) = combined_rss_rows([mask], aps, f, p, cfg, gamma_th, gain_fn=gain_fn)
     return float(out[0]) if np.ndim(f) == 0 else out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import alloc, selection
 from .alloc import CEConfig, GridRss
-from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz
+from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, require_finite_fields
 from .selection import AccessPoint, Scheme
 
 CE_SCHEMES = ("mrt", "best_nsel", "best_per_subchannel", "nearest")
@@ -54,6 +54,9 @@ class ScenarioConfig:
     ce: CEConfig = field(default_factory=CEConfig)
 
     def __post_init__(self):
+        require_finite_fields(self)
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.d_min <= 0:
             raise ValueError("d_min must be > 0")
         if self.radius <= self.d_min:
@@ -149,14 +152,28 @@ def _active_count(scheme, mask, aps, cfg, plan):
     return len(used)
 
 
-def run_trial(aps, scheme, cfg: ScenarioConfig, rng, gain_fn=None) -> TrialResult:
-    """Build the scheme's mask, optimize the subchannel plan with the CE
-    allocator, and record both rate metrics plus the active-AP count."""
-    mask = _build_mask(scheme, aps, cfg)
-    rss_fn = selection.rss_function(
-        mask, aps, cfg.p, cfg.antenna, cfg.gamma_th, gain_fn=gain_fn
+def _grid_rss(mask, aps, cfg, gain_fn=None):
+    """The mask's combined RSS sampled on the allocator's band grid."""
+    return selection.combined_rss(
+        mask, aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
+        cfg.p, cfg.antenna, cfg.gamma_th, gain_fn=gain_fn,
     )
-    grid = GridRss(rss_fn, cfg.band, cfg.ce.step)
+
+
+def run_trial(
+    aps, scheme, cfg: ScenarioConfig, rng, gain_fn=None, mask_rss=None
+) -> TrialResult:
+    """Build the scheme's mask, optimize the subchannel plan with the CE
+    allocator, and record both rate metrics plus the active-AP count.
+
+    `mask_rss` is the scheme's (mask, RSS on the band grid) pair from a
+    cell's shared link pass; without it both are computed here.
+    """
+    if mask_rss is None:
+        mask = _build_mask(scheme, aps, cfg)
+        mask_rss = (mask, _grid_rss(mask, aps, cfg, gain_fn))
+    mask, rss = mask_rss
+    grid = GridRss(rss, cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(
         grid,
         cfg.ce,
@@ -179,11 +196,13 @@ def run_trial(aps, scheme, cfg: ScenarioConfig, rng, gain_fn=None) -> TrialResul
     )
 
 
-def equal_allocation_trial(aps, cfg: ScenarioConfig) -> TrialResult:
+def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss=None) -> TrialResult:
     """MRT over all APs with n_sub equal-width, evenly spaced subchannels.
 
     Rated by the integrated metric: the equal plan ignores the flatness
     constraint, so the center-RSS objective would overstate its rate.
+    `mrt_rss` is the MRT RSS on the band grid from a cell's shared link
+    pass; without it, it is computed here.
     """
     n_sub = cfg.ce.n_sub
     spacing = (cfg.f_upper - cfg.f_co) / n_sub
@@ -192,9 +211,9 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig) -> TrialResult:
         raise ValueError(
             f"equal plan overlaps: width {width:.3e} exceeds spacing {spacing:.3e}"
         )
-    mask = selection.select_mrt(aps)
-    rss_fn = selection.rss_function(mask, aps, cfg.p, cfg.antenna, cfg.gamma_th)
-    grid = GridRss(rss_fn, cfg.band, cfg.ce.step)
+    if mrt_rss is None:
+        mrt_rss = _grid_rss(selection.select_mrt(aps), aps, cfg)
+    grid = GridRss(mrt_rss, cfg.band, cfg.ce.step)
     centers = cfg.f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
     channels = tuple(alloc.Subchannel(c, width) for c in centers)
     plan = alloc.SubchannelPlan(channels, cfg.b_total)
@@ -210,11 +229,6 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig) -> TrialResult:
     )
 
 
-def equal_allocation_baseline(aps, cfg: ScenarioConfig) -> float:
-    """Integrated rate of the equal-bandwidth MRT baseline [bit/s]."""
-    return equal_allocation_trial(aps, cfg).integrated_rate
-
-
 def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
     """All n_aps antennas share one random site: a single (d, theta) draw,
     MRT combining (N identical links), then the usual CE allocation."""
@@ -223,12 +237,6 @@ def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
     aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
     result = run_trial(aps, "mrt", cfg, ce_rng)
     return replace(result, scheme="colocated")
-
-
-def colocated_baseline(rng, cfg: ScenarioConfig) -> float:
-    """Rate of the co-located MRT baseline [bit/s]; rng drives both the
-    site draw and the CE stream."""
-    return colocated_trial(rng, rng, cfg).plan_rate
 
 
 def _headline_rate(result: TrialResult) -> float:
@@ -245,16 +253,29 @@ def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
         )
 
     aps = generate_scenario(rng_for(_STREAM_SCENARIO), cfg)
+    # one link pass serves every scheme on this scenario; equal_mrt reuses
+    # the mrt row, and colocated draws its own site
+    mask_schemes = dict.fromkeys(
+        "mrt" if s == "equal_mrt" else s for s in cfg.schemes if s != "colocated"
+    )
+    masks = [_build_mask(s, aps, cfg) for s in mask_schemes]
+    rows = selection.combined_rss_rows(
+        masks, aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
+        cfg.p, cfg.antenna, cfg.gamma_th,
+    )
+    shared = dict(zip(mask_schemes, zip(masks, rows)))
     out = {}
     for scheme in cfg.schemes:
         if scheme == "equal_mrt":
-            out[scheme] = equal_allocation_trial(aps, cfg)
+            out[scheme] = equal_allocation_trial(aps, cfg, mrt_rss=shared["mrt"][1])
         elif scheme == "colocated":
             out[scheme] = colocated_trial(
                 rng_for(_STREAM_COLOCATED), rng_for(_STREAM_CE), cfg
             )
         else:
-            out[scheme] = run_trial(aps, scheme, cfg, rng_for(_STREAM_CE))
+            out[scheme] = run_trial(
+                aps, scheme, cfg, rng_for(_STREAM_CE), mask_rss=shared[scheme]
+            )
     return out
 
 

@@ -15,8 +15,6 @@ from cfthz.alloc import (
     ce_init,
     ce_iterate,
     ce_optimize,
-    coherence_search,
-    enforce_budget,
     integrated_rate,
     plan_rate,
     resolve_overlaps,
@@ -45,6 +43,47 @@ def oracle_rss(f):
 
 def flat_rss(level=1e-19):
     return lambda f: level * np.ones_like(np.asarray(f, dtype=float))
+
+
+# Chunk length of the reference bandwidth search's expanding scan.
+_SEARCH_CHUNK = 128
+
+
+def _edge_pair_ok(g_lo, g_hi, eps_db):
+    """C3 check on one pair of edge values; a dead edge stops expansion."""
+    dead = (g_lo <= 0) | (g_hi <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.abs(10.0 * np.log10(g_lo) - 10.0 * np.log10(g_hi))
+    flat = diff == 0.0
+    return ~dead & (flat | (diff < eps_db))
+
+
+def coherence_search(rss_fn, center, eps_db, band, step, max_width=None):
+    """Reference bandwidth search against any RSS callable: the largest grid
+    width 2k*step whose edges stay in band and satisfy the edge-to-edge dB
+    flatness bound, i.e. the value preceding the first violation. A zero
+    RSS at the center marks a dead subchannel (width 0). The width table
+    behind `alloc._grid_widths` must match it at every grid index.
+    """
+    lo_b, hi_b = band
+    if not lo_b <= center <= hi_b:
+        raise ValueError(f"center {center} outside band [{lo_b}, {hi_b}]")
+    if float(rss_fn(center)) <= 0.0:
+        return 0.0
+    k_max = int(min((center - lo_b), (hi_b - center)) / step + 1e-9)
+    if max_width is not None:
+        k_max = min(k_max, int(max_width / (2 * step) + 1e-9))
+    k = 1
+    while k <= k_max:
+        ks = np.arange(k, min(k + _SEARCH_CHUNK, k_max + 1))
+        g_lo = np.atleast_1d(rss_fn(center - ks * step))
+        g_hi = np.atleast_1d(rss_fn(center + ks * step))
+        ok = _edge_pair_ok(g_lo, g_hi, eps_db)
+        if not ok.all():
+            first_bad = ks[int(np.argmin(ok))]
+            return 2.0 * (first_bad - 1) * step
+        k = ks[-1] + 1
+    return 2.0 * k_max * step
 
 
 def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
@@ -342,34 +381,6 @@ class TestResolveOverlaps:
             ]
             out = resolve_overlaps(raw, oracle_rss)
             SubchannelPlan(tuple(out), 1e12).validate()
-
-
-class TestEnforceBudget:
-    def test_under_budget_unchanged(self):
-        plan = SubchannelPlan((Subchannel(150e9, 4e9),), total_budget=8e9)
-        assert enforce_budget(plan) is plan
-
-    def test_double_budget_halves_widths(self):
-        plan = SubchannelPlan(
-            (Subchannel(120e9, 16e9), Subchannel(200e9, 16e9)), total_budget=16e9
-        )
-        out = enforce_budget(plan)
-        assert [ch.width for ch in out.channels] == [pytest.approx(8e9)] * 2
-        assert [ch.center for ch in out.channels] == [120e9, 200e9]
-
-    def test_fuzz_preserves_invariants(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n = rng.integers(1, 10)
-            edges = np.sort(rng.uniform(100e9, 300e9, 2 * n))
-            channels = tuple(
-                Subchannel((lo + hi) / 2, hi - lo)
-                for lo, hi in zip(edges[::2], edges[1::2])
-            )
-            plan = SubchannelPlan(channels, total_budget=rng.uniform(1e9, 50e9))
-            out = enforce_budget(plan)
-            out.validate(BAND)
-            assert out.total_width <= plan.total_budget * (1 + 1e-12)
 
 
 class TestTrimToBudget:

@@ -76,6 +76,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.load_config(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eps_db", "nan"), ("radius_m", "inf"), ("b_total_hz", "nan"),
+         ("gamma_th_dbm_hz", "nan"), ("ce.smooth_var", "nan"),
+         ("antenna.atten_per_m", "inf"), ("trials", "0")],
+    )
+    def test_non_finite_or_zero_trials_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            cli.load_config(None, {key: value})
+
     def test_plate_sep_consistency_check(self, tmp_path):
         ok = tmp_path / "ok.cfg"
         ok.write_text("f_co_hz = 100e9\nantenna.plate_sep_m = 1.5e-3\n")
@@ -265,6 +275,21 @@ class TestMainErrors:
         rc = cli.main(["trial", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["eps_db = nan", "radius_m = inf", "trials = 0"])
+    def test_bad_value_exit_code(self, tmp_path, capsys, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        rc = cli.main(["trial", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "trial.json").exists()
+
+    def test_zero_trials_flag_exit_code(self, tmp_path, capsys):
+        rc = cli.main(["simulate", "--axis", "n_aps", "--values", "4", "--trials", "0",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_seed_override_changes_digest(self, tmp_path):
         _, e1 = cli.load_config(None, {"seed": "1"})

@@ -100,6 +100,37 @@ class TestComplexSinc:
         z = 0.3 - 2.1j
         assert phy.complex_sinc(z) == pytest.approx(np.sin(z) / z)
 
+    @staticmethod
+    def whole_array_sinc(z):
+        """Reference form: both branches over every entry, then a select."""
+        z = np.asarray(z, dtype=complex)
+        small = np.abs(z) < 1e-4
+        safe = np.where(small, 1.0, z)
+        out = np.sin(safe) / safe
+        z2 = z * z
+        taylor = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+        out = np.where(small, taylor, out)
+        return complex(out) if out.ndim == 0 else out
+
+    def test_bitwise_equal_to_whole_array_form(self):
+        rng = np.random.default_rng(0)
+        mag = 10.0 ** rng.uniform(-9, 1, 4000)
+        z = mag * np.exp(1j * rng.uniform(0, 2 * np.pi, mag.size))
+        z[::7] = mag[::7]  # real entries
+        z[::11] = 0.0
+        z[1::13] = 1e-4  # exactly at the cutoff: the direct branch
+        z[2::13] = np.nextafter(1e-4, 0)
+        for arr in (z, z.reshape(40, 100), z[np.abs(z) >= 1e-4], z[np.abs(z) < 1e-4]):
+            got = phy.complex_sinc(arr)
+            assert got.shape == arr.shape
+            assert got.tobytes() == self.whole_array_sinc(arr).tobytes()
+
+    @pytest.mark.parametrize("z", [0.0, 0j, 3e-5 + 2e-5j, 1e-4, 0.3 - 2.1j, 2.0])
+    def test_scalar_in_python_complex_out(self, z):
+        got = phy.complex_sinc(z)
+        assert type(got) is complex
+        assert got == self.whole_array_sinc(z)
+
 
 class TestAntennaGain:
     def test_peak_with_no_attenuation(self):

@@ -191,6 +191,54 @@ class TestStreamingCombinedRss:
         dead = selection.combined_rss(masks[-1], aps, self.F, P, CFG, GAMMA_TH)
         assert not dead.any()
 
+    @pytest.mark.parametrize("n_aps", [1, 20, 160])
+    def test_one_pass_equals_per_mask_bitwise(self, n_aps):
+        # a co-located run of identical geometries and two dead links ride
+        # along; the pass computes the run's row once and adds it n times
+        aps = random_aps(np.random.default_rng(100 + n_aps), n_aps)
+        aps += [AccessPoint(n_aps + i, 7.0, 0.9) for i in range(n_aps)]
+        aps += [AccessPoint(2 * n_aps + i, 50.0, 1.55) for i in range(2)]
+        masks = [
+            selection.select_mrt(aps),
+            selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER),
+            selection.select_best_per_subchannel(),
+            selection.select_nearest(aps),
+            SelectionMask(Scheme.MRT, frozenset(ap.id for ap in aps[n_aps:2 * n_aps])),
+            SelectionMask(Scheme.BEST_NSEL, frozenset({2 * n_aps, 2 * n_aps + 1})),
+        ]
+        rows = selection.combined_rss_rows(masks, aps, self.F, P, CFG, GAMMA_TH)
+        assert len(rows) == len(masks)
+        for mask, row in zip(masks, rows):
+            single = selection.combined_rss(mask, aps, self.F, P, CFG, GAMMA_TH)
+            expected = materialized_combined_rss(mask, aps, self.F, GAMMA_TH)
+            assert row.tobytes() == single.tobytes() == expected.tobytes(), mask.scheme
+        assert not rows[-1].any()
+
+    def test_one_pass_with_every_link_dead(self):
+        aps = random_aps(np.random.default_rng(4), 20)
+        masks = [selection.select_mrt(aps), selection.select_best_per_subchannel()]
+        rows = selection.combined_rss_rows(masks, aps, self.F, P, CFG, gamma_th=1.0)
+        assert [row.tobytes() for row in rows] == [np.zeros(self.F.size).tobytes()] * 2
+
+    def test_one_pass_computes_each_distinct_link_once(self, monkeypatch):
+        calls = []
+        real = phy.link_rss
+
+        def counting(f, ap, *args, **kwargs):
+            calls.append(ap.id)
+            return real(f, ap, *args, **kwargs)
+
+        monkeypatch.setattr(phy, "link_rss", counting)
+        aps = random_aps(np.random.default_rng(5), 6)
+        site = [AccessPoint(6 + i, 9.0, 0.7) for i in range(4)]
+        masks = [
+            selection.select_mrt(aps + site),
+            selection.select_best_per_subchannel(),
+            selection.select_nearest(aps + site),
+        ]
+        selection.combined_rss_rows(masks, aps + site, self.F, P, CFG, GAMMA_TH)
+        assert calls == [0, 1, 2, 3, 4, 5, 6]
+
     def test_scalar_query_equals_array_element(self):
         aps = random_aps(np.random.default_rng(3), 40)
         for mask in (selection.select_mrt(aps), selection.select_best_per_subchannel()):

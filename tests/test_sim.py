@@ -89,12 +89,12 @@ class TestEqualAllocationBaseline:
         cfg = fast_cfg(b_total=250e9, f_co=100e9, f_upper=300e9, antenna=None)
         aps = sim.generate_scenario(np.random.default_rng(10), cfg)
         with pytest.raises(ValueError):
-            sim.equal_allocation_baseline(aps, cfg)
+            sim.equal_allocation_trial(aps, cfg)
 
     def test_zero_rss_scenario(self):
         cfg = fast_cfg(gamma_th=1.0)
         aps = sim.generate_scenario(np.random.default_rng(11), cfg)
-        assert sim.equal_allocation_baseline(aps, cfg) == 0.0
+        assert sim.equal_allocation_trial(aps, cfg).integrated_rate == 0.0
 
     def test_plan_is_valid_and_budget_tight(self):
         cfg = fast_cfg()
@@ -116,8 +116,8 @@ class TestColocatedBaseline:
 
     def test_determinism(self):
         cfg = fast_cfg()
-        a = sim.colocated_baseline(np.random.default_rng(13), cfg)
-        b = sim.colocated_baseline(np.random.default_rng(13), cfg)
+        a = sim.colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
+        b = sim.colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
         assert a == b
 
 
@@ -195,3 +195,90 @@ class TestConfigValidation:
     def test_psd_derivation(self):
         cfg = ScenarioConfig()
         assert cfg.p == pytest.approx(1.0 / 16e9)
+
+    @pytest.mark.parametrize(
+        "field", ["eps_db", "radius", "b_total", "gamma_th", "noise_psd", "f_upper"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ScenarioConfig(trials=trials)
+
+    def test_non_finite_ce_and_antenna_fields_rejected(self):
+        with pytest.raises(ValueError, match="step"):
+            CEConfig(step=float("nan"))
+        with pytest.raises(ValueError, match="smooth_power"):
+            CEConfig(smooth_power=float("inf"))
+        with pytest.raises(ValueError, match="atten"):
+            phy.AntennaConfig(f_co=100e9, atten=float("inf"))
+        with pytest.raises(ValueError, match="aperture"):
+            phy.AntennaConfig(f_co=100e9, aperture=float("nan"))
+
+
+def rng_for(cfg, trial_idx, tag):
+    """The substream `_trial_cell` derives for (axis 0, trial_idx, tag)."""
+    return np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, trial_idx, tag]))
+
+
+class TestSharedLinkPass:
+    @pytest.mark.parametrize(
+        "schemes",
+        [
+            sim.ALL_SCHEMES,
+            ("equal_mrt",),
+            ("nearest", "colocated"),
+            ("best_per_subchannel", "equal_mrt"),
+        ],
+    )
+    @pytest.mark.parametrize("n_aps", [1, 7])
+    def test_cell_equals_standalone_trials(self, schemes, n_aps):
+        # a small radius keeps most links above gamma_th, so the schemes'
+        # rows differ
+        cfg = fast_cfg(n_aps=n_aps, radius=8.0, schemes=schemes)
+        cell = sim._trial_cell(cfg, 0, 2)
+        aps = sim.generate_scenario(rng_for(cfg, 2, sim._STREAM_SCENARIO), cfg)
+        assert list(cell) == list(schemes)
+        for scheme, got in cell.items():
+            if scheme == "equal_mrt":
+                expected = sim.equal_allocation_trial(aps, cfg)
+            elif scheme == "colocated":
+                expected = sim.colocated_trial(
+                    rng_for(cfg, 2, sim._STREAM_COLOCATED),
+                    rng_for(cfg, 2, sim._STREAM_CE),
+                    cfg,
+                )
+            else:
+                expected = sim.run_trial(aps, scheme, cfg, rng_for(cfg, 2, sim._STREAM_CE))
+            assert got == expected, scheme
+
+    @pytest.mark.parametrize("n_aps", [1, 4, 12])
+    def test_grid_sized_link_rows_per_cell(self, monkeypatch, n_aps):
+        # every AP of the scenario once, plus the co-located site once
+        cfg = fast_cfg(n_aps=n_aps)
+        n_grid = alloc.grid_freqs(cfg.band, cfg.ce.step).size
+        sizes = []
+        real = phy.link_rss
+
+        def counting(f, *args, **kwargs):
+            sizes.append(np.size(f))
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(phy, "link_rss", counting)
+        sim._trial_cell(cfg, 0, 0)
+        assert sizes.count(n_grid) == n_aps + 1
+
+    def test_grid_takes_samples_at_its_own_frequencies(self):
+        cfg = fast_cfg()
+        freqs = alloc.grid_freqs(cfg.band, cfg.ce.step)
+        rss = np.linspace(1.0, 2.0, freqs.size)
+        grid = alloc.GridRss(rss, cfg.band, cfg.ce.step)
+        assert grid.freqs.tobytes() == freqs.tobytes()
+        from_fn = alloc.GridRss(lambda f: rss, cfg.band, cfg.ce.step)
+        assert grid.values.tobytes() == from_fn.values.tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            alloc.GridRss(rss[:-1], cfg.band, cfg.ce.step)
