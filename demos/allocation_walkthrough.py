@@ -11,7 +11,7 @@ Run:  python demos/allocation_walkthrough.py
 import numpy as np
 
 from cfthz import GridRss, ScenarioConfig, ce_optimize, generate_scenario
-from cfthz import rss_function, select_mrt
+from cfthz import combined_rss, select_mrt
 from cfthz.alloc import CEConfig, plan_records
 
 cfg = ScenarioConfig(n_aps=6, ce=CEConfig(n_sub=10, samples=60, elites=8, max_iter=15))
@@ -25,10 +25,11 @@ for ap in aps:
 
 mask = select_mrt(aps)
 rss = GridRss(
-    rss_function(mask, aps, cfg.p, cfg.antenna, cfg.gamma_th), cfg.band, cfg.ce.step
+    lambda f: combined_rss(mask, aps, f, cfg.p, cfg.antenna, cfg.gamma_th),
+    cfg.band, cfg.ce.step,
 )
 result = ce_optimize(
-    rss, cfg.ce, cfg.band, rng,
+    rss, cfg.ce, rng,
     eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd,
 )
 

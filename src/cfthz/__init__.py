@@ -20,8 +20,6 @@ from .alloc import (
     ce_optimize,
     integrated_rate,
     plan_rate,
-    resolve_overlaps,
-    trim_to_budget,
 )
 from .phy import (
     SPEED_OF_LIGHT,
@@ -42,7 +40,6 @@ from .selection import (
     Scheme,
     SelectionMask,
     combined_rss,
-    rss_function,
     select_best_at,
     select_best_nsel,
     select_best_per_subchannel,

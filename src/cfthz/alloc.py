@@ -9,12 +9,12 @@ budget trim that grants bandwidth to the strongest subchannels first. The cross-
 Gaussians over center frequencies to elite samples with smoothed MLE
 updates.
 
-Inside the loop every center is snapped to a `GridRss` index, so the
-bandwidth search is a lookup in a per-grid width table and all of an
-iteration's plans are built and scored as `(samples, n_sub)` arrays by
-`_plan_rows`. The scalar `resolve_overlaps`, `trim_to_budget` and
-`plan_rate` are the reference forms of those steps; the tests keep a
-scalar bandwidth search as the width table's reference.
+The allocator works on a `GridRss` only: every center is snapped to a
+grid index, so the bandwidth search is a lookup in a per-grid width table,
+and all of an iteration's plans are built and scored as `(samples, n_sub)`
+arrays by `_plan_rows` and `_score_rows`. `build_plan` and `plan_rate` are
+their one-row cases. Scalar reference forms of the search, the overlap
+resolution, the trim and the rate live in the tests as their oracles.
 """
 
 from __future__ import annotations
@@ -229,89 +229,6 @@ def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
     return k_star
 
 
-def _eval_rss(rss_fn, f_arr):
-    """Evaluate an rss callable on an array, tolerating scalar-only ones."""
-    try:
-        out = np.asarray(rss_fn(f_arr), dtype=float)
-        if out.shape == f_arr.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(rss_fn(f)) for f in f_arr])
-
-
-def resolve_overlaps(raw, rss_fn):
-    """Make the channels pairwise disjoint, resolving each overlap in favor
-    of the channel with the larger RSS at its center (lower index on ties).
-
-    The loser keeps the part of its interval on its center's side of the
-    winner's edge; a loser whose center falls inside a winner gets width 0.
-    Output order matches the input order.
-    """
-    raw = list(raw)
-    center_rss = _eval_rss(rss_fn, np.array([ch.center for ch in raw]))
-    order = sorted(range(len(raw)), key=lambda j: (-center_rss[j], j))
-    claimed = []  # disjoint (lo, hi) intervals of already-placed winners
-    resolved = [None] * len(raw)
-    for j in order:
-        lo, hi = raw[j].low, raw[j].high
-        center = raw[j].center
-        if raw[j].width > 0:
-            for c_lo, c_hi in claimed:
-                if c_hi <= lo or c_lo >= hi:
-                    continue
-                if c_lo < center < c_hi:
-                    lo = hi = center  # fully displaced
-                    break
-                if center <= c_lo:
-                    hi = min(hi, c_lo)
-                else:
-                    lo = max(lo, c_hi)
-        width = max(0.0, hi - lo)
-        if width > 0:
-            claimed.append((lo, hi))
-            resolved[j] = Subchannel((lo + hi) / 2.0, width)
-        else:
-            resolved[j] = Subchannel(center, 0.0)
-    return resolved
-
-
-def trim_to_budget(plan: SubchannelPlan, rss_fn) -> SubchannelPlan:
-    """Enforce the total-bandwidth limit by granting budget in descending
-    center-RSS order; the channel at the boundary is trimmed symmetrically
-    about its center and weaker ones are dropped.
-
-    This is the enforcement used inside the CE loop: it keeps the strongest
-    subchannels whole, which makes sample scores reflect the best channels
-    in a sample instead of diluting them (as a proportional shrink would).
-    """
-    chans = list(plan.channels)
-    if sum(ch.width for ch in chans) <= plan.total_budget:
-        return plan
-    g = _eval_rss(rss_fn, np.array([ch.center for ch in chans]))
-    order = sorted(range(len(chans)), key=lambda j: (-g[j], j))
-    remaining = plan.total_budget
-    out = list(chans)
-    for j in order:
-        take = min(chans[j].width, max(remaining, 0.0))
-        if take < chans[j].width:
-            out[j] = Subchannel(chans[j].center, take)
-        remaining -= take
-    return SubchannelPlan(tuple(out), plan.total_budget)
-
-
-def plan_rate(plan: SubchannelPlan, rss_fn, noise_psd):
-    """Rate objective: sum of width * log2(1 + rss(center)/noise) [bit/s]."""
-    if noise_psd <= 0:
-        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
-    live = [ch for ch in plan.channels if ch.width > 0]
-    if not live:
-        return 0.0
-    g = _eval_rss(rss_fn, np.array([ch.center for ch in live]))
-    widths = np.array([ch.width for ch in live])
-    return float(np.sum(widths * np.log2(1.0 + np.maximum(g, 0.0) / noise_psd)))
-
-
 def integrated_rate(plan: SubchannelPlan, rss_fn, noise_psd, step):
     """Trapezoidal integral of log2(1 + rss(f)/noise) over each channel;
     fair for wide channels where the center-RSS objective overstates."""
@@ -328,15 +245,14 @@ def integrated_rate(plan: SubchannelPlan, rss_fn, noise_psd, step):
     return rate
 
 
-def _as_grid(rss_fn, band, step):
-    return rss_fn if isinstance(rss_fn, GridRss) else GridRss(rss_fn, band, step)
-
-
 def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     """Build one plan per row of snapped center indices, all rows at once:
-    the coherence widths, then `resolve_overlaps`, then `trim_to_budget`,
-    with the same float operations, so each row equals the scalar chain
-    bit for bit. Returns the plans' (centers, widths), shaped like idx."""
+    the coherence widths, then overlap resolution in favor of the stronger
+    center RSS (a channel whose center a stronger one covers gets width
+    0), then a budget trim that grants bandwidth in descending center-RSS
+    order. Each row equals the scalar reference chain in
+    `tests/test_alloc.py` bit for bit. Returns the plans' (centers,
+    widths), shaped like idx."""
     rows, n = idx.shape
     c = grid.freqs[idx]
     w = _grid_widths(grid, idx.ravel(), eps_db, max_width=total_budget).reshape(rows, n)
@@ -371,7 +287,9 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
 
     # budget trim of the rows whose total (summed in index order) exceeds
     # the budget: grant in descending center-RSS order, subtracting each
-    # grant from the remainder in that order
+    # grant from the remainder in that order. Keeping the strongest
+    # channels whole makes a sample's score reflect its best channels
+    # instead of diluting them, as a proportional shrink would.
     total = np.cumsum(widths, axis=1)[:, -1] if n else np.zeros(rows)
     over = ~(total <= total_budget)
     if over.any():
@@ -386,9 +304,10 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
 
 
 def _score_rows(grid: GridRss, centers, widths, noise_psd):
-    """`plan_rate` of every row. Each row is summed over its live channels
-    only, as `plan_rate` does, because numpy's pairwise sum depends on the
-    length of what it adds."""
+    """Rate objective of every row: the sum of width * log2(1 + rss/noise)
+    over its live channels [bit/s]. Each row is summed over its live
+    channels only, because numpy's pairwise sum depends on the length of
+    what it adds."""
     if noise_psd <= 0:
         raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
     g = grid.values[grid.index_of(centers)]
@@ -409,11 +328,16 @@ def _row_plan(centers, widths, total_budget):
     )
 
 
-def build_plan(centers, rss_fn, eps_db, total_budget, band, step, grid=None):
-    """Construct a full plan from candidate centers: snap them to the grid
-    (built from rss_fn when none is given), then bandwidth search, overlap
-    resolution and the budget trim."""
-    grid = _as_grid(rss_fn, band, step) if grid is None else grid
+def plan_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
+    """Rate objective of one plan, its centers looked up on the grid."""
+    c = np.array([[ch.center for ch in plan.channels]], dtype=float)
+    w = np.array([[ch.width for ch in plan.channels]], dtype=float)
+    return float(_score_rows(grid, c, w, noise_psd)[0])
+
+
+def build_plan(grid: GridRss, centers, eps_db, total_budget):
+    """Construct a full plan from candidate centers: snap them to the grid,
+    then bandwidth search, overlap resolution and the budget trim."""
     idx = grid.index_of(np.asarray(centers, dtype=float))
     c, w = _plan_rows(grid, idx.reshape(1, -1), eps_db, total_budget)
     return _row_plan(c[0], w[0], total_budget)
@@ -450,16 +374,15 @@ def _sample_centers(state: CEState, cfg: CEConfig, rng):
     return np.clip(x, lo, hi)
 
 
-def ce_iterate(state, rss_fn, cfg, rng, *, eps_db, total_budget, noise_psd, grid=None):
+def ce_iterate(state, grid: GridRss, cfg, rng, *, eps_db, total_budget, noise_psd):
     """One cross-entropy iteration: sample center vectors, build and score
     every sample's plan in one batch, refit the Gaussians to the elites with
-    smoothing. A plain rss_fn is first cached on a grid, as in `ce_optimize`.
+    smoothing.
 
     Returns (new_state, best_objective_this_iteration).
     """
     if state.iter >= cfg.max_iter:
         raise ValueError(f"iteration budget {cfg.max_iter} exhausted")
-    grid = _as_grid(rss_fn, state.band, cfg.step) if grid is None else grid
     samples = _sample_centers(state, cfg, rng)
     centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
     scores = _score_rows(grid, centers, widths, noise_psd)
@@ -487,30 +410,26 @@ def ce_iterate(state, rss_fn, cfg, rng, *, eps_db, total_budget, noise_psd, grid
     return new_state, best_score
 
 
-def ce_optimize(rss_fn, cfg, band, rng, *, eps_db, total_budget, noise_psd, grid=None):
-    """Run the full cross-entropy loop and build the plan from the final
-    means. The best-ever sampled plan and the objective traces come along
-    as diagnostics."""
-    grid = _as_grid(rss_fn, band, cfg.step) if grid is None else grid
-    state = ce_init(cfg, band)
+def ce_optimize(grid: GridRss, cfg, rng, *, eps_db, total_budget, noise_psd):
+    """Run the full cross-entropy loop over `grid.band` and build the plan
+    from the final means. The best-ever sampled plan and the objective
+    traces come along as diagnostics."""
+    state = ce_init(cfg, grid.band)
     best_per_iter = np.empty(cfg.max_iter)
     incumbent_trace = np.empty(cfg.max_iter)
     for t in range(cfg.max_iter):
         state, best = ce_iterate(
             state,
-            rss_fn,
+            grid,
             cfg,
             rng,
             eps_db=eps_db,
             total_budget=total_budget,
             noise_psd=noise_psd,
-            grid=grid,
         )
         best_per_iter[t] = best
         incumbent_trace[t] = state.incumbent_value
-    final_plan = build_plan(
-        state.means, rss_fn, eps_db, total_budget, band, cfg.step, grid=grid
-    )
+    final_plan = build_plan(grid, state.means, eps_db, total_budget)
     final_value = plan_rate(final_plan, grid, noise_psd)
     incumbent = state.incumbent_plan if state.incumbent_plan is not None else final_plan
     incumbent_value = max(state.incumbent_value, final_value)

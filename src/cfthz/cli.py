@@ -186,8 +186,8 @@ def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
         try:
             result = sim.monte_carlo(cfg, axis, [value], threads=threads)
             rows.extend(result.rows)
-        except Exception as exc:  # noqa: BLE001 - enumerate per-value failures
-            failures.append((value, str(exc)))
+        except ValueError as exc:
+            failures.append((value, f"{type(exc).__name__}: {exc}"))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -250,10 +250,9 @@ def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
     aps = read_scenario_file(scenario_file)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 0, 1]))
     mask = sim._build_mask(scheme, aps, cfg)
-    rss_fn = selection.rss_function(mask, aps, cfg.p, cfg.antenna, cfg.gamma_th)
-    grid = alloc.GridRss(rss_fn, cfg.band, cfg.ce.step)
+    grid = alloc.GridRss(sim._grid_rss(mask, aps, cfg), cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(
-        grid, cfg.ce, cfg.band, rng,
+        grid, cfg.ce, rng,
         eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd,
     )
     plan_path = out_dir / "plan.json"

@@ -69,7 +69,7 @@ def select_mrt(aps) -> SelectionMask:
     return SelectionMask(Scheme.MRT, frozenset(ap.id for ap in aps))
 
 
-def select_best_nsel(aps, n_sel, p, cfg, f_upper, gain_fn=None) -> SelectionMask:
+def select_best_nsel(aps, n_sel, p, cfg, f_upper) -> SelectionMask:
     """Select the n_sel APs with the largest RSS at their peak-radiation
     frequency (clamped to f_upper; peaks above the band are unreachable).
 
@@ -81,7 +81,7 @@ def select_best_nsel(aps, n_sel, p, cfg, f_upper, gain_fn=None) -> SelectionMask
     scores = []
     for ap in aps:
         f_eval = min(phy.peak_frequency(ap.angle, cfg.f_co), f_upper)
-        scores.append((-_link_rss(f_eval, ap, p, cfg, gain_fn), ap.id))
+        scores.append((-phy.link_rss(f_eval, ap, p, cfg), ap.id))
     chosen = sorted(scores)[:n_sel]
     return SelectionMask(Scheme.BEST_NSEL, frozenset(ap_id for _, ap_id in chosen))
 
@@ -113,7 +113,7 @@ def _link_rss(f, ap, p, cfg, gain_fn):
     return p * gain_fn(f, ap.angle, cfg) * phy.path_gain(f, ap.distance, cfg.consts)
 
 
-def combined_rss_rows(masks, aps, f, p, cfg, gamma_th, gain_fn=None):
+def combined_rss_rows(masks, aps, f, p, cfg, gamma_th):
     """Combined received PSD of each mask in the list `masks` at frequencies f,
     from one pass over the APs; returns one array per mask.
 
@@ -141,7 +141,7 @@ def combined_rss_rows(masks, aps, f, p, cfg, gamma_th, gain_fn=None):
         if not users:
             continue
         if (ap.distance, ap.angle) != geometry:
-            row = np.asarray(_link_rss(f_arr, ap, p, cfg, gain_fn), dtype=float)
+            row = np.asarray(phy.link_rss(f_arr, ap, p, cfg), dtype=float)
             row[row < gamma_th] = 0.0
             geometry = (ap.distance, ap.angle)
         for max_form, out in users:
@@ -152,7 +152,7 @@ def combined_rss_rows(masks, aps, f, p, cfg, gamma_th, gain_fn=None):
     return outs
 
 
-def combined_rss(mask, aps, f, p, cfg, gamma_th, gain_fn=None):
+def combined_rss(mask, aps, f, p, cfg, gamma_th):
     """Combined received PSD at frequency f (scalar or array) under `mask`.
 
     Set-based masks: sum of per-link RSS over selected APs, each gated by
@@ -161,14 +161,6 @@ def combined_rss(mask, aps, f, p, cfg, gamma_th, gain_fn=None):
     every selected link falls below gamma_th. The one-mask case of
     `combined_rss_rows`.
     """
-    (out,) = combined_rss_rows([mask], aps, f, p, cfg, gamma_th, gain_fn=gain_fn)
+    (out,) = combined_rss_rows([mask], aps, f, p, cfg, gamma_th)
     return float(out[0]) if np.ndim(f) == 0 else out
 
-
-def rss_function(mask, aps, p, cfg, gamma_th, gain_fn=None):
-    """Bind combined_rss into a frequency -> PSD callable for the allocator."""
-
-    def rss_fn(f):
-        return combined_rss(mask, aps, f, p, cfg, gamma_th, gain_fn=gain_fn)
-
-    return rss_fn

@@ -57,6 +57,16 @@ class ScenarioConfig:
         require_finite_fields(self)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.n_aps < 1:
+            raise ValueError(f"n_aps must be >= 1, got {self.n_aps}")
+        if self.n_sel < 1:
+            raise ValueError(f"n_sel must be >= 1, got {self.n_sel}")
+        if not 0 < self.angle_guard < np.pi / 4:
+            raise ValueError(f"angle_guard must be in (0, pi/4), got {self.angle_guard}")
+        if self.eps_db < 0:
+            raise ValueError(f"eps_db must be >= 0, got {self.eps_db}")
+        if self.noise_psd <= 0:
+            raise ValueError(f"noise_psd must be > 0, got {self.noise_psd}")
         if self.d_min <= 0:
             raise ValueError("d_min must be > 0")
         if self.radius <= self.d_min:
@@ -152,17 +162,15 @@ def _active_count(scheme, mask, aps, cfg, plan):
     return len(used)
 
 
-def _grid_rss(mask, aps, cfg, gain_fn=None):
+def _grid_rss(mask, aps, cfg):
     """The mask's combined RSS sampled on the allocator's band grid."""
     return selection.combined_rss(
         mask, aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
-        cfg.p, cfg.antenna, cfg.gamma_th, gain_fn=gain_fn,
+        cfg.p, cfg.antenna, cfg.gamma_th,
     )
 
 
-def run_trial(
-    aps, scheme, cfg: ScenarioConfig, rng, gain_fn=None, mask_rss=None
-) -> TrialResult:
+def run_trial(aps, scheme, cfg: ScenarioConfig, rng, mask_rss=None) -> TrialResult:
     """Build the scheme's mask, optimize the subchannel plan with the CE
     allocator, and record both rate metrics plus the active-AP count.
 
@@ -171,13 +179,12 @@ def run_trial(
     """
     if mask_rss is None:
         mask = _build_mask(scheme, aps, cfg)
-        mask_rss = (mask, _grid_rss(mask, aps, cfg, gain_fn))
+        mask_rss = (mask, _grid_rss(mask, aps, cfg))
     mask, rss = mask_rss
     grid = GridRss(rss, cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(
         grid,
         cfg.ce,
-        cfg.band,
         rng,
         eps_db=cfg.eps_db,
         total_budget=cfg.b_total,
@@ -281,6 +288,8 @@ def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
 
 def _with_axis_value(cfg, axis, value):
     if axis == "n_aps":
+        if not float(value).is_integer():
+            raise ValueError(f"n_aps must be a whole number, got {value}")
         return replace(cfg, n_aps=int(value))
     if axis == "b_total":
         return replace(cfg, b_total=float(value))

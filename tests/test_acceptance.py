@@ -64,8 +64,10 @@ def test_c02_analytic_unit_suite():
 def _fixed_scenario_grid():
     aps = [AccessPoint(0, 20.0, 0.7), AccessPoint(1, 35.0, 1.1), AccessPoint(2, 10.0, 0.4)]
     mask = selection.select_mrt(aps)
-    rss_fn = selection.rss_function(mask, aps, P, AntennaConfig(f_co=100e9), GAMMA_TH)
-    return GridRss(rss_fn, BAND, 10e6)
+    cfg = AntennaConfig(f_co=100e9)
+    return GridRss(
+        lambda f: selection.combined_rss(mask, aps, f, P, cfg, GAMMA_TH), BAND, 10e6
+    )
 
 
 def test_c03_ce_matches_two_channel_grid_oracle():
@@ -81,15 +83,14 @@ def test_c03_ce_matches_two_channel_grid_oracle():
     for c1 in centers:
         for c2 in centers:
             plan = alloc.build_plan(
-                np.array([c1, c2]), grid, eps_db=0.5, total_budget=16e9,
-                band=BAND, step=10e6, grid=grid,
+                grid, np.array([c1, c2]), eps_db=0.5, total_budget=16e9
             )
             oracle = max(oracle, alloc.plan_rate(plan, grid, NOISE))
     assert oracle > 0
 
     hits = 0
     for seed in range(50):
-        res = alloc.ce_optimize(grid, cfg, BAND, np.random.default_rng(seed), **kw)
+        res = alloc.ce_optimize(grid, cfg, np.random.default_rng(seed), **kw)
         if res.incumbent_value >= 0.95 * oracle:
             hits += 1
     assert hits >= 45, f"{hits}/50 seeds reached 95% of the grid optimum {oracle:.4e}"
@@ -103,10 +104,12 @@ def test_c04_incumbent_monotone_over_100_runs():
     for run in range(100):
         aps = sim.generate_scenario(rng, scen_cfg)
         mask = selection.select_mrt(aps)
-        rss_fn = selection.rss_function(mask, aps, P, scen_cfg.antenna, GAMMA_TH)
+        grid = GridRss(
+            lambda f: selection.combined_rss(mask, aps, f, P, scen_cfg.antenna, GAMMA_TH),
+            BAND, cfg.step,
+        )
         res = alloc.ce_optimize(
-            GridRss(rss_fn, BAND, cfg.step), cfg, BAND,
-            np.random.default_rng(run),
+            grid, cfg, np.random.default_rng(run),
             eps_db=0.5, total_budget=16e9, noise_psd=NOISE,
         )
         trace = np.asarray(res.incumbent_trace)
@@ -125,10 +128,9 @@ def test_c05_plan_validity_fuzz():
         aps = sim.generate_scenario(rng, cfg)
         for scheme in sim.CE_SCHEMES:
             mask = sim._build_mask(scheme, aps, cfg)
-            rss_fn = selection.rss_function(mask, aps, cfg.p, cfg.antenna, cfg.gamma_th)
-            grid = GridRss(rss_fn, cfg.band, ce.step)
+            grid = GridRss(sim._grid_rss(mask, aps, cfg), cfg.band, ce.step)
             res = alloc.ce_optimize(
-                grid, ce, cfg.band, np.random.default_rng(case),
+                grid, ce, np.random.default_rng(case),
                 eps_db=cfg.eps_db, total_budget=b_total, noise_psd=cfg.noise_psd,
             )
             for plan in (res.plan, res.incumbent_plan):

@@ -17,8 +17,6 @@ from cfthz.alloc import (
     ce_optimize,
     integrated_rate,
     plan_rate,
-    resolve_overlaps,
-    trim_to_budget,
     variance_smoothing,
 )
 from cfthz.phy import AntennaConfig
@@ -86,9 +84,79 @@ def coherence_search(rss_fn, center, eps_db, band, step, max_width=None):
     return 2.0 * k_max * step
 
 
+def resolve_overlaps(raw, rss_fn):
+    """Reference overlap resolution: make the channels pairwise disjoint,
+    resolving each overlap in favor of the channel with the larger RSS at
+    its center (lower index on ties).
+
+    The loser keeps the part of its interval on its center's side of the
+    winner's edge; a loser whose center falls inside a winner gets width 0.
+    Output order matches the input order.
+    """
+    raw = list(raw)
+    center_rss = np.asarray(rss_fn(np.array([ch.center for ch in raw])), dtype=float)
+    order = sorted(range(len(raw)), key=lambda j: (-center_rss[j], j))
+    claimed = []  # disjoint (lo, hi) intervals of already-placed winners
+    resolved = [None] * len(raw)
+    for j in order:
+        lo, hi = raw[j].low, raw[j].high
+        center = raw[j].center
+        if raw[j].width > 0:
+            for c_lo, c_hi in claimed:
+                if c_hi <= lo or c_lo >= hi:
+                    continue
+                if c_lo < center < c_hi:
+                    lo = hi = center  # fully displaced
+                    break
+                if center <= c_lo:
+                    hi = min(hi, c_lo)
+                else:
+                    lo = max(lo, c_hi)
+        width = max(0.0, hi - lo)
+        if width > 0:
+            claimed.append((lo, hi))
+            resolved[j] = Subchannel((lo + hi) / 2.0, width)
+        else:
+            resolved[j] = Subchannel(center, 0.0)
+    return resolved
+
+
+def trim_to_budget(plan, rss_fn):
+    """Reference budget trim: grant budget in descending center-RSS order;
+    the channel at the boundary is trimmed symmetrically about its center
+    and weaker ones are dropped. A plan within budget is returned as is."""
+    chans = list(plan.channels)
+    if sum(ch.width for ch in chans) <= plan.total_budget:
+        return plan
+    g = np.asarray(rss_fn(np.array([ch.center for ch in chans])), dtype=float)
+    order = sorted(range(len(chans)), key=lambda j: (-g[j], j))
+    remaining = plan.total_budget
+    out = list(chans)
+    for j in order:
+        take = min(chans[j].width, max(remaining, 0.0))
+        if take < chans[j].width:
+            out[j] = Subchannel(chans[j].center, take)
+        remaining -= take
+    return SubchannelPlan(tuple(out), plan.total_budget)
+
+
+def scalar_plan_rate(plan, rss_fn, noise_psd):
+    """Reference rate objective: sum of width * log2(1 + rss(center)/noise)
+    over the live channels [bit/s]."""
+    if noise_psd <= 0:
+        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
+    live = [ch for ch in plan.channels if ch.width > 0]
+    if not live:
+        return 0.0
+    g = np.asarray(rss_fn(np.array([ch.center for ch in live])), dtype=float)
+    widths = np.array([ch.width for ch in live])
+    return float(np.sum(widths * np.log2(1.0 + np.maximum(g, 0.0) / noise_psd)))
+
+
 def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
     """Reference plan of one row of grid indices: `coherence_search` per
-    center, then `resolve_overlaps`, `trim_to_budget` and `plan_rate`."""
+    center, then `resolve_overlaps`, `trim_to_budget` and
+    `scalar_plan_rate`."""
     raw = [
         Subchannel(c, coherence_search(grid, c, eps_db, grid.band, grid.step,
                                        max_width=total_budget))
@@ -96,7 +164,7 @@ def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
     ]
     resolved = SubchannelPlan(tuple(resolve_overlaps(raw, grid)), total_budget)
     plan = trim_to_budget(resolved, grid)
-    return plan, plan_rate(plan, grid, noise_psd)
+    return plan, scalar_plan_rate(plan, grid, noise_psd)
 
 
 def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
@@ -125,7 +193,7 @@ def gated_link_grid(step=200e6):
     freqs = np.arange(BAND[0], BAND[1] + step / 2, step)
     gamma = float(np.median(phy.link_rss(freqs, ap, P, CFG)))
     mask = selection.select_nearest([ap])
-    return GridRss(selection.rss_function(mask, [ap], P, CFG, gamma), BAND, step)
+    return GridRss(lambda f: selection.combined_rss(mask, [ap], f, P, CFG, gamma), BAND, step)
 
 
 def dead_end_grid():
@@ -321,10 +389,9 @@ class TestPlanKernel:
     def test_build_plan_is_one_kernel_row(self):
         grid = GridRss(oracle_rss, BAND, STEP)
         centers = np.random.default_rng(11).uniform(105e9, 295e9, 30)
-        plan = build_plan(centers, oracle_rss, 0.5, 16e9, BAND, STEP)
+        plan = build_plan(grid, centers, 0.5, 16e9)
         assert plan == scalar_chain(grid, grid.index_of(centers), 0.5, 16e9, NOISE)[0]
-        assert plan == build_plan(centers, grid, 0.5, 16e9, BAND, STEP, grid=grid)
-        assert build_plan([], grid, 0.5, 16e9, BAND, STEP).channels == ()
+        assert build_plan(grid, [], 0.5, 16e9).channels == ()
 
 
 class TestResolveOverlaps:
@@ -386,7 +453,7 @@ class TestResolveOverlaps:
 class TestTrimToBudget:
     def test_under_budget_unchanged(self):
         plan = SubchannelPlan((Subchannel(150e9, 4e9),), total_budget=8e9)
-        assert alloc.trim_to_budget(plan, flat_rss()) is plan
+        assert trim_to_budget(plan, flat_rss()) is plan
 
     def test_strong_kept_whole_boundary_trimmed_weak_dropped(self):
         rss = lambda f: np.where(
@@ -396,7 +463,7 @@ class TestTrimToBudget:
             (Subchannel(120e9, 4e9), Subchannel(150e9, 4e9), Subchannel(200e9, 4e9)),
             total_budget=6e9,
         )
-        out = alloc.trim_to_budget(plan, rss)
+        out = trim_to_budget(plan, rss)
         assert out.channels[0] == plan.channels[0]
         assert out.channels[1].center == 150e9
         assert out.channels[1].width == pytest.approx(2e9)
@@ -406,7 +473,7 @@ class TestTrimToBudget:
         plan = SubchannelPlan(
             (Subchannel(150e9, 4e9), Subchannel(200e9, 4e9)), total_budget=4e9
         )
-        out = alloc.trim_to_budget(plan, flat_rss())
+        out = trim_to_budget(plan, flat_rss())
         assert out.channels[0].width == pytest.approx(4e9)
         assert out.channels[1].width == 0.0
 
@@ -420,7 +487,7 @@ class TestTrimToBudget:
                 for lo, hi in zip(edges[::2], edges[1::2])
             )
             plan = SubchannelPlan(channels, total_budget=rng.uniform(1e9, 50e9))
-            out = alloc.trim_to_budget(plan, oracle_rss)
+            out = trim_to_budget(plan, oracle_rss)
             out.validate(BAND)
             expect = min(plan.total_budget, plan.total_width)
             assert out.total_width == pytest.approx(expect)
@@ -432,11 +499,11 @@ class TestTrimToBudget:
 
 class TestRates:
     def test_empty_plan(self):
-        assert plan_rate(SubchannelPlan((), 16e9), flat_rss(), NOISE) == 0.0
+        assert scalar_plan_rate(SubchannelPlan((), 16e9), flat_rss(), NOISE) == 0.0
 
     def test_unit_snr_channel(self):
         plan = SubchannelPlan((Subchannel(150e9, 1e9),), 16e9)
-        assert plan_rate(plan, flat_rss(NOISE), NOISE) == pytest.approx(1e9)
+        assert scalar_plan_rate(plan, flat_rss(NOISE), NOISE) == pytest.approx(1e9)
 
     def test_term_by_term(self):
         plan = SubchannelPlan(
@@ -448,17 +515,17 @@ class TestRates:
             for ch in plan.channels
             if ch.width > 0
         )
-        assert plan_rate(plan, oracle_rss, NOISE) == pytest.approx(expected)
+        assert scalar_plan_rate(plan, oracle_rss, NOISE) == pytest.approx(expected)
 
     def test_noise_must_be_positive(self):
         with pytest.raises(ValueError):
-            plan_rate(SubchannelPlan((), 1e9), flat_rss(), 0.0)
+            scalar_plan_rate(SubchannelPlan((), 1e9), flat_rss(), 0.0)
         with pytest.raises(ValueError):
             integrated_rate(SubchannelPlan((), 1e9), flat_rss(), -1.0, STEP)
 
     def test_integrated_equals_plan_rate_when_flat(self):
         plan = SubchannelPlan((Subchannel(150e9, 3e9), Subchannel(200e9, 5e9)), 16e9)
-        pr = plan_rate(plan, flat_rss(), NOISE)
+        pr = scalar_plan_rate(plan, flat_rss(), NOISE)
         ir = integrated_rate(plan, flat_rss(), NOISE, STEP)
         assert ir == pytest.approx(pr, rel=1e-9)
 
@@ -485,10 +552,74 @@ class TestRates:
         grid = GridRss(oracle_rss, BAND, STEP)
         rng = np.random.default_rng(2)
         centers = grid.snap(rng.uniform(105e9, 295e9, 20))
-        plan = build_plan(centers, grid, eps, 1e12, BAND, STEP, grid=grid)
+        plan = build_plan(grid, centers, eps, 1e12)
         pr = plan_rate(plan, grid, NOISE)
         ir = integrated_rate(plan, grid, NOISE, STEP)
         assert abs(pr - ir) / pr <= eps * np.log(10) / 10
+
+
+def equal_plan(band, n_sub, total_budget):
+    """`n_sub` equal, evenly spaced channels, as the `equal_mrt` baseline
+    builds them."""
+    spacing = (band[1] - band[0]) / n_sub
+    centers = band[0] + (np.arange(1, n_sub + 1) - 0.5) * spacing
+    width = total_budget / n_sub
+    return SubchannelPlan(tuple(Subchannel(c, width) for c in centers), total_budget)
+
+
+class TestPlanRate:
+    """The library `plan_rate` (one `_score_rows` row) against the scalar
+    oracle, on plans the batched kernel never builds."""
+
+    GRIDS = {
+        "link": lambda: GridRss(oracle_rss, BAND, STEP),
+        "gated": gated_link_grid,
+        "plateau": plateau_grid,
+    }
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("n_sub, budget_steps", [(7, 0.3), (11, 13.7), (37, 1601.0)])
+    def test_equal_plans_match_oracle_bitwise(self, grid_name, n_sub, budget_steps):
+        grid = self.GRIDS[grid_name]()
+        plan = equal_plan(grid.band, n_sub, budget_steps * grid.step)
+        centers, widths = plan_arrays(plan)
+        # off-grid centers and widths that are not a multiple of the step
+        assert np.any(grid.snap(centers) != centers)
+        assert np.any(widths % grid.step != 0)
+        got = plan_rate(plan, grid, NOISE)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(
+            scalar_plan_rate(plan, grid, NOISE)).tobytes()
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    def test_random_plans_with_zero_widths_match_oracle_bitwise(self, grid_name):
+        grid = self.GRIDS[grid_name]()
+        rng = np.random.default_rng(21)
+        lo, hi = grid.band
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            centers = rng.uniform(lo, hi, n)
+            widths = rng.uniform(0.0, 40.0, n) * grid.step
+            widths[rng.random(n) < 0.3] = 0.0
+            plan = SubchannelPlan(
+                tuple(Subchannel(c, w) for c, w in zip(centers, widths)), 1e12
+            )
+            got = plan_rate(plan, grid, NOISE)
+            assert np.float64(got).tobytes() == np.float64(
+                scalar_plan_rate(plan, grid, NOISE)).tobytes()
+
+    def test_empty_and_all_zero_plans_rate_zero(self):
+        grid = GridRss(oracle_rss, BAND, STEP)
+        assert plan_rate(SubchannelPlan((), 16e9), grid, NOISE) == 0.0
+        zeros = SubchannelPlan((Subchannel(150e9, 0.0), Subchannel(151e9, 0.0)), 16e9)
+        assert plan_rate(zeros, grid, NOISE) == 0.0
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0])
+    def test_noise_must_be_positive(self, noise):
+        grid = GridRss(oracle_rss, BAND, STEP)
+        for plan in (SubchannelPlan((), 1e9), equal_plan(BAND, 4, 1e9)):
+            with pytest.raises(ValueError, match="noise_psd"):
+                plan_rate(plan, grid, noise)
 
 
 class TestCEInit:
@@ -536,7 +667,8 @@ class TestCEIterate:
             alloc.CEState(state.means.copy(), state.vars.copy(), state.band), cfg,
             np.random.default_rng(3),
         )
-        new_state, _ = ce_iterate(state, oracle_rss, cfg, rng, **self.kwargs())
+        new_state, _ = ce_iterate(state, GridRss(oracle_rss, BAND, cfg.step), cfg, rng,
+                                  **self.kwargs())
         np.testing.assert_allclose(new_state.means, probe.mean(axis=0))
         np.testing.assert_allclose(
             new_state.vars, np.maximum(probe.var(axis=0), cfg.step**2)
@@ -546,8 +678,8 @@ class TestCEIterate:
         cfg = CEConfig(n_sub=2, samples=5, elites=1, smooth_mean=1.0, smooth_var=1.0,
                        max_iter=1)
         state = ce_init(cfg, BAND)
-        new_state, _ = ce_iterate(state, oracle_rss, cfg, np.random.default_rng(4),
-                                  **self.kwargs())
+        new_state, _ = ce_iterate(state, GridRss(oracle_rss, BAND, cfg.step), cfg,
+                                  np.random.default_rng(4), **self.kwargs())
         # a single elite has zero MLE variance; floor keeps sampling proper
         np.testing.assert_allclose(new_state.vars, cfg.step**2)
 
@@ -556,7 +688,8 @@ class TestCEIterate:
         state = ce_init(cfg, BAND)
         state.iter = 1
         with pytest.raises(ValueError):
-            ce_iterate(state, oracle_rss, cfg, np.random.default_rng(5), **self.kwargs())
+            ce_iterate(state, GridRss(oracle_rss, BAND, cfg.step), cfg,
+                       np.random.default_rng(5), **self.kwargs())
 
 
 class TestCEOptimize:
@@ -565,23 +698,23 @@ class TestCEOptimize:
 
     def test_zero_iterations_uses_initial_means(self):
         cfg = CEConfig(n_sub=8, samples=4, elites=2, max_iter=0)
-        res = ce_optimize(oracle_rss, cfg, BAND, np.random.default_rng(6), **self.kwargs())
         grid = GridRss(oracle_rss, BAND, cfg.step)
-        expected = build_plan(ce_init(cfg, BAND).means, grid, 0.5, 16e9, BAND, cfg.step,
-                              grid=grid)
+        res = ce_optimize(grid, cfg, np.random.default_rng(6), **self.kwargs())
+        expected = build_plan(grid, ce_init(cfg, BAND).means, 0.5, 16e9)
         assert res.plan == expected
 
     def test_flat_scenario_reaches_analytic_optimum(self):
         level = NOISE  # unit SNR everywhere
         cfg = CEConfig(n_sub=8, samples=20, elites=4, max_iter=5)
-        res = ce_optimize(flat_rss(level), cfg, BAND, np.random.default_rng(7),
-                          **self.kwargs())
+        res = ce_optimize(GridRss(flat_rss(level), BAND, cfg.step), cfg,
+                          np.random.default_rng(7), **self.kwargs())
         analytic = 16e9 * np.log2(2.0)
         assert res.plan_value == pytest.approx(analytic, rel=0.05)
 
     def test_incumbent_trace_non_decreasing(self):
         cfg = CEConfig(n_sub=6, samples=10, elites=3, max_iter=8)
-        res = ce_optimize(oracle_rss, cfg, BAND, np.random.default_rng(8), **self.kwargs())
+        res = ce_optimize(GridRss(oracle_rss, BAND, cfg.step), cfg,
+                          np.random.default_rng(8), **self.kwargs())
         assert np.all(np.diff(res.incumbent_trace) >= 0)
         assert res.incumbent_value >= res.incumbent_trace[-1] - 1e-9
 
@@ -590,15 +723,16 @@ class TestCEOptimize:
         cfg = CEConfig(n_sub=10, samples=8, elites=2, max_iter=3)
         for _ in range(10):
             ap = AccessPoint(0, rng.uniform(1, 50), rng.uniform(0.1, 1.4))
-            rss = lambda f: phy.link_rss(f, ap, P, CFG)
-            res = ce_optimize(rss, cfg, BAND, rng, **self.kwargs())
+            grid = GridRss(lambda f: phy.link_rss(f, ap, P, CFG), BAND, cfg.step)
+            res = ce_optimize(grid, cfg, rng, **self.kwargs())
             res.plan.validate(BAND)
             res.incumbent_plan.validate(BAND)
 
     def test_determinism(self):
         cfg = CEConfig(n_sub=4, samples=6, elites=2, max_iter=3)
-        r1 = ce_optimize(oracle_rss, cfg, BAND, np.random.default_rng(10), **self.kwargs())
-        r2 = ce_optimize(oracle_rss, cfg, BAND, np.random.default_rng(10), **self.kwargs())
+        grid = GridRss(oracle_rss, BAND, cfg.step)
+        r1 = ce_optimize(grid, cfg, np.random.default_rng(10), **self.kwargs())
+        r2 = ce_optimize(grid, cfg, np.random.default_rng(10), **self.kwargs())
         assert r1.plan == r2.plan
         np.testing.assert_array_equal(r1.best_per_iter, r2.best_per_iter)
 

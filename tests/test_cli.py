@@ -80,7 +80,9 @@ class TestConfigParsing:
         "key, value",
         [("eps_db", "nan"), ("radius_m", "inf"), ("b_total_hz", "nan"),
          ("gamma_th_dbm_hz", "nan"), ("ce.smooth_var", "nan"),
-         ("antenna.atten_per_m", "inf"), ("trials", "0")],
+         ("antenna.atten_per_m", "inf"), ("trials", "0"), ("eps_db", "-0.5"),
+         ("n_aps", "0"), ("n_sel", "0"), ("angle_guard_rad", "0"),
+         ("angle_guard_rad", "0.8"), ("noise_psd_dbm_hz", "-inf")],
     )
     def test_non_finite_or_zero_trials_rejected(self, key, value):
         with pytest.raises(ConfigError):
@@ -159,13 +161,32 @@ class TestSimulateCommand:
             outs.append((out / "sweep_n_aps.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bad_axis_value_reported_nonzero(self, fast_config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", ["0", "2.5", "inf"])
+    def test_bad_axis_value_reported_nonzero(self, fast_config_path, tmp_path, capsys, bad):
+        # the bad value is named with its error type, and the rows of the
+        # good values around it are still written
+        out = tmp_path / "bad"
         rc = cli.main(
             ["simulate", "--config", fast_config_path, "--axis", "n_aps",
-             "--values", "0", "--out", str(tmp_path / "bad")]
+             "--values", f"2,{bad},3", "--out", str(out)]
         )
         assert rc == 1
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"axis value {float(bad)} failed: ValueError" in err
+        with open(out / "sweep_n_aps.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["axis_value"], r["scheme"]) for r in rows] == [
+            ("2.0", "mrt"), ("2.0", "nearest"), ("3.0", "mrt"), ("3.0", "nearest")
+        ]
+
+    def test_unexpected_errors_propagate(self, fast_config_path, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("worker crashed")
+
+        monkeypatch.setattr(sim, "monte_carlo", broken)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            cli.main(["simulate", "--config", fast_config_path, "--axis", "n_aps",
+                      "--values", "2", "--out", str(tmp_path / "x")])
 
 
 class TestGainCommand:
@@ -276,7 +297,11 @@ class TestMainErrors:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["eps_db = nan", "radius_m = inf", "trials = 0"])
+    @pytest.mark.parametrize(
+        "line",
+        ["eps_db = nan", "radius_m = inf", "trials = 0", "eps_db = -1",
+         "n_aps = 0", "angle_guard_rad = 0.9", "noise_psd_dbm_hz = -inf"],
+    )
     def test_bad_value_exit_code(self, tmp_path, capsys, line):
         p = tmp_path / "c.cfg"
         p.write_text(line + "\n")

@@ -204,6 +204,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eps_db", -0.1), ("n_aps", 0), ("n_aps", -2), ("n_sel", 0),
+         ("angle_guard", 0.0), ("angle_guard", -0.01), ("angle_guard", np.pi / 4),
+         ("angle_guard", 1.0), ("noise_psd", 0.0), ("noise_psd", -1e-21)],
+    )
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ValueError, match="trials"):
