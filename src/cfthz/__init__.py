@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 from .alloc import (
     CEConfig,
     CEResult,
-    CEState,
     GridRss,
     Subchannel,
     SubchannelPlan,
     build_plan,
-    ce_init,
-    ce_iterate,
     ce_optimize,
     integrated_rate,
     plan_rate,
@@ -25,7 +22,6 @@ from .phy import (
     SPEED_OF_LIGHT,
     AntennaConfig,
     BelowCutoffError,
-    PhysConstants,
     antenna_gain,
     complex_sinc,
     cutoff_from_plates,

@@ -5,21 +5,26 @@ usable band whose widths sum to at most the bandwidth budget and whose
 edge-to-edge RSS difference stays below a flatness tolerance (in dB). Plans
 are built per candidate center vector by a one-dimensional bandwidth
 search, overlap resolution in favor of the stronger subchannel, and a
-budget trim that grants bandwidth to the strongest subchannels first. The cross-entropy loop fits per-subchannel
-Gaussians over center frequencies to elite samples with smoothed MLE
-updates.
+budget trim that grants bandwidth to the strongest subchannels first.
+
+`ce_optimize` is the whole cross-entropy loop; there is no per-iteration
+API. It fits per-subchannel Gaussians over center frequencies to elite
+samples with smoothed MLE updates, keeps its sampler state and the
+incumbent as plain arrays, and builds `SubchannelPlan`s only when it
+returns. `CEResult.means` holds the final sampler means.
 
 The allocator works on a `GridRss` only: every center is snapped to a
 grid index, so the bandwidth search is a lookup in a per-grid width table,
 and all of an iteration's plans are built and scored as `(samples, n_sub)`
 arrays by `_plan_rows` and `_score_rows`. `build_plan` and `plan_rate` are
 their one-row cases. Scalar reference forms of the search, the overlap
-resolution, the trim and the rate live in the tests as their oracles.
+resolution, the trim, the rate and the CE loop live in the tests as their
+oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,24 +114,14 @@ class CEConfig:
 
 
 @dataclass
-class CEState:
-    means: np.ndarray  # Hz
-    vars: np.ndarray  # Hz^2
-    band: tuple
-    iter: int = 0
-    incumbent_plan: SubchannelPlan | None = None
-    incumbent_value: float = -np.inf
-
-
-@dataclass
 class CEResult:
     plan: SubchannelPlan  # built from the final means
     plan_value: float
-    incumbent_plan: SubchannelPlan
+    incumbent_plan: SubchannelPlan  # best of every sample and the final plan
     incumbent_value: float
     best_per_iter: np.ndarray  # best sampled objective at each iteration
-    incumbent_trace: np.ndarray  # running best-ever objective
-    state: CEState
+    incumbent_trace: np.ndarray  # running best-ever sampled objective
+    means: np.ndarray  # Hz, the sampler means after the last iteration
 
 
 def grid_freqs(band, step):
@@ -147,6 +142,8 @@ class GridRss:
 
     def __init__(self, rss_fn, band, step):
         self.band = (float(band[0]), float(band[1]))
+        if self.band[1] <= self.band[0]:
+            raise ValueError(f"band upper {band[1]} must exceed lower {band[0]}")
         self.step = float(step)
         self.freqs = grid_freqs(self.band, self.step)
         values = rss_fn(self.freqs) if callable(rss_fn) else rss_fn
@@ -343,104 +340,71 @@ def build_plan(grid: GridRss, centers, eps_db, total_budget):
     return _row_plan(c[0], w[0], total_budget)
 
 
-def ce_init(cfg: CEConfig, band) -> CEState:
-    """Evenly spread means over the band; wide common initial variance."""
-    lo, hi = band
-    if hi <= lo:
-        raise ValueError(f"band upper {hi} must exceed lower {lo}")
-    i = np.arange(1, cfg.n_sub + 1)
-    means = lo + (i - 0.5) * (hi - lo) / cfg.n_sub
-    variances = np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2)
-    return CEState(means=means, vars=variances, band=(float(lo), float(hi)))
-
-
 def variance_smoothing(beta, q, t):
     """beta_t = beta - beta * (1 - 1/(t+1))^q."""
     return beta - beta * (1.0 - 1.0 / (t + 1.0)) ** q
 
 
-def _sample_centers(state: CEState, cfg: CEConfig, rng):
-    lo, hi = state.band
-    std = np.sqrt(state.vars)
-    x = rng.normal(state.means, std, size=(cfg.samples, cfg.n_sub))
+def _sample_centers(means, std, cfg: CEConfig, band, rng):
+    lo, hi = band
+    x = rng.normal(means, std, size=(cfg.samples, cfg.n_sub))
     for _ in range(_MAX_RESAMPLE):
         out = (x < lo) | (x > hi)
         if not out.any():
             break
         x[out] = rng.normal(
-            np.broadcast_to(state.means, x.shape)[out],
+            np.broadcast_to(means, x.shape)[out],
             np.broadcast_to(std, x.shape)[out],
         )
     return np.clip(x, lo, hi)
 
 
-def ce_iterate(state, grid: GridRss, cfg, rng, *, eps_db, total_budget, noise_psd):
-    """One cross-entropy iteration: sample center vectors, build and score
-    every sample's plan in one batch, refit the Gaussians to the elites with
-    smoothing.
+def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, noise_psd):
+    """Run the cross-entropy loop over `grid.band` and build the plan from
+    the final means.
 
-    Returns (new_state, best_objective_this_iteration).
+    The means start evenly spread over the band with a wide common
+    variance. Each iteration samples center vectors, builds and scores every
+    sample's plan in one batch, and refits the Gaussians to the elites with
+    smoothing. The incumbent is the best sampled plan, or the final plan
+    where that scores strictly higher; the objective traces come along as
+    diagnostics.
     """
-    if state.iter >= cfg.max_iter:
-        raise ValueError(f"iteration budget {cfg.max_iter} exhausted")
-    samples = _sample_centers(state, cfg, rng)
-    centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
-    scores = _score_rows(grid, centers, widths, noise_psd)
-    best = int(np.argmax(scores))
-    best_score = scores[best]
-    elite_idx = np.argsort(-scores, kind="stable")[: cfg.elites]
-    elites = samples[elite_idx]
-    elite_mean = elites.mean(axis=0)
-    elite_var = elites.var(axis=0)
-    beta_t = variance_smoothing(cfg.smooth_var, cfg.smooth_power, state.iter)
-    new_means = cfg.smooth_mean * elite_mean + (1.0 - cfg.smooth_mean) * state.means
-    new_vars = beta_t * elite_var + (1.0 - beta_t) * state.vars
-    new_vars = np.maximum(new_vars, cfg.step**2)  # keep the sampler proper
-    new_state = CEState(
-        means=new_means,
-        vars=new_vars,
-        band=state.band,
-        iter=state.iter + 1,
-        incumbent_plan=state.incumbent_plan,
-        incumbent_value=state.incumbent_value,
-    )
-    if best_score > state.incumbent_value:
-        new_state.incumbent_plan = _row_plan(centers[best], widths[best], total_budget)
-        new_state.incumbent_value = best_score
-    return new_state, best_score
-
-
-def ce_optimize(grid: GridRss, cfg, rng, *, eps_db, total_budget, noise_psd):
-    """Run the full cross-entropy loop over `grid.band` and build the plan
-    from the final means. The best-ever sampled plan and the objective
-    traces come along as diagnostics."""
-    state = ce_init(cfg, grid.band)
+    lo, hi = grid.band
+    means = lo + (np.arange(1, cfg.n_sub + 1) - 0.5) * (hi - lo) / cfg.n_sub
+    variances = np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2)
     best_per_iter = np.empty(cfg.max_iter)
     incumbent_trace = np.empty(cfg.max_iter)
+    inc_centers = inc_widths = None
+    inc_value = -np.inf
     for t in range(cfg.max_iter):
-        state, best = ce_iterate(
-            state,
-            grid,
-            cfg,
-            rng,
-            eps_db=eps_db,
-            total_budget=total_budget,
-            noise_psd=noise_psd,
-        )
-        best_per_iter[t] = best
-        incumbent_trace[t] = state.incumbent_value
-    final_plan = build_plan(grid, state.means, eps_db, total_budget)
+        samples = _sample_centers(means, np.sqrt(variances), cfg, grid.band, rng)
+        centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
+        scores = _score_rows(grid, centers, widths, noise_psd)
+        best = int(np.argmax(scores))
+        if scores[best] > inc_value:
+            inc_centers, inc_widths, inc_value = centers[best], widths[best], scores[best]
+        best_per_iter[t] = scores[best]
+        incumbent_trace[t] = inc_value
+        elites = samples[np.argsort(-scores, kind="stable")[: cfg.elites]]
+        beta_t = variance_smoothing(cfg.smooth_var, cfg.smooth_power, t)
+        means = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means
+        variances = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances
+        variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
+    final_plan = build_plan(grid, means, eps_db, total_budget)
     final_value = plan_rate(final_plan, grid, noise_psd)
-    incumbent = state.incumbent_plan if state.incumbent_plan is not None else final_plan
-    incumbent_value = max(state.incumbent_value, final_value)
+    if final_value > inc_value:
+        incumbent, inc_value = final_plan, final_value
+    else:
+        incumbent = _row_plan(inc_centers, inc_widths, total_budget)
     return CEResult(
         plan=final_plan,
         plan_value=final_value,
         incumbent_plan=incumbent,
-        incumbent_value=incumbent_value,
+        incumbent_value=inc_value,
         best_per_iter=best_per_iter,
         incumbent_trace=incumbent_trace,
-        state=state,
+        means=means,
     )
 
 

@@ -248,7 +248,7 @@ def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     aps = read_scenario_file(scenario_file)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 0, 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 0, sim._STREAM_CE]))
     mask = sim._build_mask(scheme, aps, cfg)
     grid = alloc.GridRss(sim._grid_rss(mask, aps, cfg), cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(

@@ -8,7 +8,7 @@ radians, PSDs in W/Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,16 +38,6 @@ def _check_positive(name, value):
 
 
 @dataclass(frozen=True)
-class PhysConstants:
-    """Physical constants; c is configurable but defaults to the round 3e8."""
-
-    c: float = SPEED_OF_LIGHT
-
-    def __post_init__(self):
-        _check_positive("c", self.c)
-
-
-@dataclass(frozen=True)
 class AntennaConfig:
     """Leaky-wave antenna parameters.
 
@@ -67,7 +57,6 @@ class AntennaConfig:
     efficiency: float = 1.0
     gain_exponent: int = 1
     plate_sep: float | None = None
-    consts: PhysConstants = field(default=PhysConstants())
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -80,7 +69,7 @@ class AntennaConfig:
         if self.gain_exponent not in (1, 2):
             raise ValueError(f"gain_exponent must be 1 or 2, got {self.gain_exponent}")
         if self.plate_sep is not None:
-            implied = cutoff_from_plates(self.plate_sep, self.consts)
+            implied = cutoff_from_plates(self.plate_sep)
             if abs(implied - self.f_co) > 1e-9 * self.f_co:
                 raise ValueError(
                     f"plate_sep {self.plate_sep} implies f_co = {implied:.6e} Hz, "
@@ -88,10 +77,10 @@ class AntennaConfig:
                 )
 
 
-def cutoff_from_plates(plate_sep, consts=PhysConstants()):
+def cutoff_from_plates(plate_sep):
     """Cutoff frequency of a parallel-plate waveguide, c/(2*sep)."""
     _check_positive("plate_sep", plate_sep)
-    return consts.c / (2.0 * plate_sep)
+    return SPEED_OF_LIGHT / (2.0 * plate_sep)
 
 
 def peak_frequency(theta, f_co):
@@ -107,19 +96,19 @@ def peak_frequency(theta, f_co):
     return float(out) if out.ndim == 0 else out
 
 
-def wavenumber(f, consts=PhysConstants()):
+def wavenumber(f):
     """Free-space wavenumber 2*pi*f/c."""
     _check_positive("f", f)
-    return 2.0 * np.pi * np.asarray(f, dtype=float) / consts.c
+    return 2.0 * np.pi * np.asarray(f, dtype=float) / SPEED_OF_LIGHT
 
 
-def phase_constant(f, f_co, consts=PhysConstants()):
+def phase_constant(f, f_co):
     """Guided phase constant k0(f)*sqrt(1 - (f_co/f)^2); zero at cutoff."""
     f = np.asarray(f, dtype=float)
     if np.any(f < f_co):
         raise BelowCutoffError(f"f = {f} below cutoff {f_co}")
     ratio = f_co / f
-    out = wavenumber(f, consts) * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    out = wavenumber(f) * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
     return float(out) if out.ndim == 0 else out
 
 
@@ -142,37 +131,35 @@ def complex_sinc(z):
     return complex(out[0]) if z_in.ndim == 0 else out
 
 
-def antenna_gain(f, theta, cfg: AntennaConfig, consts=None):
+def antenna_gain(f, theta, cfg: AntennaConfig):
     """Effective leaky-wave gain |xi * L * sinc(z)|^gain_exponent.
 
     z = (-j*atten - k0(f)*cos(theta) + beta(f)) * L/2. The gain peaks near
     f = f_co/sin(theta), where the real part of z vanishes.
     """
-    consts = consts or cfg.consts
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0) & (theta < np.pi / 2)):
         raise ValueError(f"theta must be in (0, pi/2), got {theta}")
-    k0 = wavenumber(f, consts)
-    beta = phase_constant(f, cfg.f_co, consts)
+    k0 = wavenumber(f)
+    beta = phase_constant(f, cfg.f_co)
     z = (-1j * cfg.atten - k0 * np.cos(theta) + beta) * (cfg.aperture / 2.0)
     g = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z)) ** cfg.gain_exponent
     return float(g) if np.ndim(g) == 0 else g
 
 
-def path_gain(f, d, consts=PhysConstants()):
+def path_gain(f, d):
     """Free-space path gain (c / (4*pi*f*d))^2."""
     _check_positive("f", f)
     _check_positive("d", d)
-    amp = consts.c / (4.0 * np.pi * np.asarray(f, dtype=float) * d)
+    amp = SPEED_OF_LIGHT / (4.0 * np.pi * np.asarray(f, dtype=float) * d)
     out = amp * amp
     return float(out) if out.ndim == 0 else out
 
 
-def link_rss(f, ap, p, cfg: AntennaConfig, consts=None):
+def link_rss(f, ap, p, cfg: AntennaConfig):
     """Received PSD of a single AP-UE link: p * G(f, theta) * |h|^2."""
     _check_positive("p", p)
-    consts = consts or cfg.consts
-    return p * antenna_gain(f, ap.angle, cfg, consts) * path_gain(f, ap.distance, consts)
+    return p * antenna_gain(f, ap.angle, cfg) * path_gain(f, ap.distance)
 
 
 def dbm_per_hz_to_w_per_hz(x_dbm_hz):

@@ -110,7 +110,7 @@ def select_nearest(aps) -> SelectionMask:
 def _link_rss(f, ap, p, cfg, gain_fn):
     if gain_fn is None:
         return phy.link_rss(f, ap, p, cfg)
-    return p * gain_fn(f, ap.angle, cfg) * phy.path_gain(f, ap.distance, cfg.consts)
+    return p * gain_fn(f, ap.angle, cfg) * phy.path_gain(f, ap.distance)
 
 
 def combined_rss_rows(masks, aps, f, p, cfg, gamma_th):

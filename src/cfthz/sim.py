@@ -19,7 +19,7 @@ import numpy as np
 from . import alloc, selection
 from .alloc import CEConfig, GridRss
 from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, require_finite_fields
-from .selection import AccessPoint, Scheme
+from .selection import AccessPoint
 
 CE_SCHEMES = ("mrt", "best_nsel", "best_per_subchannel", "nearest")
 BASELINE_SCHEMES = ("equal_mrt", "colocated")

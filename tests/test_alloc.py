@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfthz import alloc, phy, selection
+from cfthz import alloc, phy, selection, sim
 from cfthz.alloc import (
     CEConfig,
     GridRss,
     Subchannel,
     SubchannelPlan,
     build_plan,
-    ce_init,
-    ce_iterate,
     ce_optimize,
     integrated_rate,
     plan_rate,
@@ -165,6 +163,74 @@ def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
     resolved = SubchannelPlan(tuple(resolve_overlaps(raw, grid)), total_budget)
     plan = trim_to_budget(resolved, grid)
     return plan, scalar_plan_rate(plan, grid, noise_psd)
+
+
+def reference_draw(means, variances, cfg, band, rng):
+    """Reference CE sample draw: one Gaussian draw per (sample, subchannel),
+    out-of-band entries redrawn in row-major order (at most 50 rounds),
+    then clamped to the band."""
+    lo, hi = band
+    std = np.sqrt(variances)
+    x = rng.normal(means, std, size=(cfg.samples, cfg.n_sub))
+    mean_grid, std_grid = np.tile(means, (cfg.samples, 1)), np.tile(std, (cfg.samples, 1))
+    for _ in range(50):
+        out = (x < lo) | (x > hi)
+        if not out.any():
+            break
+        x[out] = rng.normal(mean_grid[out], std_grid[out])
+    return np.clip(x, lo, hi)
+
+
+def reference_ce(grid, cfg, rng, eps_db, total_budget, noise_psd):
+    """Reference CE loop: every sample's plan is built and rated one at a
+    time by `scalar_chain`, the elites are the best `cfg.elites` samples
+    (lower sample index on ties), and the Gaussians are refit with the
+    smoothed MLE updates and the step**2 variance floor. The incumbent is
+    the first best sample, or the final plan where that rates strictly
+    higher. Returns a dict of everything a `CEResult` carries, plus the
+    final variances."""
+    lo, hi = grid.band
+    n = cfg.n_sub
+    means = lo + (np.arange(1, n + 1) - 0.5) * (hi - lo) / n
+    variances = np.full(n, 16.0 * (hi - lo) ** 2 / n**2)
+    best_per_iter, incumbent_trace = [], []
+    inc_plan, inc_value = None, -np.inf
+    for t in range(cfg.max_iter):
+        samples = reference_draw(means, variances, cfg, grid.band, rng)
+        rated = [scalar_chain(grid, grid.index_of(row), eps_db, total_budget, noise_psd)
+                 for row in samples]
+        rates = [rate for _, rate in rated]
+        best = max(range(len(rated)), key=lambda j: (rates[j], -j))
+        if rates[best] > inc_value:
+            inc_plan, inc_value = rated[best]
+        best_per_iter.append(rates[best])
+        incumbent_trace.append(inc_value)
+        order = sorted(range(len(rated)), key=lambda j: (-rates[j], j))
+        elites = samples[order[: cfg.elites]]
+        beta_t = variance_smoothing(cfg.smooth_var, cfg.smooth_power, t)
+        alpha = cfg.smooth_mean
+        means = alpha * elites.mean(axis=0) + (1.0 - alpha) * means
+        variances = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances
+        variances = np.maximum(variances, cfg.step**2)
+    plan, value = scalar_chain(grid, grid.index_of(means), eps_db, total_budget, noise_psd)
+    if value > inc_value:
+        inc_plan, inc_value = plan, value
+    return dict(plan=plan, plan_value=value, incumbent_plan=inc_plan,
+                incumbent_value=inc_value, best_per_iter=np.array(best_per_iter),
+                incumbent_trace=np.array(incumbent_trace), means=means,
+                variances=variances)
+
+
+def assert_equals_reference_ce(res, ref):
+    """A `CEResult` equals the reference loop's output bit for bit."""
+    for name in ("best_per_iter", "incumbent_trace", "means"):
+        assert np.asarray(getattr(res, name)).tobytes() == ref[name].tobytes(), name
+    for name in ("plan", "incumbent_plan"):
+        got, want = plan_arrays(getattr(res, name)), plan_arrays(ref[name])
+        assert got[0].tobytes() == want[0].tobytes(), name
+        assert got[1].tobytes() == want[1].tobytes(), name
+    for name in ("plan_value", "incumbent_value"):
+        assert np.float64(getattr(res, name)).tobytes() == np.float64(ref[name]).tobytes(), name
 
 
 def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
@@ -371,20 +437,25 @@ class TestPlanKernel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ce_iterate_best_plan_is_scalar_build_of_best_sample(self, seed):
+        # one CE iteration: its best sample's plan, built by the scalar
+        # chain, is the incumbent unless the final plan rates higher
         grid = GridRss(oracle_rss, BAND, 50e6)
         cfg = CEConfig(n_sub=12, samples=25, elites=5, max_iter=1, step=50e6)
-        state = ce_init(cfg, BAND)
-        samples = alloc._sample_centers(state, cfg, np.random.default_rng(seed))
-        new_state, best = ce_iterate(state, grid, cfg, np.random.default_rng(seed),
-                                     eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
+        means = 100e9 + (np.arange(12) + 0.5) * 200e9 / 12
+        samples = reference_draw(means, np.full(12, 16.0 * (200e9 / 12) ** 2), cfg, BAND,
+                                 np.random.default_rng(seed))
+        res = ce_optimize(grid, cfg, np.random.default_rng(seed),
+                          eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
         ref_plan, ref_best = None, -np.inf
         for row in samples:
             plan, rate = scalar_chain(grid, grid.index_of(row), 0.5, 16e9, NOISE)
             if rate > ref_best:
                 ref_plan, ref_best = plan, rate
-        assert best == ref_best
-        assert new_state.incumbent_value == ref_best
-        assert new_state.incumbent_plan == ref_plan
+        assert res.best_per_iter[0] == res.incumbent_trace[0] == ref_best
+        if res.plan_value > ref_best:
+            assert (res.incumbent_plan, res.incumbent_value) == (res.plan, res.plan_value)
+        else:
+            assert (res.incumbent_plan, res.incumbent_value) == (ref_plan, ref_best)
 
     def test_build_plan_is_one_kernel_row(self):
         grid = GridRss(oracle_rss, BAND, STEP)
@@ -622,23 +693,43 @@ class TestPlanRate:
                 plan_rate(plan, grid, noise)
 
 
+def initial_means(n_sub, band=BAND):
+    lo, hi = band
+    return lo + (np.arange(1, n_sub + 1) - 0.5) * (hi - lo) / n_sub
+
+
+def ce_kwargs():
+    return dict(eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
+
+
 class TestCEInit:
     def test_means_span_band(self):
-        state = ce_init(CEConfig(n_sub=40), BAND)
-        assert state.means[0] == pytest.approx(102.5e9)
-        assert state.means[-1] == pytest.approx(297.5e9)
+        res = ce_optimize(GridRss(oracle_rss, BAND, STEP), CEConfig(n_sub=40, max_iter=0),
+                          np.random.default_rng(0), **ce_kwargs())
+        assert res.means[0] == pytest.approx(102.5e9)
+        assert res.means[-1] == pytest.approx(297.5e9)
 
     def test_variance_formula(self):
-        state = ce_init(CEConfig(n_sub=40), BAND)
-        np.testing.assert_allclose(state.vars, (20e9) ** 2)
+        # without smoothing, one iteration with every sample an elite moves
+        # the means to the mean of a draw at the initial std, 4 * 200e9 / 40
+        cfg = CEConfig(n_sub=40, samples=6, elites=6, smooth_mean=1.0, smooth_var=1.0,
+                       max_iter=1)
+        res = ce_optimize(GridRss(oracle_rss, BAND, STEP), cfg, np.random.default_rng(1),
+                          **ce_kwargs())
+        probe = reference_draw(initial_means(40), np.full(40, (20e9) ** 2), cfg, BAND,
+                               np.random.default_rng(1))
+        # the elites are averaged in score order, so the sums round differently
+        np.testing.assert_allclose(res.means, probe.mean(axis=0), rtol=1e-12)
 
     def test_single_channel_mid_band(self):
-        state = ce_init(CEConfig(n_sub=1), BAND)
-        assert state.means[0] == pytest.approx(200e9)
+        res = ce_optimize(GridRss(oracle_rss, BAND, STEP), CEConfig(n_sub=1, max_iter=0),
+                          np.random.default_rng(0), **ce_kwargs())
+        assert res.means[0] == pytest.approx(200e9)
 
     def test_degenerate_band_rejected(self):
-        with pytest.raises(ValueError):
-            ce_init(CEConfig(), (300e9, 100e9))
+        for band in ((300e9, 100e9), (200e9, 200e9)):
+            with pytest.raises(ValueError, match="band upper"):
+                GridRss(flat_rss(), band, STEP)
 
 
 class TestVarianceSmoothing:
@@ -654,69 +745,137 @@ class TestVarianceSmoothing:
 
 
 class TestCEIterate:
-    def kwargs(self):
-        return dict(eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
-
     def test_no_smoothing_returns_elite_mle(self):
+        # every sample is an elite: each iteration's means and variances
+        # are the sample mean and the floored sample variance of its draw
         cfg = CEConfig(n_sub=4, samples=30, elites=30, smooth_mean=1.0, smooth_var=1.0,
-                       smooth_power=5.0, max_iter=1)
-        state = ce_init(cfg, BAND)
+                       smooth_power=5.0, max_iter=2)
+        grid = GridRss(oracle_rss, BAND, cfg.step)
+        res = ce_optimize(grid, cfg, np.random.default_rng(3), **ce_kwargs())
+        assert_equals_reference_ce(
+            res, reference_ce(grid, cfg, np.random.default_rng(3), **ce_kwargs()))
         rng = np.random.default_rng(3)
-        # replay the sample draw to get the exact MLE target
-        probe = alloc._sample_centers(
-            alloc.CEState(state.means.copy(), state.vars.copy(), state.band), cfg,
-            np.random.default_rng(3),
-        )
-        new_state, _ = ce_iterate(state, GridRss(oracle_rss, BAND, cfg.step), cfg, rng,
-                                  **self.kwargs())
-        np.testing.assert_allclose(new_state.means, probe.mean(axis=0))
-        np.testing.assert_allclose(
-            new_state.vars, np.maximum(probe.var(axis=0), cfg.step**2)
-        )
+        means, variances = initial_means(4), np.full(4, (200e9) ** 2)
+        for _ in range(2):
+            probe = reference_draw(means, variances, cfg, BAND, rng)
+            means = probe.mean(axis=0)
+            variances = np.maximum(probe.var(axis=0), cfg.step**2)
+        np.testing.assert_allclose(res.means, means, rtol=1e-12)
 
     def test_variance_floor(self):
-        cfg = CEConfig(n_sub=2, samples=5, elites=1, smooth_mean=1.0, smooth_var=1.0,
-                       max_iter=1)
-        state = ce_init(cfg, BAND)
-        new_state, _ = ce_iterate(state, GridRss(oracle_rss, BAND, cfg.step), cfg,
-                                  np.random.default_rng(4), **self.kwargs())
-        # a single elite has zero MLE variance; floor keeps sampling proper
-        np.testing.assert_allclose(new_state.vars, cfg.step**2)
+        # a single elite has zero MLE variance; the floor keeps sampling
+        # proper, and the next draws spread by one step around it
+        cfg = CEConfig(n_sub=2, samples=5, elites=1, smooth_var=1.0, max_iter=3)
+        grid = GridRss(oracle_rss, BAND, cfg.step)
+        ref = reference_ce(grid, cfg, np.random.default_rng(4), **ce_kwargs())
+        np.testing.assert_array_equal(ref["variances"], cfg.step**2)
+        res = ce_optimize(grid, cfg, np.random.default_rng(4), **ce_kwargs())
+        assert_equals_reference_ce(res, ref)
 
-    def test_iteration_budget_enforced(self):
-        cfg = CEConfig(n_sub=2, samples=4, elites=2, max_iter=1)
-        state = ce_init(cfg, BAND)
-        state.iter = 1
-        with pytest.raises(ValueError):
-            ce_iterate(state, GridRss(oracle_rss, BAND, cfg.step), cfg,
-                       np.random.default_rng(5), **self.kwargs())
+
+def mrt_grid(seed, step=50e6):
+    """Combined MRT RSS of a random 1-6 AP scenario on a `step` grid."""
+    rng = np.random.default_rng(seed)
+    cfg = sim.ScenarioConfig(n_aps=int(rng.integers(1, 7)))
+    aps = sim.generate_scenario(rng, cfg)
+    mask = selection.select_mrt(aps)
+    return GridRss(
+        lambda f: selection.combined_rss(mask, aps, f, cfg.p, cfg.antenna, cfg.gamma_th),
+        cfg.band, step,
+    )
+
+
+class TestReferenceCE:
+    """`ce_optimize` against the test-side reference loop, bit for bit:
+    traces, both plans, both values and the final means."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 1234])
+    def test_default_smoothing(self, seed):
+        cfg = CEConfig(n_sub=6, samples=12, elites=3, max_iter=4, step=50e6)
+        grid = mrt_grid(seed)
+        ref = reference_ce(grid, cfg, np.random.default_rng(seed), **ce_kwargs())
+        res = ce_optimize(grid, cfg, np.random.default_rng(seed), **ce_kwargs())
+        assert_equals_reference_ce(res, ref)
+
+    @pytest.mark.parametrize("make_grid", [gated_link_grid, plateau_grid])
+    def test_dead_stretches_and_plateaus(self, make_grid):
+        grid = make_grid()
+        cfg = CEConfig(n_sub=5, samples=10, elites=2, max_iter=3, step=grid.step)
+        budget = 0.3 * (grid.band[1] - grid.band[0])
+        kwargs = dict(eps_db=0.5, total_budget=budget, noise_psd=NOISE)
+        ref = reference_ce(grid, cfg, np.random.default_rng(5), **kwargs)
+        res = ce_optimize(grid, cfg, np.random.default_rng(5), **kwargs)
+        assert_equals_reference_ce(res, ref)
+
+    def test_tied_scores_on_a_flat_grid(self):
+        # at unit SNR on a whole-GHz grid every plan that fills the budget
+        # rates exactly 16e9 bit/s: a later tie never replaces the
+        # incumbent, and a final plan that only ties does not either
+        cfg = CEConfig(n_sub=4, samples=40, elites=5, max_iter=3, step=1e9)
+        grid = GridRss(flat_rss(NOISE), BAND, cfg.step)
+        ref = reference_ce(grid, cfg, np.random.default_rng(9), **ce_kwargs())
+        res = ce_optimize(grid, cfg, np.random.default_rng(9), **ce_kwargs())
+        assert len(set(ref["best_per_iter"].tolist() + [ref["plan_value"]])) == 1
+        assert res.incumbent_plan != res.plan
+        assert_equals_reference_ce(res, ref)
+
+    def test_tied_elites_on_a_flat_grid(self):
+        # with a budget few plans fill, the rates fall on a handful of
+        # exact levels, and the elite cut splits a tied level: the elites
+        # are its lowest-index samples
+        cfg = CEConfig(n_sub=4, samples=40, elites=5, max_iter=3, step=1e9)
+        grid = GridRss(flat_rss(NOISE), BAND, cfg.step)
+        kwargs = dict(eps_db=0.5, total_budget=120e9, noise_psd=NOISE)
+        ref = reference_ce(grid, cfg, np.random.default_rng(9), **kwargs)
+        res = ce_optimize(grid, cfg, np.random.default_rng(9), **kwargs)
+        assert_equals_reference_ce(res, ref)
 
 
 class TestCEOptimize:
-    def kwargs(self):
-        return dict(eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
-
     def test_zero_iterations_uses_initial_means(self):
         cfg = CEConfig(n_sub=8, samples=4, elites=2, max_iter=0)
         grid = GridRss(oracle_rss, BAND, cfg.step)
-        res = ce_optimize(grid, cfg, np.random.default_rng(6), **self.kwargs())
-        expected = build_plan(grid, ce_init(cfg, BAND).means, 0.5, 16e9)
-        assert res.plan == expected
+        res = ce_optimize(grid, cfg, np.random.default_rng(6), **ce_kwargs())
+        assert res.best_per_iter.size == res.incumbent_trace.size == 0
+        assert res.means.tobytes() == initial_means(8).tobytes()
+        assert res.plan == res.incumbent_plan == build_plan(grid, initial_means(8), 0.5, 16e9)
+        assert_equals_reference_ce(
+            res, reference_ce(grid, cfg, np.random.default_rng(6), **ce_kwargs()))
 
     def test_flat_scenario_reaches_analytic_optimum(self):
         level = NOISE  # unit SNR everywhere
         cfg = CEConfig(n_sub=8, samples=20, elites=4, max_iter=5)
         res = ce_optimize(GridRss(flat_rss(level), BAND, cfg.step), cfg,
-                          np.random.default_rng(7), **self.kwargs())
+                          np.random.default_rng(7), **ce_kwargs())
         analytic = 16e9 * np.log2(2.0)
         assert res.plan_value == pytest.approx(analytic, rel=0.05)
 
     def test_incumbent_trace_non_decreasing(self):
         cfg = CEConfig(n_sub=6, samples=10, elites=3, max_iter=8)
         res = ce_optimize(GridRss(oracle_rss, BAND, cfg.step), cfg,
-                          np.random.default_rng(8), **self.kwargs())
+                          np.random.default_rng(8), **ce_kwargs())
         assert np.all(np.diff(res.incumbent_trace) >= 0)
         assert res.incumbent_value >= res.incumbent_trace[-1] - 1e-9
+
+    def test_incumbent_plan_achieves_incumbent_value(self):
+        # the incumbent is the best of every sampled plan and the final
+        # plan, and its value is its own rate
+        cfg = CEConfig(n_sub=10, samples=20, elites=4, max_iter=6)
+        rng = np.random.default_rng(2024)
+        final_won = 0
+        for case in range(60):
+            scen = sim.ScenarioConfig(n_aps=int(rng.integers(1, 7)), ce=cfg)
+            aps = sim.generate_scenario(rng, scen)
+            for scheme in sim.CE_SCHEMES:
+                mask = sim._build_mask(scheme, aps, scen)
+                grid = GridRss(sim._grid_rss(mask, aps, scen), scen.band, cfg.step)
+                res = ce_optimize(grid, cfg, np.random.default_rng(case),
+                                  eps_db=scen.eps_db, total_budget=scen.b_total,
+                                  noise_psd=scen.noise_psd)
+                assert plan_rate(res.incumbent_plan, grid, scen.noise_psd) == res.incumbent_value
+                assert res.incumbent_value == max(res.plan_value, res.incumbent_trace.max())
+                final_won += res.plan_value > res.incumbent_trace.max()
+        assert final_won > 0
 
     def test_emitted_plans_satisfy_invariants(self):
         rng = np.random.default_rng(9)
@@ -724,15 +883,15 @@ class TestCEOptimize:
         for _ in range(10):
             ap = AccessPoint(0, rng.uniform(1, 50), rng.uniform(0.1, 1.4))
             grid = GridRss(lambda f: phy.link_rss(f, ap, P, CFG), BAND, cfg.step)
-            res = ce_optimize(grid, cfg, rng, **self.kwargs())
+            res = ce_optimize(grid, cfg, rng, **ce_kwargs())
             res.plan.validate(BAND)
             res.incumbent_plan.validate(BAND)
 
     def test_determinism(self):
         cfg = CEConfig(n_sub=4, samples=6, elites=2, max_iter=3)
         grid = GridRss(oracle_rss, BAND, cfg.step)
-        r1 = ce_optimize(grid, cfg, np.random.default_rng(10), **self.kwargs())
-        r2 = ce_optimize(grid, cfg, np.random.default_rng(10), **self.kwargs())
+        r1 = ce_optimize(grid, cfg, np.random.default_rng(10), **ce_kwargs())
+        r2 = ce_optimize(grid, cfg, np.random.default_rng(10), **ce_kwargs())
         assert r1.plan == r2.plan
         np.testing.assert_array_equal(r1.best_per_iter, r2.best_per_iter)
 

@@ -1,10 +1,9 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from cfthz import alloc, cli, phy, selection, sim
+from cfthz import cli, phy, selection, sim
 from cfthz.cli import ConfigError
 
 
