@@ -1,9 +1,10 @@
 """Command-line front end: config loading, experiment subcommands, and
 machine-readable CSV/JSON output.
 
-Config files are flat `key = value` text with dotted namespaces (see
-DEFAULTS for the full key set); unknown keys are rejected, missing keys
-take the built-in simulation defaults. dBm/Hz entries are converted to
+Config files are flat `key = value` text. A key is the dotted path of a
+`ScenarioConfig` field, or its unit-suffixed name in `_UNIT_KEYS`; keys
+and defaults come from the dataclasses (see DEFAULTS). Unknown keys are
+rejected, missing keys take the defaults. dBm/Hz entries are converted to
 linear W/Hz at load time. All emitted numbers are SI (Hz, W/Hz, bit/s).
 """
 
@@ -13,7 +14,9 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import __version__, alloc, phy, selection, sim
 from .alloc import CEConfig
-from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz
+from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, w_per_hz_to_dbm_per_hz
 from .sim import ScenarioConfig
 
 
@@ -29,42 +32,44 @@ class ConfigError(ValueError):
     """A config entry failed to parse or violated an invariant."""
 
 
-DEFAULTS = {
-    "n_aps": 20,
-    "n_sel": 2,
-    "radius_m": 50.0,
-    "d_min_m": 0.5,
-    "angle_guard_rad": 0.01,
-    "f_co_hz": 100e9,
-    "f_upper_hz": 300e9,
-    "b_total_hz": 16e9,
-    "p_total_w": 1.0,
-    "noise_psd_dbm_hz": -168.0,
-    "gamma_th_dbm_hz": -174.5,
-    "eps_db": 0.5,
-    "trials": 200,
-    "seed": 1234,
-    "schemes": ",".join(sim.ALL_SCHEMES),
-    "antenna.atten_per_m": 130.0,
-    "antenna.aperture_m": 0.09,
-    "antenna.efficiency": 1.0,
-    "antenna.gain_exponent": 1,
-    "antenna.plate_sep_m": "",
-    "ce.n_sub": 40,
-    "ce.samples": 100,
-    "ce.elites": 10,
-    "ce.smooth_mean": 0.8,
-    "ce.smooth_var": 0.7,
-    "ce.smooth_power": 5.0,
-    "ce.max_iter": 30,
-    "ce.step_hz": 10e6,
+# Config keys whose name carries a unit, and the field path each one sets.
+_UNIT_KEYS = {
+    "radius_m": "radius", "d_min_m": "d_min", "angle_guard_rad": "angle_guard",
+    "f_co_hz": "f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
+    "p_total_w": "p_total", "noise_psd_dbm_hz": "noise_psd", "gamma_th_dbm_hz": "gamma_th",
+    "antenna.atten_per_m": "antenna.atten", "antenna.aperture_m": "antenna.aperture",
+    "antenna.plate_sep_m": "antenna.plate_sep", "ce.step_hz": "ce.step",
 }
+_KEY_OF_FIELD = {path: key for key, path in _UNIT_KEYS.items()}
+_PSD_FIELDS = {"noise_psd", "gamma_th"}  # W/Hz fields written in dBm/Hz
 
-_INT_KEYS = {
-    "n_aps", "n_sel", "trials", "seed", "antenna.gain_exponent",
-    "ce.n_sub", "ce.samples", "ce.elites", "ce.max_iter",
+
+def _field_paths(obj, prefix=""):
+    """(dotted path, value) of every leaf field of a config dataclass; the
+    antenna's f_co is the scenario's f_co and has no key of its own."""
+    for f in fields(obj):
+        path, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _field_paths(value, path + ".")
+        elif path != "antenna.f_co":
+            yield path, value
+
+
+def _to_entry(path, value):
+    """A field value as its config entry."""
+    if path in _PSD_FIELDS:
+        return float(w_per_hz_to_dbm_per_hz(value))
+    if path == "schemes":
+        return ",".join(value)
+    if path == "antenna.plate_sep":
+        return "" if value is None else repr(value)
+    return value
+
+
+DEFAULTS = {
+    _KEY_OF_FIELD.get(path, path): _to_entry(path, value)
+    for path, value in _field_paths(ScenarioConfig())
 }
-_STR_KEYS = {"schemes", "antenna.plate_sep_m"}
 
 
 def parse_config_file(path):
@@ -84,14 +89,29 @@ def parse_config_file(path):
 
 
 def _coerce(key, value):
-    if key in _STR_KEYS:
-        return str(value)
+    """Parse an entry as the type of its key's default, then convert it to
+    the value of the field the key sets."""
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown key {key!r}")
+    path = _UNIT_KEYS.get(key, key)
     try:
-        if key in _INT_KEYS:
-            return int(str(value))
-        return float(str(value))
+        typed = type(DEFAULTS[key])(str(value))
+        if path in _PSD_FIELDS:
+            return dbm_per_hz_to_w_per_hz(typed)
+        if path == "schemes":
+            return tuple(s.strip() for s in typed.split(",") if s.strip())
+        if path == "antenna.plate_sep":
+            return float(typed) if typed.strip() else None
+        return typed
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
+
+
+def _kwargs(values, prefix):
+    """The entries of a {field path: value} map that are direct fields of the
+    config at `prefix`, keyed by field name."""
+    n = len(prefix)
+    return {p[n:]: v for p, v in values.items() if p.startswith(prefix) and "." not in p[n:]}
 
 
 def config_digest(entries):
@@ -110,48 +130,11 @@ def load_config(path=None, overrides=None):
     if path is not None:
         entries.update(parse_config_file(path))
     entries.update(overrides or {})
-    vals = {k: _coerce(k, v) for k, v in entries.items()}
-
-    plate_sep = vals["antenna.plate_sep_m"].strip()
+    vals = {_UNIT_KEYS.get(k, k): _coerce(k, v) for k, v in entries.items()}
     try:
-        antenna = AntennaConfig(
-            f_co=vals["f_co_hz"],
-            atten=vals["antenna.atten_per_m"],
-            aperture=vals["antenna.aperture_m"],
-            efficiency=vals["antenna.efficiency"],
-            gain_exponent=vals["antenna.gain_exponent"],
-            plate_sep=float(plate_sep) if plate_sep else None,
-        )
-        ce = CEConfig(
-            n_sub=vals["ce.n_sub"],
-            samples=vals["ce.samples"],
-            elites=vals["ce.elites"],
-            smooth_mean=vals["ce.smooth_mean"],
-            smooth_var=vals["ce.smooth_var"],
-            smooth_power=vals["ce.smooth_power"],
-            max_iter=vals["ce.max_iter"],
-            step=vals["ce.step_hz"],
-        )
-        schemes = tuple(s.strip() for s in vals["schemes"].split(",") if s.strip())
-        cfg = ScenarioConfig(
-            n_aps=vals["n_aps"],
-            n_sel=vals["n_sel"],
-            radius=vals["radius_m"],
-            d_min=vals["d_min_m"],
-            angle_guard=vals["angle_guard_rad"],
-            f_co=vals["f_co_hz"],
-            f_upper=vals["f_upper_hz"],
-            b_total=vals["b_total_hz"],
-            p_total=vals["p_total_w"],
-            noise_psd=dbm_per_hz_to_w_per_hz(vals["noise_psd_dbm_hz"]),
-            gamma_th=dbm_per_hz_to_w_per_hz(vals["gamma_th_dbm_hz"]),
-            eps_db=vals["eps_db"],
-            trials=vals["trials"],
-            seed=vals["seed"],
-            schemes=schemes,
-            antenna=antenna,
-            ce=ce,
-        )
+        antenna = AntennaConfig(f_co=vals["f_co"], **_kwargs(vals, "antenna."))
+        ce = CEConfig(**_kwargs(vals, "ce."))
+        cfg = ScenarioConfig(antenna=antenna, ce=ce, **_kwargs(vals, ""))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, entries
@@ -207,6 +190,14 @@ def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
 
 def cmd_gain(cfg, thetas, f_start, f_stop, f_count, out):
     """Dump the antenna-gain surface (theta, f, gain) as CSV."""
+    if f_count < 1:
+        raise ConfigError(f"--f-count must be >= 1, got {f_count}")
+    if not (math.isfinite(f_start) and math.isfinite(f_stop) and f_start <= f_stop):
+        raise ConfigError(f"need finite --f-start <= --f-stop, got {f_start} and {f_stop}")
+    for theta in thetas:
+        if not 0 < theta < np.pi / 2:
+            raise ConfigError(f"--thetas must lie in (0, pi/2), got {theta}")
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     freqs = np.linspace(f_start, f_stop, f_count)
     in_band = freqs >= cfg.f_co
     skipped = int((~in_band).sum()) * len(thetas)
@@ -245,9 +236,9 @@ def read_scenario_file(path):
 def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
     """CE subchannel allocation for one fixed scenario; emits the final
     plan, the best-ever incumbent, and the objective trace."""
+    aps = read_scenario_file(scenario_file)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    aps = read_scenario_file(scenario_file)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 0, sim._STREAM_CE]))
     mask = sim._build_mask(scheme, aps, cfg)
     grid = alloc.GridRss(sim._grid_rss(mask, aps, cfg), cfg.band, cfg.ce.step)
@@ -273,6 +264,9 @@ def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
                 [t, _fmt(float(result.best_per_iter[t])),
                  _fmt(float(result.incumbent_trace[t]))]
             )
+        writer.writerow(
+            ["final", _fmt(float(result.plan_value)), _fmt(float(result.incumbent_value))]
+        )
     write_manifest(out_dir / "manifest.json", entries, cfg.seed, [plan_path, trace_path])
     return 0
 
@@ -337,6 +331,14 @@ def build_parser():
     return parser
 
 
+def _floats(option, text):
+    """A comma-separated option value as a list of floats."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{option}: cannot parse {text!r}") from exc
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     overrides = {}
@@ -347,16 +349,15 @@ def main(argv=None):
     try:
         cfg, entries = load_config(args.config, overrides)
         if args.command == "simulate":
-            values = [float(v) for v in args.values.split(",")]
+            values = _floats("--values", args.values)
             return cmd_simulate(cfg, entries, args.axis, values, args.out,
                                 threads=args.threads)
         if args.command == "allocate":
             return cmd_allocate(cfg, entries, args.scenario, args.scheme, args.out)
         if args.command == "gain":
-            thetas = [float(v) for v in args.thetas.split(",")]
+            thetas = _floats("--thetas", args.thetas)
             out = Path(args.out)
             if out.is_dir() or not out.suffix:
-                out.mkdir(parents=True, exist_ok=True)
                 out = out / "gain.csv"
             return cmd_gain(cfg, thetas, args.f_start, args.f_stop, args.f_count, out)
         if args.command == "trial":

@@ -10,6 +10,7 @@ is computed once per scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,8 +35,10 @@ class AccessPoint:
     angle: float  # rad, in (0, pi/2)
 
     def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError(f"AP {self.id}: distance must be > 0, got {self.distance}")
+        if not (math.isfinite(self.distance) and self.distance > 0):
+            raise ValueError(
+                f"AP {self.id}: distance must be finite and > 0, got {self.distance}"
+            )
         if not 0 < self.angle < np.pi / 2:
             raise ValueError(f"AP {self.id}: angle must be in (0, pi/2), got {self.angle}")
 

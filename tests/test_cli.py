@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from cfthz import cli, phy, selection, sim
+from cfthz.alloc import CEConfig
 from cfthz.cli import ConfigError
+from cfthz.phy import AntennaConfig
+from cfthz.sim import ScenarioConfig
 
 
 FAST_CONFIG = """
@@ -18,6 +22,65 @@ ce.elites = 2
 ce.max_iter = 2
 ce.step_hz = 50e6
 """
+
+
+# The config keys whose name carries a unit, and the field path each one sets.
+UNIT_KEYS = {
+    "radius_m": "radius", "d_min_m": "d_min", "angle_guard_rad": "angle_guard",
+    "f_co_hz": "f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
+    "p_total_w": "p_total", "noise_psd_dbm_hz": "noise_psd", "gamma_th_dbm_hz": "gamma_th",
+    "antenna.atten_per_m": "antenna.atten", "antenna.aperture_m": "antenna.aperture",
+    "antenna.plate_sep_m": "antenna.plate_sep", "ce.step_hz": "ce.step",
+}
+
+# Every key set away from its default, each to a value no sibling field
+# shares, so a key wired to the wrong field builds a different config.
+EVERY_KEY_CONFIG = """
+n_aps = 7
+n_sel = 3
+radius_m = 40.0
+d_min_m = 0.75
+angle_guard_rad = 0.02
+f_co_hz = 150e9
+f_upper_hz = 350e9
+b_total_hz = 8e9
+p_total_w = 2.0
+noise_psd_dbm_hz = -170.0
+gamma_th_dbm_hz = -176.0
+eps_db = 0.25
+trials = 11
+seed = 99
+schemes = mrt, nearest
+antenna.atten_per_m = 120.0
+antenna.aperture_m = 0.08
+antenna.efficiency = 0.9
+antenna.gain_exponent = 2
+antenna.plate_sep_m = 1e-3
+ce.n_sub = 12
+ce.samples = 30
+ce.elites = 5
+ce.smooth_mean = 0.7
+ce.smooth_var = 0.6
+ce.smooth_power = 4.0
+ce.max_iter = 7
+ce.step_hz = 20e6
+"""
+
+# The reduced-budget config and 3-AP scenario of the CI allocate check.
+CI_ALLOCATE_CONFIG = "ce.n_sub = 10\nce.samples = 20\nce.elites = 4\nce.max_iter = 4\n"
+CI_SCENARIO = "distance_m,theta_rad\n20.0,0.7\n35.0,1.1\n10.0,0.4\n"
+
+
+def leaf_paths(obj, prefix=""):
+    """Dotted paths of every non-dataclass field, nested configs expanded."""
+    paths = set()
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            paths |= leaf_paths(value, f"{prefix}{f.name}.")
+        else:
+            paths.add(prefix + f.name)
+    return paths
 
 
 @pytest.fixture
@@ -38,6 +101,7 @@ class TestConfigParsing:
         assert cfg.antenna.atten == 130.0
         assert cfg.ce.n_sub == 40
         assert entries == cli.DEFAULTS
+        assert cfg == ScenarioConfig()
 
     def test_file_overrides_defaults(self, fast_config_path):
         cfg, _ = cli.load_config(fast_config_path)
@@ -101,6 +165,55 @@ class TestConfigParsing:
         cfg, _ = cli.load_config(fast_config_path, {"trials": "9", "seed": "5"})
         assert cfg.trials == 9
         assert cfg.seed == 5
+
+
+class TestConfigSchema:
+    def test_defaults_digest_pinned(self):
+        assert cli.config_digest(cli.DEFAULTS) == (
+            "79d465416fc48fbf039ad3307a1568a508767ff677c4faa4ddc60031be0c26e4"
+        )
+
+    def test_keys_are_field_paths_with_unit_names(self):
+        # antenna.f_co has no key: the antenna takes the scenario's f_co_hz
+        paths = leaf_paths(ScenarioConfig()) - {"antenna.f_co"}
+        assert set(UNIT_KEYS.values()) <= paths
+        assert set(cli.DEFAULTS) == (paths - set(UNIT_KEYS.values())) | set(UNIT_KEYS)
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        p = tmp_path / "every.cfg"
+        p.write_text(EVERY_KEY_CONFIG)
+        entries = cli.parse_config_file(p)
+        assert set(entries) == set(cli.DEFAULTS)
+        assert all(
+            cli._coerce(k, v) != cli._coerce(k, cli.DEFAULTS[k]) for k, v in entries.items()
+        )
+        cfg, _ = cli.load_config(p)
+        want = ScenarioConfig(
+            n_aps=7, n_sel=3, radius=40.0, d_min=0.75, angle_guard=0.02,
+            f_co=150e9, f_upper=350e9, b_total=8e9, p_total=2.0,
+            noise_psd=phy.dbm_per_hz_to_w_per_hz(-170.0),
+            gamma_th=phy.dbm_per_hz_to_w_per_hz(-176.0),
+            eps_db=0.25, trials=11, seed=99, schemes=("mrt", "nearest"),
+            antenna=AntennaConfig(f_co=150e9, atten=120.0, aperture=0.08, efficiency=0.9,
+                                  gain_exponent=2, plate_sep=1e-3),
+            ce=CEConfig(n_sub=12, samples=30, elites=5, smooth_mean=0.7, smooth_var=0.6,
+                        smooth_power=4.0, max_iter=7, step=20e6),
+        )
+        assert cfg == want
+        assert repr(cfg) == repr(want)  # same field types too: 7, not 7.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_aps", "2.5"), ("ce.max_iter", "2.5"), ("antenna.gain_exponent", "2.5"),
+         ("antenna.plate_sep_m", "wide")],
+    )
+    def test_unparseable_entry_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}': cannot parse"):
+            cli.load_config(None, {key: value})
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'radius'"):
+            cli.load_config(None, {"radius": "40"})
 
 
 class TestConfigDigest:
@@ -232,6 +345,13 @@ class TestScenarioFile:
         with pytest.raises(ConfigError, match="2: bad scenario row"):
             cli.read_scenario_file(p)
 
+    @pytest.mark.parametrize("distance", ["nan", "inf", "-inf"])
+    def test_non_finite_distance_rejected(self, tmp_path, distance):
+        p = tmp_path / "s.csv"
+        p.write_text(f"{distance}, 0.7\n")
+        with pytest.raises(ConfigError, match="1: bad scenario row.*finite"):
+            cli.read_scenario_file(p)
+
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("# nothing here\n")
@@ -255,9 +375,46 @@ class TestAllocateCommand:
             with open(out / "trace.csv") as fh:
                 trace = list(csv.DictReader(fh))
         assert payloads[0] == payloads[1]
-        assert len(trace) == 2  # ce.max_iter rows
+        # one row per CE iteration (ce.max_iter = 2), then the final plan's row
+        assert [r["iteration"] for r in trace] == ["0", "1", "final"]
         inc = [float(r["incumbent_rate_bps"]) for r in trace]
         assert inc == sorted(inc)
+
+    @pytest.mark.parametrize("seed, final_wins", [(25, True), (7, False)])
+    def test_trace_ends_at_reported_rates(self, tmp_path, seed, final_wins):
+        # at seed 25 the final plan beats every sampled plan; at seed 7 it
+        # rates below the best sample
+        cfg = tmp_path / "ci.cfg"
+        cfg.write_text(CI_ALLOCATE_CONFIG)
+        scen = tmp_path / "s.csv"
+        scen.write_text(CI_SCENARIO)
+        out = tmp_path / "a"
+        rc = cli.main(["allocate", "--config", str(cfg), "--scenario", str(scen),
+                       "--scheme", "mrt", "--seed", str(seed), "--out", str(out)])
+        assert rc == 0
+        payload = json.loads((out / "plan.json").read_text())
+        with open(out / "trace.csv") as fh:
+            trace = list(csv.DictReader(fh))
+        sampled_best = max(float(r["incumbent_rate_bps"]) for r in trace[:-1])
+        assert (payload["incumbent_rate_bps"] > sampled_best) is final_wins
+        assert (payload["final_rate_bps"] < payload["incumbent_rate_bps"]) is not final_wins
+        assert trace[-1] == {
+            "iteration": "final",
+            "best_rate_bps": repr(payload["final_rate_bps"]),
+            "incumbent_rate_bps": repr(payload["incumbent_rate_bps"]),
+        }
+
+    @pytest.mark.parametrize("distance", ["nan", "inf"])
+    def test_non_finite_distance_exit_code(self, fast_config_path, tmp_path, capsys,
+                                           distance):
+        scen = tmp_path / "s.csv"
+        scen.write_text(f"20.0, 0.7\n{distance}, 1.0\n")
+        out = tmp_path / "a"
+        rc = cli.main(["allocate", "--config", fast_config_path, "--scenario", str(scen),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "2: bad scenario row" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plan_payload_consistent(self, fast_config_path, tmp_path):
         scen = tmp_path / "s.csv"
@@ -314,6 +471,42 @@ class TestMainErrors:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--axis", "n_aps", "--values", "10,abc"], "--values"),
+            (["simulate", "--axis", "b_total", "--values", "8e9,"], "--values"),
+            (["gain", "--thetas", "10,abc", "--f-start", "110e9", "--f-stop", "290e9"],
+             "--thetas"),
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
+              "--f-count", "0"], "--f-count"),
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
+              "--f-count", "-3"], "--f-count"),
+            (["gain", "--thetas", "0.5", "--f-start", "nan", "--f-stop", "290e9"],
+             "--f-start"),
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "inf"],
+             "--f-stop"),
+            (["gain", "--thetas", "0.5", "--f-start", "290e9", "--f-stop", "110e9"],
+             "--f-stop"),
+            (["gain", "--thetas", "0.5,nan", "--f-start", "110e9", "--f-stop", "290e9"],
+             "--thetas"),
+            (["gain", "--thetas", "0", "--f-start", "110e9", "--f-stop", "290e9"],
+             "--thetas"),
+            (["gain", "--thetas", "1.6", "--f-start", "110e9", "--f-stop", "290e9"],
+             "--thetas"),
+        ],
+        ids=["values-abc", "values-empty", "thetas-abc", "f-count-0", "f-count-neg",
+             "f-start-nan", "f-stop-inf", "f-stop-below-start", "theta-nan", "theta-0",
+             "theta-above-pi/2"],
+    )
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--trials", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
 
     def test_seed_override_changes_digest(self, tmp_path):
         _, e1 = cli.load_config(None, {"seed": "1"})

@@ -320,3 +320,15 @@ class TestMaskInvariants:
     def test_static_schemes_need_aps(self):
         with pytest.raises(ValueError):
             selection.SelectionMask(Scheme.MRT, frozenset())
+
+
+class TestAccessPoint:
+    @pytest.mark.parametrize("distance", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_distance_rejected(self, distance):
+        with pytest.raises(ValueError, match="distance must be finite and > 0"):
+            AccessPoint(0, distance, 0.7)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, 0.0, np.pi / 2])
+    def test_bad_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be in"):
+            AccessPoint(0, 5.0, angle)
