@@ -11,8 +11,8 @@ Run:  python demos/allocation_walkthrough.py
 import numpy as np
 
 from cfthz import GridRss, ScenarioConfig, ce_optimize, generate_scenario
-from cfthz import combined_rss, select_mrt
 from cfthz.alloc import CEConfig, plan_records
+from cfthz.sim import scheme_rss
 
 cfg = ScenarioConfig(n_aps=6, ce=CEConfig(n_sub=10, samples=60, elites=8, max_iter=15))
 rng = np.random.default_rng(2026)
@@ -23,11 +23,8 @@ for ap in aps:
     print(f"  AP {ap.id}: d = {ap.distance:5.1f} m, theta = {np.degrees(ap.angle):5.1f} deg,"
           f" peak near {cfg.f_co / np.sin(ap.angle) / 1e9:6.1f} GHz")
 
-mask = select_mrt(aps)
-rss = GridRss(
-    lambda f: combined_rss(mask, aps, f, cfg.p, cfg.antenna, cfg.gamma_th),
-    cfg.band, cfg.ce.step,
-)
+_, mrt_row = scheme_rss(["mrt"], aps, cfg)["mrt"]
+rss = GridRss(mrt_row, cfg.band, cfg.ce.step)
 result = ce_optimize(
     rss, cfg.ce, rng,
     eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd,

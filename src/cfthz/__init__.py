@@ -35,7 +35,6 @@ from .selection import (
     AccessPoint,
     Scheme,
     SelectionMask,
-    combined_rss,
     select_best_at,
     select_best_nsel,
     select_best_per_subchannel,

@@ -94,13 +94,17 @@ def select_best_per_subchannel() -> SelectionMask:
     return SelectionMask(Scheme.BEST_PER_SUBCHANNEL, frozenset())
 
 
-def select_best_at(aps, f, p, cfg, gain_fn=None) -> int:
-    """Id of the AP with the largest RSS at frequency f (lower id on ties)."""
+def select_best_at(aps, f, p, cfg):
+    """Id of the AP with the largest RSS at each frequency in f (lower id on
+    ties): an int for scalar f, else an array shaped like f."""
     _require_aps(aps)
-    if np.any(np.asarray(f) < cfg.f_co):
+    f = np.asarray(f, dtype=float)
+    if np.any(f < cfg.f_co):
         raise phy.BelowCutoffError(f"f = {f} below cutoff {cfg.f_co}")
-    best = min((-_link_rss(f, ap, p, cfg, gain_fn), ap.id) for ap in aps)
-    return best[1]
+    by_id = sorted(aps, key=lambda ap: ap.id)
+    rss = np.array([np.broadcast_to(phy.link_rss(f, ap, p, cfg), f.shape) for ap in by_id])
+    best = np.array([ap.id for ap in by_id])[rss.argmax(axis=0)]
+    return int(best) if f.ndim == 0 else best
 
 
 def select_nearest(aps) -> SelectionMask:
@@ -108,12 +112,6 @@ def select_nearest(aps) -> SelectionMask:
     _require_aps(aps)
     nearest = min(aps, key=lambda ap: (ap.distance, ap.id))
     return SelectionMask(Scheme.NEAREST, frozenset({nearest.id}))
-
-
-def _link_rss(f, ap, p, cfg, gain_fn):
-    if gain_fn is None:
-        return phy.link_rss(f, ap, p, cfg)
-    return p * gain_fn(f, ap.angle, cfg) * phy.path_gain(f, ap.distance)
 
 
 def combined_rss_rows(masks, aps, f, p, cfg, gamma_th):
@@ -153,17 +151,4 @@ def combined_rss_rows(masks, aps, f, p, cfg, gamma_th):
             else:
                 out += row
     return outs
-
-
-def combined_rss(mask, aps, f, p, cfg, gamma_th):
-    """Combined received PSD at frequency f (scalar or array) under `mask`.
-
-    Set-based masks: sum of per-link RSS over selected APs, each gated by
-    the outage indicator 1(gamma >= gamma_th). Per-subchannel rule: the
-    max-form, i.e. the largest thresholded per-link RSS. Returns 0 where
-    every selected link falls below gamma_th. The one-mask case of
-    `combined_rss_rows`.
-    """
-    (out,) = combined_rss_rows([mask], aps, f, p, cfg, gamma_th)
-    return float(out[0]) if np.ndim(f) == 0 else out
 

@@ -25,10 +25,8 @@ CE_SCHEMES = ("mrt", "best_nsel", "best_per_subchannel", "nearest")
 BASELINE_SCHEMES = ("equal_mrt", "colocated")
 ALL_SCHEMES = CE_SCHEMES + BASELINE_SCHEMES
 
-# substream tags within one (seed, axis, trial) cell
-_STREAM_SCENARIO = 0
-_STREAM_CE = 1
-_STREAM_COLOCATED = 2
+# substream tag of each named stream within one (seed, axis, trial) cell
+_STREAMS = {"scenario": 0, "ce": 1, "colocated": 2}
 
 
 @dataclass
@@ -154,41 +152,32 @@ def _build_mask(scheme, aps, cfg):
 def _active_count(scheme, mask, aps, cfg, plan):
     if scheme != "best_per_subchannel":
         return len(mask.static_set)
-    used = {
-        selection.select_best_at(aps, ch.center, cfg.p, cfg.antenna)
-        for ch in plan.channels
-        if ch.width > 0
-    }
-    return len(used)
+    live = np.array([ch.center for ch in plan.channels if ch.width > 0])
+    return np.unique(selection.select_best_at(aps, live, cfg.p, cfg.antenna)).size
 
 
-def _grid_rss(mask, aps, cfg):
-    """The mask's combined RSS sampled on the allocator's band grid."""
-    return selection.combined_rss(
-        mask, aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
+def scheme_rss(schemes, aps, cfg: ScenarioConfig):
+    """{scheme: (mask, combined RSS on the band grid)} of each selection
+    scheme in `schemes`, from one link pass over `aps`."""
+    masks = {s: _build_mask(s, aps, cfg) for s in dict.fromkeys(schemes)}
+    rows = selection.combined_rss_rows(
+        list(masks.values()), aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
         cfg.p, cfg.antenna, cfg.gamma_th,
     )
+    return dict(zip(masks, zip(masks.values(), rows)))
 
 
-def run_trial(aps, scheme, cfg: ScenarioConfig, rng, mask_rss=None) -> TrialResult:
-    """Build the scheme's mask, optimize the subchannel plan with the CE
-    allocator, and record both rate metrics plus the active-AP count.
+def run_trial(aps, scheme, cfg: ScenarioConfig, rng, mask_rss) -> TrialResult:
+    """Optimize the subchannel plan with the CE allocator on the scheme's
+    combined RSS, and record both rate metrics plus the active-AP count.
 
-    `mask_rss` is the scheme's (mask, RSS on the band grid) pair from a
-    cell's shared link pass; without it both are computed here.
+    `mask_rss` is the scheme's (mask, RSS on the band grid) pair, as
+    `scheme_rss` returns it.
     """
-    if mask_rss is None:
-        mask = _build_mask(scheme, aps, cfg)
-        mask_rss = (mask, _grid_rss(mask, aps, cfg))
     mask, rss = mask_rss
     grid = GridRss(rss, cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(
-        grid,
-        cfg.ce,
-        rng,
-        eps_db=cfg.eps_db,
-        total_budget=cfg.b_total,
-        noise_psd=cfg.noise_psd,
+        grid, cfg.ce, rng, eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd
     )
     return TrialResult(
         scheme=scheme,
@@ -203,13 +192,12 @@ def run_trial(aps, scheme, cfg: ScenarioConfig, rng, mask_rss=None) -> TrialResu
     )
 
 
-def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss=None) -> TrialResult:
+def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
     """MRT over all APs with n_sub equal-width, evenly spaced subchannels.
 
     Rated by the integrated metric: the equal plan ignores the flatness
     constraint, so the center-RSS objective would overstate its rate.
-    `mrt_rss` is the MRT RSS on the band grid from a cell's shared link
-    pass; without it, it is computed here.
+    `mrt_rss` is the MRT RSS on the band grid.
     """
     n_sub = cfg.ce.n_sub
     spacing = (cfg.f_upper - cfg.f_co) / n_sub
@@ -218,8 +206,6 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss=None) -> TrialResul
         raise ValueError(
             f"equal plan overlaps: width {width:.3e} exceeds spacing {spacing:.3e}"
         )
-    if mrt_rss is None:
-        mrt_rss = _grid_rss(selection.select_mrt(aps), aps, cfg)
     grid = GridRss(mrt_rss, cfg.band, cfg.ce.step)
     centers = cfg.f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
     channels = tuple(alloc.Subchannel(c, width) for c in centers)
@@ -242,7 +228,7 @@ def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
     d = draw_rng.uniform(cfg.d_min, cfg.radius)
     theta = draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard)
     aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
-    result = run_trial(aps, "mrt", cfg, ce_rng)
+    result = run_trial(aps, "mrt", cfg, ce_rng, scheme_rss(["mrt"], aps, cfg)["mrt"])
     return replace(result, scheme="colocated")
 
 
@@ -251,38 +237,34 @@ def _headline_rate(result: TrialResult) -> float:
     return result.integrated_rate if result.scheme == "equal_mrt" else result.plan_rate
 
 
+def substream(seed, axis_idx, trial_idx, stream):
+    """The generator of one named stream ('scenario', 'ce' or 'colocated')
+    of the (seed, axis index, trial index) cell."""
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, axis_idx, trial_idx, _STREAMS[stream]])
+    )
+
+
 def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
     """All configured schemes on one shared scenario and CE stream."""
 
-    def rng_for(tag):
-        return np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, axis_idx, trial_idx, tag])
-        )
+    def rng_for(stream):
+        return substream(cfg.seed, axis_idx, trial_idx, stream)
 
-    aps = generate_scenario(rng_for(_STREAM_SCENARIO), cfg)
+    aps = generate_scenario(rng_for("scenario"), cfg)
     # one link pass serves every scheme on this scenario; equal_mrt reuses
     # the mrt row, and colocated draws its own site
-    mask_schemes = dict.fromkeys(
-        "mrt" if s == "equal_mrt" else s for s in cfg.schemes if s != "colocated"
+    shared = scheme_rss(
+        ("mrt" if s == "equal_mrt" else s for s in cfg.schemes if s != "colocated"), aps, cfg
     )
-    masks = [_build_mask(s, aps, cfg) for s in mask_schemes]
-    rows = selection.combined_rss_rows(
-        masks, aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
-        cfg.p, cfg.antenna, cfg.gamma_th,
-    )
-    shared = dict(zip(mask_schemes, zip(masks, rows)))
     out = {}
     for scheme in cfg.schemes:
         if scheme == "equal_mrt":
-            out[scheme] = equal_allocation_trial(aps, cfg, mrt_rss=shared["mrt"][1])
+            out[scheme] = equal_allocation_trial(aps, cfg, shared["mrt"][1])
         elif scheme == "colocated":
-            out[scheme] = colocated_trial(
-                rng_for(_STREAM_COLOCATED), rng_for(_STREAM_CE), cfg
-            )
+            out[scheme] = colocated_trial(rng_for("colocated"), rng_for("ce"), cfg)
         else:
-            out[scheme] = run_trial(
-                aps, scheme, cfg, rng_for(_STREAM_CE), mask_rss=shared[scheme]
-            )
+            out[scheme] = run_trial(aps, scheme, cfg, rng_for("ce"), shared[scheme])
     return out
 
 
@@ -306,13 +288,17 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     """Sweep `axis` over `values`, running cfg.trials trials per point.
 
     Results are a deterministic function of (cfg, seed) regardless of the
-    thread count: every trial owns its substream and aggregation is ordered
-    by trial index. The pool runs at most one thread per usable CPU.
+    thread count: every trial owns its substreams, keyed by the value's
+    position in `values` and the trial index, and aggregation is ordered
+    by trial index. A value that gives an invalid config raises ValueError
+    before any cell runs. The pool runs at most one thread per usable CPU.
     """
     workers = min(threads, _usable_cpus())
+    # every value's config is built before any cell runs, so a bad value
+    # fails the whole sweep up front
+    configs = [_with_axis_value(cfg, axis, value) for value in values]
     rows = []
-    for axis_idx, value in enumerate(values):
-        cfg_v = _with_axis_value(cfg, axis, value)
+    for axis_idx, (value, cfg_v) in enumerate(zip(values, configs)):
         jobs = range(cfg_v.trials)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -64,7 +64,7 @@ def _fixed_scenario_grid():
     mask = selection.select_mrt(aps)
     cfg = AntennaConfig(f_co=100e9)
     return GridRss(
-        lambda f: selection.combined_rss(mask, aps, f, P, cfg, GAMMA_TH), BAND, 10e6
+        lambda f: selection.combined_rss_rows([mask], aps, f, P, cfg, GAMMA_TH)[0], BAND, 10e6
     )
 
 
@@ -103,7 +103,7 @@ def test_c04_incumbent_monotone_over_100_runs():
         aps = sim.generate_scenario(rng, scen_cfg)
         mask = selection.select_mrt(aps)
         grid = GridRss(
-            lambda f: selection.combined_rss(mask, aps, f, P, scen_cfg.antenna, GAMMA_TH),
+            lambda f: selection.combined_rss_rows([mask], aps, f, P, scen_cfg.antenna, GAMMA_TH)[0],
             BAND, cfg.step,
         )
         res = alloc.ce_optimize(
@@ -125,8 +125,8 @@ def test_c05_plan_validity_fuzz():
         cfg = ScenarioConfig(n_aps=int(rng.integers(1, 7)), ce=ce, b_total=b_total)
         aps = sim.generate_scenario(rng, cfg)
         for scheme in sim.CE_SCHEMES:
-            mask = sim._build_mask(scheme, aps, cfg)
-            grid = GridRss(sim._grid_rss(mask, aps, cfg), cfg.band, ce.step)
+            _, row = sim.scheme_rss([scheme], aps, cfg)[scheme]
+            grid = GridRss(row, cfg.band, ce.step)
             res = alloc.ce_optimize(
                 grid, ce, np.random.default_rng(case),
                 eps_db=cfg.eps_db, total_budget=b_total, noise_psd=cfg.noise_psd,
@@ -186,21 +186,19 @@ def test_c07_optimized_best1_beats_equal_split_in_high_band():
     )
 
 
-def test_c08_constant_gain_reduces_best_selection_to_nearest():
+def test_c08_constant_gain_reduces_best_selection_to_nearest(monkeypatch):
     def constant_gain(f, theta, cfg):
         return 1.0 * np.ones_like(np.asarray(f, dtype=float))
 
+    monkeypatch.setattr(phy, "antenna_gain", constant_gain)
     rng = np.random.default_rng(8)
     cfg = ScenarioConfig(n_aps=8)
     freqs = np.linspace(100.1e9, 299.9e9, 32)
     for _ in range(100):
         aps = sim.generate_scenario(rng, cfg)
         nearest = next(iter(selection.select_nearest(aps).static_set))
-        for f in freqs:
-            chosen = selection.select_best_at(
-                aps, f, cfg.p, cfg.antenna, gain_fn=constant_gain
-            )
-            assert chosen == nearest
+        chosen = selection.select_best_at(aps, freqs, cfg.p, cfg.antenna)
+        assert chosen.tolist() == [nearest] * freqs.size
 
 
 def test_c09_sweep_csv_byte_identical(tmp_path):

@@ -259,7 +259,8 @@ def gated_link_grid(step=200e6):
     freqs = np.arange(BAND[0], BAND[1] + step / 2, step)
     gamma = float(np.median(phy.link_rss(freqs, ap, P, CFG)))
     mask = selection.select_nearest([ap])
-    return GridRss(lambda f: selection.combined_rss(mask, [ap], f, P, CFG, gamma), BAND, step)
+    return GridRss(lambda f: selection.combined_rss_rows([mask], [ap], f, P, CFG, gamma)[0],
+                   BAND, step)
 
 
 def dead_end_grid():
@@ -776,13 +777,10 @@ class TestCEIterate:
 def mrt_grid(seed, step=50e6):
     """Combined MRT RSS of a random 1-6 AP scenario on a `step` grid."""
     rng = np.random.default_rng(seed)
-    cfg = sim.ScenarioConfig(n_aps=int(rng.integers(1, 7)))
+    cfg = sim.ScenarioConfig(n_aps=int(rng.integers(1, 7)), ce=CEConfig(step=step))
     aps = sim.generate_scenario(rng, cfg)
-    mask = selection.select_mrt(aps)
-    return GridRss(
-        lambda f: selection.combined_rss(mask, aps, f, cfg.p, cfg.antenna, cfg.gamma_th),
-        cfg.band, step,
-    )
+    _, row = sim.scheme_rss(["mrt"], aps, cfg)["mrt"]
+    return GridRss(row, cfg.band, step)
 
 
 class TestReferenceCE:
@@ -867,8 +865,8 @@ class TestCEOptimize:
             scen = sim.ScenarioConfig(n_aps=int(rng.integers(1, 7)), ce=cfg)
             aps = sim.generate_scenario(rng, scen)
             for scheme in sim.CE_SCHEMES:
-                mask = sim._build_mask(scheme, aps, scen)
-                grid = GridRss(sim._grid_rss(mask, aps, scen), scen.band, cfg.step)
+                _, row = sim.scheme_rss([scheme], aps, scen)[scheme]
+                grid = GridRss(row, scen.band, cfg.step)
                 res = ce_optimize(grid, cfg, np.random.default_rng(case),
                                   eps_db=scen.eps_db, total_budget=scen.b_total,
                                   noise_psd=scen.noise_psd)

@@ -275,21 +275,36 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("bad", ["0", "2.5", "inf"])
     def test_bad_axis_value_reported_nonzero(self, fast_config_path, tmp_path, capsys, bad):
-        # the bad value is named with its error type, and the rows of the
-        # good values around it are still written
+        # every value is checked before any cell runs: a bad one is a
+        # config error, and nothing is written
         out = tmp_path / "bad"
         rc = cli.main(
             ["simulate", "--config", fast_config_path, "--axis", "n_aps",
              "--values", f"2,{bad},3", "--out", str(out)]
         )
-        assert rc == 1
+        assert rc == 2
         err = capsys.readouterr().err
-        assert f"axis value {float(bad)} failed: ValueError" in err
-        with open(out / "sweep_n_aps.csv") as fh:
+        assert "config error: --values:" in err and "n_aps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values", [("n_aps", "2,3,5"), ("b_total", "4e9,16e9")])
+    def test_rows_equal_library_rows(self, fast_config_path, tmp_path, axis, values):
+        # a value's axis index is its position in --values, as in monte_carlo
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", "--config", fast_config_path, "--axis", axis,
+                       "--values", values, "--out", str(out)])
+        assert rc == 0
+        with open(out / f"sweep_{axis}.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["axis_value"], r["scheme"]) for r in rows] == [
-            ("2.0", "mrt"), ("2.0", "nearest"), ("3.0", "mrt"), ("3.0", "nearest")
-        ]
+        cfg, _ = cli.load_config(fast_config_path)
+        library = sim.monte_carlo(cfg, axis, [float(v) for v in values.split(",")]).rows
+        assert len(rows) == len(library) == 2 * len(values.split(","))
+        for row, want in zip(rows, library):
+            assert row == {
+                "axis": want.axis, "axis_value": repr(want.axis_value), "scheme": want.scheme,
+                "mean_rate_bps": repr(want.mean_rate), "stderr_bps": repr(want.stderr_rate),
+                "mean_active_aps": repr(want.mean_active_aps), "trials": str(want.trials),
+            }
 
     def test_unexpected_errors_propagate(self, fast_config_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -19,8 +19,14 @@ def random_aps(rng, n):
 
 
 def constant_gain(f, theta, cfg):
-    """Test hook: frequency- and angle-independent antenna gain."""
+    """Frequency- and angle-independent antenna gain, patched in for
+    `phy.antenna_gain`."""
     return 1.0 * np.ones_like(np.asarray(f, dtype=float))
+
+
+def one_row(mask, aps, f, gamma_th):
+    """The combined RSS of one mask at the frequencies in f, as a 1-D row."""
+    return selection.combined_rss_rows([mask], aps, np.atleast_1d(f), P, CFG, gamma_th)[0]
 
 
 class TestSelectMrt:
@@ -95,6 +101,31 @@ class TestSelectBestAt:
     def test_below_band_rejected(self):
         with pytest.raises(phy.BelowCutoffError):
             selection.select_best_at([AccessPoint(0, 5.0, 0.5)], 90e9, P, CFG)
+        with pytest.raises(phy.BelowCutoffError):
+            selection.select_best_at([AccessPoint(0, 5.0, 0.5)], [150e9, 90e9], P, CFG)
+
+    def test_array_equals_per_frequency_argmax(self):
+        # one call over an array of frequencies picks, at each of them, the
+        # AP a scalar query picks; a scalar query returns a plain int
+        aps = random_aps(np.random.default_rng(14), 40)[::-1]
+        f = np.linspace(100.5e9, 299.5e9, 97)
+        got = selection.select_best_at(aps, f, P, CFG)
+        assert got.shape == f.shape
+        for fi, best in zip(f, got):
+            rss = {ap.id: phy.link_rss(fi, ap, P, CFG) for ap in aps}
+            assert best == max(sorted(rss), key=lambda i: rss[i])
+            scalar = selection.select_best_at(aps, fi, P, CFG)
+            assert type(scalar) is int and scalar == best
+        assert selection.select_best_at(aps, f.reshape(1, -1), P, CFG).shape == (1, 97)
+        assert selection.select_best_at(aps, f[:0], P, CFG).size == 0
+
+    def test_tie_goes_to_lower_id_whatever_the_order(self):
+        # identical geometries tie at every frequency
+        aps = [AccessPoint(5, 9.0, 0.7), AccessPoint(2, 9.0, 0.7), AccessPoint(7, 30.0, 0.7)]
+        f = np.array([120e9, 180e9, 260e9])
+        for order in (aps, aps[::-1], aps[1:] + aps[:1]):
+            assert selection.select_best_at(order, f, P, CFG).tolist() == [2, 2, 2]
+            assert selection.select_best_at(order, 180e9, P, CFG) == 2
 
 
 class TestSelectNearest:
@@ -118,13 +149,13 @@ class TestCombinedRss:
         aps = [AccessPoint(0, 49.0, 0.3), AccessPoint(1, 48.0, 1.2)]
         mask = selection.select_mrt(aps)
         # absurdly high threshold annihilates every link
-        assert selection.combined_rss(mask, aps, 150e9, P, CFG, gamma_th=1.0) == 0.0
+        assert one_row(mask, aps, 150e9, 1.0).tolist() == [0.0]
 
     def test_mrt_additivity_two_identical_aps(self):
         aps = [AccessPoint(0, 10.0, 0.8), AccessPoint(1, 10.0, 0.8)]
         mask = selection.select_mrt(aps)
         single = phy.link_rss(150e9, aps[0], P, CFG)
-        got = selection.combined_rss(mask, aps, 150e9, P, CFG, gamma_th=0.0)
+        (got,) = one_row(mask, aps, 150e9, 0.0)
         assert got == pytest.approx(2 * single)
 
     def test_mrt_term_by_term(self):
@@ -136,7 +167,7 @@ class TestCombinedRss:
             for rss in (phy.link_rss(f, ap, P, CFG) for ap in aps)
             if rss >= GAMMA_TH
         )
-        got = selection.combined_rss(mask, aps, f, P, CFG, GAMMA_TH)
+        (got,) = one_row(mask, aps, f, GAMMA_TH)
         assert got == pytest.approx(expected)
 
     def test_best_per_subchannel_is_max_form(self):
@@ -145,15 +176,15 @@ class TestCombinedRss:
         f = 220e9
         rss = np.array([phy.link_rss(f, ap, P, CFG) for ap in aps])
         rss[rss < GAMMA_TH] = 0.0
-        got = selection.combined_rss(mask, aps, f, P, CFG, GAMMA_TH)
+        (got,) = one_row(mask, aps, f, GAMMA_TH)
         assert got == pytest.approx(rss.max())
 
     def test_vectorized_matches_scalar(self):
         aps = random_aps(np.random.default_rng(9), 3)
         mask = selection.select_mrt(aps)
         f = np.array([120e9, 150e9, 290e9])
-        vec = selection.combined_rss(mask, aps, f, P, CFG, GAMMA_TH)
-        scal = [selection.combined_rss(mask, aps, fi, P, CFG, GAMMA_TH) for fi in f]
+        vec = one_row(mask, aps, f, GAMMA_TH)
+        scal = [one_row(mask, aps, fi, GAMMA_TH)[0] for fi in f]
         np.testing.assert_allclose(vec, scal)
 
 
@@ -185,10 +216,10 @@ class TestStreamingCombinedRss:
         ]
         assert np.all(phy.link_rss(self.F, aps[-1], P, CFG) < GAMMA_TH)
         for mask in masks:
-            got = selection.combined_rss(mask, aps, self.F, P, CFG, GAMMA_TH)
+            got = one_row(mask, aps, self.F, GAMMA_TH)
             expected = materialized_combined_rss(mask, aps, self.F, GAMMA_TH)
             assert got.tobytes() == expected.tobytes(), mask.scheme
-        dead = selection.combined_rss(masks[-1], aps, self.F, P, CFG, GAMMA_TH)
+        dead = one_row(masks[-1], aps, self.F, GAMMA_TH)
         assert not dead.any()
 
     @pytest.mark.parametrize("n_aps", [1, 20, 160])
@@ -209,7 +240,7 @@ class TestStreamingCombinedRss:
         rows = selection.combined_rss_rows(masks, aps, self.F, P, CFG, GAMMA_TH)
         assert len(rows) == len(masks)
         for mask, row in zip(masks, rows):
-            single = selection.combined_rss(mask, aps, self.F, P, CFG, GAMMA_TH)
+            single = one_row(mask, aps, self.F, GAMMA_TH)
             expected = materialized_combined_rss(mask, aps, self.F, GAMMA_TH)
             assert row.tobytes() == single.tobytes() == expected.tobytes(), mask.scheme
         assert not rows[-1].any()
@@ -242,9 +273,9 @@ class TestStreamingCombinedRss:
     def test_scalar_query_equals_array_element(self):
         aps = random_aps(np.random.default_rng(3), 40)
         for mask in (selection.select_mrt(aps), selection.select_best_per_subchannel()):
-            vec = selection.combined_rss(mask, aps, self.F[::250], P, CFG, GAMMA_TH)
+            vec = one_row(mask, aps, self.F[::250], GAMMA_TH)
             for f, v in zip(self.F[::250], vec):
-                assert selection.combined_rss(mask, aps, f, P, CFG, GAMMA_TH) == v
+                assert one_row(mask, aps, f, GAMMA_TH)[0] == v
 
 
 class TestProperties:
@@ -253,16 +284,12 @@ class TestProperties:
         for _ in range(20):
             aps = random_aps(rng, 6)
             f = rng.uniform(100e9, 300e9, 16)
-            mrt = selection.combined_rss(selection.select_mrt(aps), aps, f, P, CFG, GAMMA_TH)
+            mrt = one_row(selection.select_mrt(aps), aps, f, GAMMA_TH)
             for n_sel in (1, 3):
-                sub = selection.combined_rss(
-                    selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER),
-                    aps, f, P, CFG, GAMMA_TH,
-                )
+                sub = one_row(selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER),
+                              aps, f, GAMMA_TH)
                 assert np.all(mrt >= sub - 1e-30)
-            bps = selection.combined_rss(
-                selection.select_best_per_subchannel(), aps, f, P, CFG, GAMMA_TH
-            )
+            bps = one_row(selection.select_best_per_subchannel(), aps, f, GAMMA_TH)
             assert np.all(mrt >= bps - 1e-30)
             assert np.all(bps >= 0)
 
@@ -273,27 +300,22 @@ class TestProperties:
         tot = {"mrt": 0.0, "b2": 0.0, "bps": 0.0}
         for _ in range(50):
             aps = random_aps(rng, 8)
-            tot["mrt"] += selection.combined_rss(
-                selection.select_mrt(aps), aps, f, P, CFG, GAMMA_TH
+            tot["mrt"] += one_row(selection.select_mrt(aps), aps, f, GAMMA_TH).mean()
+            tot["b2"] += one_row(
+                selection.select_best_nsel(aps, 2, P, CFG, F_UPPER), aps, f, GAMMA_TH
             ).mean()
-            tot["b2"] += selection.combined_rss(
-                selection.select_best_nsel(aps, 2, P, CFG, F_UPPER), aps, f, P, CFG, GAMMA_TH
-            ).mean()
-            tot["bps"] += selection.combined_rss(
-                selection.select_best_per_subchannel(), aps, f, P, CFG, GAMMA_TH
-            ).mean()
+            tot["bps"] += one_row(selection.select_best_per_subchannel(), aps, f, GAMMA_TH).mean()
         assert tot["mrt"] >= tot["b2"] >= tot["bps"] > 0
 
-    def test_constant_gain_reduces_best_at_to_nearest(self):
+    def test_constant_gain_reduces_best_at_to_nearest(self, monkeypatch):
+        monkeypatch.setattr(phy, "antenna_gain", constant_gain)
         rng = np.random.default_rng(12)
         for _ in range(25):
             aps = random_aps(rng, 6)
             nearest = next(iter(selection.select_nearest(aps).static_set))
-            for f in rng.uniform(100e9, 300e9, 8):
-                assert (
-                    selection.select_best_at(aps, f, P, CFG, gain_fn=constant_gain)
-                    == nearest
-                )
+            f = rng.uniform(100e9, 300e9, 8)
+            assert selection.select_best_at(aps, f, P, CFG).tolist() == [nearest] * 8
+            assert selection.select_best_at(aps, f[0], P, CFG) == nearest
 
     def test_psd_scaling_never_changes_selection(self):
         rng = np.random.default_rng(13)

@@ -17,6 +17,16 @@ def fast_cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def trial(aps, scheme, cfg, rng):
+    """`run_trial` on the scheme's own link pass."""
+    return sim.run_trial(aps, scheme, cfg, rng, sim.scheme_rss([scheme], aps, cfg)[scheme])
+
+
+def equal_trial(aps, cfg):
+    """`equal_allocation_trial` on the MRT row of its own link pass."""
+    return sim.equal_allocation_trial(aps, cfg, sim.scheme_rss(["mrt"], aps, cfg)["mrt"][1])
+
+
 class TestGenerateScenario:
     def test_support(self):
         cfg = fast_cfg(n_aps=200)
@@ -47,7 +57,7 @@ class TestRunTrial:
         cfg = fast_cfg(n_aps=1)
         aps = sim.generate_scenario(np.random.default_rng(2), cfg)
         rates = {
-            s: sim.run_trial(aps, s, cfg, np.random.default_rng(3)).plan_rate
+            s: trial(aps, s, cfg, np.random.default_rng(3)).plan_rate
             for s in sim.CE_SCHEMES
         }
         assert len({round(r, 3) for r in rates.values()}) == 1
@@ -55,23 +65,23 @@ class TestRunTrial:
     def test_active_counts(self):
         cfg = fast_cfg(n_aps=5)
         aps = sim.generate_scenario(np.random.default_rng(4), cfg)
-        assert sim.run_trial(aps, "mrt", cfg, np.random.default_rng(5)).active_aps == 5
-        assert sim.run_trial(aps, "nearest", cfg, np.random.default_rng(5)).active_aps == 1
-        assert sim.run_trial(aps, "best_nsel", cfg, np.random.default_rng(5)).active_aps == 2
-        bps = sim.run_trial(aps, "best_per_subchannel", cfg, np.random.default_rng(5))
+        assert trial(aps, "mrt", cfg, np.random.default_rng(5)).active_aps == 5
+        assert trial(aps, "nearest", cfg, np.random.default_rng(5)).active_aps == 1
+        assert trial(aps, "best_nsel", cfg, np.random.default_rng(5)).active_aps == 2
+        bps = trial(aps, "best_per_subchannel", cfg, np.random.default_rng(5))
         assert 1 <= bps.active_aps <= 5
 
     def test_all_links_dead_gives_zero_rate(self):
         cfg = fast_cfg(gamma_th=1.0)  # 1 W/Hz sensitivity kills everything
         aps = sim.generate_scenario(np.random.default_rng(6), cfg)
-        res = sim.run_trial(aps, "mrt", cfg, np.random.default_rng(7))
+        res = trial(aps, "mrt", cfg, np.random.default_rng(7))
         assert res.plan_rate == 0.0
         assert res.integrated_rate == 0.0
 
     def test_emitted_plan_valid(self):
         cfg = fast_cfg()
         aps = sim.generate_scenario(np.random.default_rng(8), cfg)
-        res = sim.run_trial(aps, "mrt", cfg, np.random.default_rng(9))
+        res = trial(aps, "mrt", cfg, np.random.default_rng(9))
         res.plan.validate(cfg.band)
 
 
@@ -89,17 +99,17 @@ class TestEqualAllocationBaseline:
         cfg = fast_cfg(b_total=250e9, f_co=100e9, f_upper=300e9, antenna=None)
         aps = sim.generate_scenario(np.random.default_rng(10), cfg)
         with pytest.raises(ValueError):
-            sim.equal_allocation_trial(aps, cfg)
+            equal_trial(aps, cfg)
 
     def test_zero_rss_scenario(self):
         cfg = fast_cfg(gamma_th=1.0)
         aps = sim.generate_scenario(np.random.default_rng(11), cfg)
-        assert sim.equal_allocation_trial(aps, cfg).integrated_rate == 0.0
+        assert equal_trial(aps, cfg).integrated_rate == 0.0
 
     def test_plan_is_valid_and_budget_tight(self):
         cfg = fast_cfg()
         aps = sim.generate_scenario(np.random.default_rng(12), cfg)
-        res = sim.equal_allocation_trial(aps, cfg)
+        res = equal_trial(aps, cfg)
         res.plan.validate(cfg.band)
         assert res.plan.total_width == pytest.approx(cfg.b_total)
 
@@ -111,7 +121,7 @@ class TestColocatedBaseline:
         mask = selection.select_mrt(aps)
         f = 150e9
         one = phy.link_rss(f, aps[0], cfg.p, cfg.antenna)
-        combined = selection.combined_rss(mask, aps, f, cfg.p, cfg.antenna, 0.0)
+        (combined,) = selection.combined_rss_rows([mask], aps, [f], cfg.p, cfg.antenna, 0.0)
         assert combined == pytest.approx(6 * one)
 
     def test_determinism(self):
@@ -182,6 +192,24 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             sim.monte_carlo(fast_cfg(), "radius", [10])
 
+    def test_axis_index_is_position_in_values(self):
+        # the second value's trials draw from axis index 1's substreams
+        cfg = fast_cfg(trials=2, schemes=("mrt",))
+        rows = sim.monte_carlo(cfg, "n_aps", [3, 4]).rows
+        for axis_idx, (n_aps, row) in enumerate(zip([3, 4], rows)):
+            cfg_v = fast_cfg(trials=2, schemes=("mrt",), n_aps=n_aps)
+            rates = np.array([sim._trial_cell(cfg_v, axis_idx, t)["mrt"].plan_rate
+                              for t in range(2)])
+            assert row.mean_rate == rates.mean()
+
+    @pytest.mark.parametrize("bad", [0, 2.5, float("inf")])
+    def test_bad_value_fails_before_any_cell(self, monkeypatch, bad):
+        cells = []
+        monkeypatch.setattr(sim, "_trial_cell", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match="n_aps"):
+            sim.monte_carlo(fast_cfg(), "n_aps", [2, bad])
+        assert cells == []
+
 
 class TestConfigValidation:
     def test_band_ordering(self):
@@ -230,6 +258,10 @@ class TestConfigValidation:
             phy.AntennaConfig(f_co=100e9, aperture=float("nan"))
 
 
+# the substream tags of the scenario, CE and co-located streams
+SCENARIO, CE, COLOCATED = 0, 1, 2
+
+
 def rng_for(cfg, trial_idx, tag):
     """The substream `_trial_cell` derives for (axis 0, trial_idx, tag)."""
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, trial_idx, tag]))
@@ -251,19 +283,19 @@ class TestSharedLinkPass:
         # rows differ
         cfg = fast_cfg(n_aps=n_aps, radius=8.0, schemes=schemes)
         cell = sim._trial_cell(cfg, 0, 2)
-        aps = sim.generate_scenario(rng_for(cfg, 2, sim._STREAM_SCENARIO), cfg)
+        aps = sim.generate_scenario(rng_for(cfg, 2, SCENARIO), cfg)
         assert list(cell) == list(schemes)
         for scheme, got in cell.items():
             if scheme == "equal_mrt":
-                expected = sim.equal_allocation_trial(aps, cfg)
+                expected = equal_trial(aps, cfg)
             elif scheme == "colocated":
                 expected = sim.colocated_trial(
-                    rng_for(cfg, 2, sim._STREAM_COLOCATED),
-                    rng_for(cfg, 2, sim._STREAM_CE),
+                    rng_for(cfg, 2, COLOCATED),
+                    rng_for(cfg, 2, CE),
                     cfg,
                 )
             else:
-                expected = sim.run_trial(aps, scheme, cfg, rng_for(cfg, 2, sim._STREAM_CE))
+                expected = trial(aps, scheme, cfg, rng_for(cfg, 2, CE))
             assert got == expected, scheme
 
     @pytest.mark.parametrize("n_aps", [1, 4, 12])
