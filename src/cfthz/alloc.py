@@ -246,7 +246,8 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     """Build one plan per row of snapped center indices, all rows at once:
     the coherence widths, then overlap resolution in favor of the stronger
     center RSS (a channel whose center a stronger one covers gets width
-    0), then a budget trim that grants bandwidth in descending center-RSS
+    0, and a clipped one is shrunk to a flat interval about a grid point),
+    then a budget trim that grants bandwidth in descending center-RSS
     order. Each row equals the scalar reference chain in
     `tests/test_alloc.py` bit for bit. Returns the plans' (centers,
     widths), shaped like idx."""
@@ -277,6 +278,19 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
         keep[r] = (above | below).all(axis=0) & (hi[r] - lo[r] > 0)
         claim_lo[r] = np.where(keep[r], lo[r], np.inf)
         claim_hi[r] = np.where(keep[r], hi[r], -np.inf)
+    # a clipped channel's edges are no longer a searched pair: shrink it
+    # about the grid point nearest its midpoint to the widest half-width
+    # the width table admits there that still fits inside [lo, hi]
+    clip = keep & ((lo != c_r - w_r / 2.0) | (hi != c_r + w_r / 2.0))
+    if clip.any():
+        m = grid.index_of((lo[clip] + hi[clip]) / 2.0)
+        f_m = grid.freqs[m]
+        fit = np.floor(np.minimum(f_m - lo[clip], hi[clip] - f_m) / grid.step + 1e-9)
+        half = np.minimum(
+            _grid_widths(grid, m, eps_db, max_width=total_budget) / 2.0, fit * grid.step
+        )
+        lo[clip], hi[clip] = f_m - half, f_m + half
+        keep[clip] = hi[clip] - lo[clip] > 0
     centers = np.empty_like(c)
     widths = np.empty_like(w)
     np.put_along_axis(centers, rank, np.where(keep, (lo + hi) / 2.0, c_r).T, axis=1)

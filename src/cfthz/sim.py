@@ -78,6 +78,14 @@ class ScenarioConfig:
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        if "equal_mrt" in self.schemes:
+            spacing = (self.f_upper - self.f_co) / self.ce.n_sub
+            width = self.b_total / self.ce.n_sub
+            if width > spacing:
+                raise ValueError(
+                    f"b_total: the equal_mrt plan overlaps: width {width:.3e} "
+                    f"exceeds spacing {spacing:.3e}"
+                )
         if self.antenna is None:
             self.antenna = AntennaConfig(f_co=self.f_co)
         elif self.antenna.f_co != self.f_co:
@@ -197,15 +205,12 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
 
     Rated by the integrated metric: the equal plan ignores the flatness
     constraint, so the center-RSS objective would overstate its rate.
-    `mrt_rss` is the MRT RSS on the band grid.
+    `mrt_rss` is the MRT RSS on the band grid. A config that lists
+    equal_mrt has a budget whose equal plan does not overlap.
     """
     n_sub = cfg.ce.n_sub
     spacing = (cfg.f_upper - cfg.f_co) / n_sub
     width = cfg.b_total / n_sub
-    if width > spacing:
-        raise ValueError(
-            f"equal plan overlaps: width {width:.3e} exceeds spacing {spacing:.3e}"
-        )
     grid = GridRss(mrt_rss, cfg.band, cfg.ce.step)
     centers = cfg.f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
     channels = tuple(alloc.Subchannel(c, width) for c in centers)

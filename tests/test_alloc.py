@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfthz import alloc, phy, selection, sim
@@ -82,20 +82,24 @@ def coherence_search(rss_fn, center, eps_db, band, step, max_width=None):
     return 2.0 * k_max * step
 
 
-def resolve_overlaps(raw, rss_fn):
+def resolve_overlaps(raw, rss_fn, reflatten=None):
     """Reference overlap resolution: make the channels pairwise disjoint,
     resolving each overlap in favor of the channel with the larger RSS at
     its center (lower index on ties).
 
     The loser keeps the part of its interval on its center's side of the
     winner's edge; a loser whose center falls inside a winner gets width 0.
+    With `reflatten = (eps_db, max_width)` and a `GridRss` as `rss_fn`,
+    every clipped channel is then shrunk about the grid point nearest its
+    midpoint to the widest half-width that `coherence_search` admits there
+    and that fits inside what it kept, so its edges are a flat pair again.
     Output order matches the input order.
     """
     raw = list(raw)
     center_rss = np.asarray(rss_fn(np.array([ch.center for ch in raw])), dtype=float)
     order = sorted(range(len(raw)), key=lambda j: (-center_rss[j], j))
     claimed = []  # disjoint (lo, hi) intervals of already-placed winners
-    resolved = [None] * len(raw)
+    kept = [None] * len(raw)  # each channel's (lo, hi) after clipping
     for j in order:
         lo, hi = raw[j].low, raw[j].high
         center = raw[j].center
@@ -110,12 +114,23 @@ def resolve_overlaps(raw, rss_fn):
                     hi = min(hi, c_lo)
                 else:
                     lo = max(lo, c_hi)
-        width = max(0.0, hi - lo)
-        if width > 0:
+        if hi - lo > 0:
             claimed.append((lo, hi))
-            resolved[j] = Subchannel((lo + hi) / 2.0, width)
+            kept[j] = (lo, hi)
+    resolved = []
+    for ch, interval in zip(raw, kept):
+        lo, hi = interval or (ch.center, ch.center)
+        if reflatten is not None and interval is not None and interval != (ch.low, ch.high):
+            grid = rss_fn
+            f_m = grid.snap((lo + hi) / 2.0)
+            fit = np.floor(min(f_m - lo, hi - f_m) / grid.step + 1e-9) * grid.step
+            half = min(coherence_search(grid, f_m, reflatten[0], grid.band, grid.step,
+                                        max_width=reflatten[1]) / 2.0, fit)
+            lo, hi = f_m - half, f_m + half
+        if hi - lo > 0:
+            resolved.append(Subchannel((lo + hi) / 2.0, hi - lo))
         else:
-            resolved[j] = Subchannel(center, 0.0)
+            resolved.append(Subchannel(ch.center, 0.0))
     return resolved
 
 
@@ -153,14 +168,16 @@ def scalar_plan_rate(plan, rss_fn, noise_psd):
 
 def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
     """Reference plan of one row of grid indices: `coherence_search` per
-    center, then `resolve_overlaps`, `trim_to_budget` and
-    `scalar_plan_rate`."""
+    center, then `resolve_overlaps` with the flatness post-pass,
+    `trim_to_budget` and `scalar_plan_rate`."""
     raw = [
         Subchannel(c, coherence_search(grid, c, eps_db, grid.band, grid.step,
                                        max_width=total_budget))
         for c in grid.freqs[idx_row]
     ]
-    resolved = SubchannelPlan(tuple(resolve_overlaps(raw, grid)), total_budget)
+    resolved = SubchannelPlan(
+        tuple(resolve_overlaps(raw, grid, reflatten=(eps_db, total_budget))), total_budget
+    )
     plan = trim_to_budget(resolved, grid)
     return plan, scalar_plan_rate(plan, grid, noise_psd)
 
@@ -397,6 +414,16 @@ class TestPlanKernel:
     def test_rows_equal_scalar_chain_bitwise(self, case):
         assert_rows_equal_scalar_chain(*case)
 
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_rows_are_flat_plans(self, case):
+        # clipped and trimmed channels included: every live channel's
+        # edges are a flat pair on the grid
+        grid, idx, eps_db, budget = case
+        centers, widths = alloc._plan_rows(grid, idx, eps_db, budget)
+        for c, w in zip(centers, widths):
+            assert_flat_plan(alloc._row_plan(c, w, budget), grid, eps_db)
+
     @pytest.mark.parametrize("band0, step", [(7.3, 0.1), (0.0, 1.0 / 3.0)])
     def test_rows_equal_scalar_chain_on_inexact_grids(self, band0, step):
         # grid frequencies that are not exact in binary make the midpoints
@@ -425,16 +452,17 @@ class TestPlanKernel:
 
     def test_center_on_a_claimed_edge_keeps_its_outer_side(self):
         # the strong channel at 50 spans [15, 85]; the weaker one centered
-        # on its low edge keeps [0, 15], as the scalar chain decides
+        # on its low edge keeps [0, 15], as the scalar chain decides, and
+        # is then shrunk to [1, 15], the flat pair about grid point 8
         values = np.full(121, 1e-19)
         values[50], values[86] = 2e-19, 4e-19
         grid = GridRss(lambda f: values, (0.0, 120.0), 1.0)
         idx = np.array([[15, 50]])
         centers, widths = alloc._plan_rows(grid, idx, 0.5, 1e3)
-        assert widths.tolist() == [[15.0, 70.0]]
-        assert centers.tolist() == [[7.5, 50.0]]
+        assert widths.tolist() == [[14.0, 70.0]]
+        assert centers.tolist() == [[8.0, 50.0]]
         plan, _ = scalar_chain(grid, idx[0], 0.5, 1e3, NOISE)
-        assert plan_arrays(plan)[1].tolist() == [15.0, 70.0]
+        assert plan_arrays(plan)[1].tolist() == [14.0, 70.0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ce_iterate_best_plan_is_scalar_build_of_best_sample(self, seed):
@@ -892,6 +920,42 @@ class TestCEOptimize:
         r2 = ce_optimize(grid, cfg, np.random.default_rng(10), **ce_kwargs())
         assert r1.plan == r2.plan
         np.testing.assert_array_equal(r1.best_per_iter, r2.best_per_iter)
+
+
+def assert_flat_plan(plan, grid, eps_db):
+    """The plan is valid in the grid's band, and each live channel's two
+    edges, looked up on the grid, are alive and within eps_db."""
+    plan.validate(grid.band)
+    for ch in plan.channels:
+        if ch.width > 0:
+            g_lo, g_hi = grid(ch.low), grid(ch.high)
+            assert g_lo > 0 and g_hi > 0, ch
+            d = abs(10 * np.log10(g_lo) - 10 * np.log10(g_hi))
+            assert d < eps_db or d == 0.0, (ch, d)
+
+
+class TestEmittedPlansAreFlat:
+    # the seed-1234001, 64 GHz cell whose mrt plan once held a clipped
+    # channel [156.69, 170.61] GHz with edges 0.507 dB apart
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_aps=st.integers(1, 40),
+        b_total=st.floats(1e9, 64e9),
+        eps_db=st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_aps=20, b_total=64e9, eps_db=0.5, seed=1234001)
+    def test_final_and_incumbent_plans(self, n_aps, b_total, eps_db, seed):
+        # every CE scheme of one trial cell, drawn as the cell draws it
+        cfg = sim.ScenarioConfig(n_aps=n_aps, b_total=b_total, eps_db=eps_db, seed=seed,
+                                 ce=CEConfig(samples=30, elites=5, max_iter=10))
+        aps = sim.generate_scenario(sim.substream(seed, 0, 0, "scenario"), cfg)
+        for _, row in sim.scheme_rss(sim.CE_SCHEMES, aps, cfg).values():
+            grid = GridRss(row, cfg.band, cfg.ce.step)
+            res = ce_optimize(grid, cfg.ce, sim.substream(seed, 0, 0, "ce"), eps_db=eps_db,
+                              total_budget=b_total, noise_psd=cfg.noise_psd)
+            for plan in (res.plan, res.incumbent_plan):
+                assert_flat_plan(plan, grid, eps_db)
 
 
 class TestPlanRecords:

@@ -287,6 +287,18 @@ class TestSimulateCommand:
         assert "config error: --values:" in err and "n_aps" in err
         assert not out.exists()
 
+    def test_infeasible_equal_split_value_rejected(self, tmp_path, capsys):
+        # 250 GHz split in 6 equal channels overlaps in a 200 GHz band
+        cfg = tmp_path / "eq.cfg"
+        cfg.write_text("n_aps = 3\ntrials = 1\nschemes = mrt,equal_mrt\nce.n_sub = 6\n"
+                       "ce.samples = 8\nce.elites = 2\nce.max_iter = 2\nce.step_hz = 50e6\n")
+        out = tmp_path / "eq"
+        rc = cli.main(["simulate", "--config", str(cfg), "--axis", "b_total",
+                       "--values", "16e9,250e9", "--out", str(out)])
+        assert rc == 2
+        assert "equal_mrt plan overlaps" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis, values", [("n_aps", "2,3,5"), ("b_total", "4e9,16e9")])
     def test_rows_equal_library_rows(self, fast_config_path, tmp_path, axis, values):
         # a value's axis index is its position in --values, as in monte_carlo

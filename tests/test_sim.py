@@ -96,10 +96,12 @@ class TestEqualAllocationBaseline:
         assert width < spacing
 
     def test_overlapping_equal_plan_rejected(self):
-        cfg = fast_cfg(b_total=250e9, f_co=100e9, f_upper=300e9, antenna=None)
-        aps = sim.generate_scenario(np.random.default_rng(10), cfg)
-        with pytest.raises(ValueError):
-            equal_trial(aps, cfg)
+        # rejected when the config is built, so no sweep fails mid-way
+        with pytest.raises(ValueError, match="equal_mrt plan overlaps"):
+            fast_cfg(b_total=250e9, f_co=100e9, f_upper=300e9, antenna=None)
+        # a budget of exactly the band fits; without equal_mrt any budget does
+        fast_cfg(b_total=200e9, f_co=100e9, f_upper=300e9, antenna=None)
+        fast_cfg(b_total=250e9, schemes=sim.CE_SCHEMES + ("colocated",))
 
     def test_zero_rss_scenario(self):
         cfg = fast_cfg(gamma_th=1.0)
