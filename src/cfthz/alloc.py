@@ -25,6 +25,7 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,18 @@ class GridRss:
         # steps), filled by `_grid_widths`; -1 marks an index not yet searched
         self.k_tables = {}
 
+    @cached_property
+    def scan_windows(self):
+        """Chunk-long windows over the dB values, upward and from the top
+        down, for `_scan_half_widths`. Dead points (and a chunk of padding
+        each side) are NaN, so one comparison rejects dead and non-flat
+        edge pairs alike; edges below a center are read from the reversed
+        array so that both sides of a chunk are contiguous runs."""
+        pad = np.full(_SCAN_CHUNK, np.nan)
+        db = np.concatenate([pad, np.where(self.values > 0.0, self.db, np.nan), pad])
+        window = np.lib.stride_tricks.sliding_window_view
+        return window(db, _SCAN_CHUNK), window(db[::-1].copy(), _SCAN_CHUNK)
+
     def index_of(self, f):
         idx = np.round((np.asarray(f, dtype=float) - self.band[0]) / self.step)
         return np.clip(idx.astype(int), 0, self.freqs.size - 1)
@@ -197,15 +210,8 @@ def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
         k_cap = np.minimum(k_cap, cap)
     k_star = np.where(grid.values[idx] > 0.0, k_cap, 0)
     front = np.flatnonzero(k_star > 0)
-    # dB values with dead points (and a chunk of padding each side) as NaN,
-    # so one comparison rejects dead and non-flat edge pairs alike; edges
-    # below a center are read from the reversed array so that both sides
-    # of a chunk are contiguous runs
-    pad = np.full(_SCAN_CHUNK, np.nan)
-    db = np.concatenate([pad, np.where(grid.values > 0.0, grid.db, np.nan), pad])
-    window = np.lib.stride_tricks.sliding_window_view
-    above, below = window(db, _SCAN_CHUNK), window(db[::-1].copy(), _SCAN_CHUNK)
-    mirror = db.size - 1 - _SCAN_CHUNK
+    above, below = grid.scan_windows
+    mirror = n - 1 + _SCAN_CHUNK
     k0 = 1
     while front.size:
         centers = idx[front]

@@ -299,8 +299,6 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     before any cell runs. The pool runs at most one thread per usable CPU.
     """
     workers = min(threads, _usable_cpus())
-    # every value's config is built before any cell runs, so a bad value
-    # fails the whole sweep up front
     configs = [_with_axis_value(cfg, axis, value) for value in values]
     rows = []
     for axis_idx, (value, cfg_v) in enumerate(zip(values, configs)):
