@@ -289,14 +289,15 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     # the width table admits there that still fits inside [lo, hi]
     clip = keep & ((lo != c_r - w_r / 2.0) | (hi != c_r + w_r / 2.0))
     if clip.any():
-        m = grid.index_of((lo[clip] + hi[clip]) / 2.0)
+        l, h = lo[clip], hi[clip]
+        m = grid.index_of((l + h) / 2.0)
         f_m = grid.freqs[m]
-        fit = np.floor(np.minimum(f_m - lo[clip], hi[clip] - f_m) / grid.step + 1e-9)
+        fit = np.floor(np.minimum(f_m - l, h - f_m) / grid.step + 1e-9)
         half = np.minimum(
             _grid_widths(grid, m, eps_db, max_width=total_budget) / 2.0, fit * grid.step
         )
-        lo[clip], hi[clip] = f_m - half, f_m + half
-        keep[clip] = hi[clip] - lo[clip] > 0
+        l, h = f_m - half, f_m + half
+        lo[clip], hi[clip], keep[clip] = l, h, h - l > 0
     centers = np.empty_like(c)
     widths = np.empty_like(w)
     np.put_along_axis(centers, rank, np.where(keep, (lo + hi) / 2.0, c_r).T, axis=1)
