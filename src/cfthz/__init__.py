@@ -33,11 +33,8 @@ from .phy import (
 )
 from .selection import (
     AccessPoint,
-    Scheme,
-    SelectionMask,
     select_best_at,
     select_best_nsel,
-    select_best_per_subchannel,
     select_mrt,
     select_nearest,
 )

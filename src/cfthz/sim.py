@@ -144,45 +144,46 @@ def scenario_digest(aps):
 
 
 def _build_mask(scheme, aps, cfg):
+    """(ids of the APs that transmit, combining rule) of a selection scheme:
+    the best AP per subchannel is every AP, max-combined."""
     if scheme == "mrt":
-        return selection.select_mrt(aps)
+        return selection.select_mrt(aps), np.add
     if scheme == "best_nsel":
-        return selection.select_best_nsel(
-            aps, min(cfg.n_sel, len(aps)), cfg.p, cfg.antenna, cfg.f_upper
-        )
+        n_sel = min(cfg.n_sel, len(aps))
+        return selection.select_best_nsel(aps, n_sel, cfg.p, cfg.antenna, cfg.f_upper), np.add
     if scheme == "best_per_subchannel":
-        return selection.select_best_per_subchannel()
+        return selection.select_mrt(aps), np.maximum
     if scheme == "nearest":
-        return selection.select_nearest(aps)
+        return selection.select_nearest(aps), np.add
     raise ValueError(f"not a selection scheme: {scheme}")
 
 
-def _active_count(scheme, mask, aps, cfg, plan):
+def _active_count(scheme, ids, aps, cfg, plan):
     if scheme != "best_per_subchannel":
-        return len(mask.static_set)
+        return len(ids)
     live = np.array([ch.center for ch in plan.channels if ch.width > 0])
     return np.unique(selection.select_best_at(aps, live, cfg.p, cfg.antenna)).size
 
 
 def scheme_rss(schemes, aps, cfg: ScenarioConfig):
-    """{scheme: (mask, combined RSS on the band grid)} of each selection
+    """{scheme: (ids, combined RSS on the band grid)} of each selection
     scheme in `schemes`, from one link pass over `aps`."""
-    masks = {s: _build_mask(s, aps, cfg) for s in dict.fromkeys(schemes)}
+    selections = {s: _build_mask(s, aps, cfg) for s in dict.fromkeys(schemes)}
     rows = selection.combined_rss_rows(
-        list(masks.values()), aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
+        list(selections.values()), aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
         cfg.p, cfg.antenna, cfg.gamma_th,
     )
-    return dict(zip(masks, zip(masks.values(), rows)))
+    return {s: (ids, row) for (s, (ids, _)), row in zip(selections.items(), rows)}
 
 
-def run_trial(aps, scheme, cfg: ScenarioConfig, rng, mask_rss) -> TrialResult:
+def run_trial(aps, scheme, cfg: ScenarioConfig, rng, ids_rss) -> TrialResult:
     """Optimize the subchannel plan with the CE allocator on the scheme's
     combined RSS, and record both rate metrics plus the active-AP count.
 
-    `mask_rss` is the scheme's (mask, RSS on the band grid) pair, as
+    `ids_rss` is the scheme's (ids, RSS on the band grid) pair, as
     `scheme_rss` returns it.
     """
-    mask, rss = mask_rss
+    ids, rss = ids_rss
     grid = GridRss(rss, cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(
         grid, cfg.ce, rng, eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd
@@ -193,7 +194,7 @@ def run_trial(aps, scheme, cfg: ScenarioConfig, rng, mask_rss) -> TrialResult:
         integrated_rate=alloc.integrated_rate(
             result.plan, grid, cfg.noise_psd, cfg.ce.step
         ),
-        active_aps=_active_count(scheme, mask, aps, cfg, result.plan),
+        active_aps=_active_count(scheme, ids, aps, cfg, result.plan),
         plan=result.plan,
         incumbent_value=result.incumbent_value,
         scenario_digest=scenario_digest(aps),

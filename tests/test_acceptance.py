@@ -61,10 +61,10 @@ def test_c02_analytic_unit_suite():
 
 def _fixed_scenario_grid():
     aps = [AccessPoint(0, 20.0, 0.7), AccessPoint(1, 35.0, 1.1), AccessPoint(2, 10.0, 0.4)]
-    mask = selection.select_mrt(aps)
+    mrt = (selection.select_mrt(aps), np.add)
     cfg = AntennaConfig(f_co=100e9)
     return GridRss(
-        lambda f: selection.combined_rss_rows([mask], aps, f, P, cfg, GAMMA_TH)[0], BAND, 10e6
+        lambda f: selection.combined_rss_rows([mrt], aps, f, P, cfg, GAMMA_TH)[0], BAND, 10e6
     )
 
 
@@ -101,9 +101,9 @@ def test_c04_incumbent_monotone_over_100_runs():
     scen_cfg = ScenarioConfig(ce=cfg)
     for run in range(100):
         aps = sim.generate_scenario(rng, scen_cfg)
-        mask = selection.select_mrt(aps)
+        mrt = (selection.select_mrt(aps), np.add)
         grid = GridRss(
-            lambda f: selection.combined_rss_rows([mask], aps, f, P, scen_cfg.antenna, GAMMA_TH)[0],
+            lambda f: selection.combined_rss_rows([mrt], aps, f, P, scen_cfg.antenna, GAMMA_TH)[0],
             BAND, cfg.step,
         )
         res = alloc.ce_optimize(
@@ -196,7 +196,7 @@ def test_c08_constant_gain_reduces_best_selection_to_nearest(monkeypatch):
     freqs = np.linspace(100.1e9, 299.9e9, 32)
     for _ in range(100):
         aps = sim.generate_scenario(rng, cfg)
-        nearest = next(iter(selection.select_nearest(aps).static_set))
+        (nearest,) = selection.select_nearest(aps)
         chosen = selection.select_best_at(aps, freqs, cfg.p, cfg.antenna)
         assert chosen.tolist() == [nearest] * freqs.size
 

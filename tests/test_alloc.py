@@ -275,8 +275,8 @@ def gated_link_grid(step=200e6):
     ap = AccessPoint(0, 12.0, np.radians(55.0))
     freqs = np.arange(BAND[0], BAND[1] + step / 2, step)
     gamma = float(np.median(phy.link_rss(freqs, ap, P, CFG)))
-    mask = selection.select_nearest([ap])
-    return GridRss(lambda f: selection.combined_rss_rows([mask], [ap], f, P, CFG, gamma)[0],
+    link = (selection.select_nearest([ap]), np.add)
+    return GridRss(lambda f: selection.combined_rss_rows([link], [ap], f, P, CFG, gamma)[0],
                    BAND, step)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cfthz import phy, selection
 from cfthz.phy import AntennaConfig
-from cfthz.selection import AccessPoint, Scheme, SelectionMask
+from cfthz.selection import AccessPoint
 
 CFG = AntennaConfig(f_co=100e9)
 P = 1.0 / 16e9
@@ -24,25 +24,34 @@ def constant_gain(f, theta, cfg):
     return 1.0 * np.ones_like(np.asarray(f, dtype=float))
 
 
-def one_row(mask, aps, f, gamma_th):
-    """The combined RSS of one mask at the frequencies in f, as a 1-D row."""
-    return selection.combined_rss_rows([mask], aps, np.atleast_1d(f), P, CFG, gamma_th)[0]
+def summed(ids):
+    """A set of APs whose links add (MRT, best N_sel, nearest)."""
+    return ids, np.add
+
+
+def best_per_subchannel(aps):
+    """Every AP, max-combined: the best AP at each frequency."""
+    return selection.select_mrt(aps), np.maximum
+
+
+def one_row(sel, aps, f, gamma_th):
+    """The combined RSS of one (ids, combine) selection at the frequencies in
+    f, as a 1-D row."""
+    return selection.combined_rss_rows([sel], aps, np.atleast_1d(f), P, CFG, gamma_th)[0]
 
 
 class TestSelectMrt:
     def test_single_ap(self):
-        mask = selection.select_mrt([AccessPoint(1, 5.0, 0.6)])
-        assert mask.static_set == {1}
+        ids = selection.select_mrt([AccessPoint(1, 5.0, 0.6)])
+        assert ids == {1} and type(ids) is frozenset
 
     def test_all_selected(self):
         aps = random_aps(np.random.default_rng(0), 20)
-        assert len(selection.select_mrt(aps).static_set) == 20
+        assert len(selection.select_mrt(aps)) == 20
 
     def test_order_invariant(self):
         aps = random_aps(np.random.default_rng(1), 6)
-        m1 = selection.select_mrt(aps)
-        m2 = selection.select_mrt(aps[::-1])
-        assert m1.static_set == m2.static_set
+        assert selection.select_mrt(aps) == selection.select_mrt(aps[::-1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -53,12 +62,11 @@ class TestSelectBestNsel:
     def test_full_selection_equals_mrt(self):
         aps = random_aps(np.random.default_rng(2), 7)
         full = selection.select_best_nsel(aps, 7, P, CFG, F_UPPER)
-        assert full.static_set == selection.select_mrt(aps).static_set
+        assert full == selection.select_mrt(aps)
 
     def test_closer_ap_wins_at_equal_angle(self):
         aps = [AccessPoint(0, 5.0, 0.7), AccessPoint(1, 40.0, 0.7)]
-        mask = selection.select_best_nsel(aps, 1, P, CFG, F_UPPER)
-        assert mask.static_set == {0}
+        assert selection.select_best_nsel(aps, 1, P, CFG, F_UPPER) == {0}
 
     def test_matches_exhaustive_ranking(self):
         aps = random_aps(np.random.default_rng(3), 5)
@@ -73,8 +81,8 @@ class TestSelectBestNsel:
             ),
         )
         for n_sel in (1, 2, 3):
-            mask = selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER)
-            assert mask.static_set == {ap.id for ap in scored[:n_sel]}
+            ids = selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER)
+            assert ids == {ap.id for ap in scored[:n_sel]} and type(ids) is frozenset
 
     def test_out_of_range_rejected(self):
         aps = random_aps(np.random.default_rng(4), 3)
@@ -131,72 +139,67 @@ class TestSelectBestAt:
 class TestSelectNearest:
     def test_min_distance(self):
         aps = [AccessPoint(0, 12.0, 0.5), AccessPoint(1, 3.0, 0.9), AccessPoint(2, 44.0, 1.1)]
-        assert selection.select_nearest(aps).static_set == {1}
+        assert selection.select_nearest(aps) == {1}
 
     def test_permutation_invariant(self):
         aps = random_aps(np.random.default_rng(6), 8)
-        a = selection.select_nearest(aps)
-        b = selection.select_nearest(aps[::-1])
-        assert a.static_set == b.static_set
+        assert selection.select_nearest(aps) == selection.select_nearest(aps[::-1])
 
     def test_tie_breaks_to_lower_id(self):
         aps = [AccessPoint(0, 7.0, 0.5), AccessPoint(1, 7.0, 0.9)]
-        assert selection.select_nearest(aps).static_set == {0}
+        assert selection.select_nearest(aps) == {0}
 
 
 class TestCombinedRss:
     def test_zero_when_all_below_threshold(self):
         aps = [AccessPoint(0, 49.0, 0.3), AccessPoint(1, 48.0, 1.2)]
-        mask = selection.select_mrt(aps)
+        sel = summed(selection.select_mrt(aps))
         # absurdly high threshold annihilates every link
-        assert one_row(mask, aps, 150e9, 1.0).tolist() == [0.0]
+        assert one_row(sel, aps, 150e9, 1.0).tolist() == [0.0]
 
     def test_mrt_additivity_two_identical_aps(self):
         aps = [AccessPoint(0, 10.0, 0.8), AccessPoint(1, 10.0, 0.8)]
-        mask = selection.select_mrt(aps)
+        sel = summed(selection.select_mrt(aps))
         single = phy.link_rss(150e9, aps[0], P, CFG)
-        (got,) = one_row(mask, aps, 150e9, 0.0)
+        (got,) = one_row(sel, aps, 150e9, 0.0)
         assert got == pytest.approx(2 * single)
 
     def test_mrt_term_by_term(self):
         aps = random_aps(np.random.default_rng(7), 4)
-        mask = selection.select_mrt(aps)
+        sel = summed(selection.select_mrt(aps))
         f = 180e9
         expected = sum(
             rss
             for rss in (phy.link_rss(f, ap, P, CFG) for ap in aps)
             if rss >= GAMMA_TH
         )
-        (got,) = one_row(mask, aps, f, GAMMA_TH)
+        (got,) = one_row(sel, aps, f, GAMMA_TH)
         assert got == pytest.approx(expected)
 
     def test_best_per_subchannel_is_max_form(self):
         aps = random_aps(np.random.default_rng(8), 5)
-        mask = selection.select_best_per_subchannel()
         f = 220e9
         rss = np.array([phy.link_rss(f, ap, P, CFG) for ap in aps])
         rss[rss < GAMMA_TH] = 0.0
-        (got,) = one_row(mask, aps, f, GAMMA_TH)
+        (got,) = one_row(best_per_subchannel(aps), aps, f, GAMMA_TH)
         assert got == pytest.approx(rss.max())
 
     def test_vectorized_matches_scalar(self):
         aps = random_aps(np.random.default_rng(9), 3)
-        mask = selection.select_mrt(aps)
+        sel = summed(selection.select_mrt(aps))
         f = np.array([120e9, 150e9, 290e9])
-        vec = one_row(mask, aps, f, GAMMA_TH)
-        scal = [one_row(mask, aps, fi, GAMMA_TH)[0] for fi in f]
+        vec = one_row(sel, aps, f, GAMMA_TH)
+        scal = [one_row(sel, aps, fi, GAMMA_TH)[0] for fi in f]
         np.testing.assert_allclose(vec, scal)
 
 
-def materialized_combined_rss(mask, aps, f, gamma_th):
-    """Reference: the (links x points) matrix, gated, then reduced at once."""
-    pool = aps if mask.scheme is Scheme.BEST_PER_SUBCHANNEL else [
-        ap for ap in aps if ap.id in mask.static_set]
-    per_link = np.array([phy.link_rss(f, ap, P, CFG) for ap in pool])
+def materialized_combined_rss(sel, aps, f, gamma_th):
+    """Reference: the (links x points) matrix of the selected APs, gated, then
+    reduced at once by the selection's rule (sum or max)."""
+    ids, combine = sel
+    per_link = np.array([phy.link_rss(f, ap, P, CFG) for ap in aps if ap.id in ids])
     per_link[per_link < gamma_th] = 0.0
-    if mask.scheme is Scheme.BEST_PER_SUBCHANNEL:
-        return per_link.max(axis=0)
-    return per_link.sum(axis=0)
+    return per_link.max(axis=0) if combine is np.maximum else per_link.sum(axis=0)
 
 
 class TestStreamingCombinedRss:
@@ -207,19 +210,19 @@ class TestStreamingCombinedRss:
         aps = random_aps(np.random.default_rng(n_aps), n_aps)
         # far, steep-angled APs fall below gamma_th over the whole band
         aps += [AccessPoint(n_aps + i, 50.0, 1.55) for i in range(2)]
-        masks = [
-            selection.select_mrt(aps),
-            selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER),
-            selection.select_best_per_subchannel(),
-            selection.select_nearest(aps),
-            SelectionMask(Scheme.BEST_NSEL, frozenset({n_aps, n_aps + 1})),
+        sels = [
+            summed(selection.select_mrt(aps)),
+            summed(selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER)),
+            best_per_subchannel(aps),
+            summed(selection.select_nearest(aps)),
+            summed(frozenset({n_aps, n_aps + 1})),
         ]
         assert np.all(phy.link_rss(self.F, aps[-1], P, CFG) < GAMMA_TH)
-        for mask in masks:
-            got = one_row(mask, aps, self.F, GAMMA_TH)
-            expected = materialized_combined_rss(mask, aps, self.F, GAMMA_TH)
-            assert got.tobytes() == expected.tobytes(), mask.scheme
-        dead = one_row(masks[-1], aps, self.F, GAMMA_TH)
+        for i, sel in enumerate(sels):
+            got = one_row(sel, aps, self.F, GAMMA_TH)
+            expected = materialized_combined_rss(sel, aps, self.F, GAMMA_TH)
+            assert got.tobytes() == expected.tobytes(), i
+        dead = one_row(sels[-1], aps, self.F, GAMMA_TH)
         assert not dead.any()
 
     @pytest.mark.parametrize("n_aps", [1, 20, 160])
@@ -229,26 +232,26 @@ class TestStreamingCombinedRss:
         aps = random_aps(np.random.default_rng(100 + n_aps), n_aps)
         aps += [AccessPoint(n_aps + i, 7.0, 0.9) for i in range(n_aps)]
         aps += [AccessPoint(2 * n_aps + i, 50.0, 1.55) for i in range(2)]
-        masks = [
-            selection.select_mrt(aps),
-            selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER),
-            selection.select_best_per_subchannel(),
-            selection.select_nearest(aps),
-            SelectionMask(Scheme.MRT, frozenset(ap.id for ap in aps[n_aps:2 * n_aps])),
-            SelectionMask(Scheme.BEST_NSEL, frozenset({2 * n_aps, 2 * n_aps + 1})),
+        sels = [
+            summed(selection.select_mrt(aps)),
+            summed(selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER)),
+            best_per_subchannel(aps),
+            summed(selection.select_nearest(aps)),
+            summed(frozenset(ap.id for ap in aps[n_aps:2 * n_aps])),
+            summed(frozenset({2 * n_aps, 2 * n_aps + 1})),
         ]
-        rows = selection.combined_rss_rows(masks, aps, self.F, P, CFG, GAMMA_TH)
-        assert len(rows) == len(masks)
-        for mask, row in zip(masks, rows):
-            single = one_row(mask, aps, self.F, GAMMA_TH)
-            expected = materialized_combined_rss(mask, aps, self.F, GAMMA_TH)
-            assert row.tobytes() == single.tobytes() == expected.tobytes(), mask.scheme
+        rows = selection.combined_rss_rows(sels, aps, self.F, P, CFG, GAMMA_TH)
+        assert len(rows) == len(sels)
+        for i, (sel, row) in enumerate(zip(sels, rows)):
+            single = one_row(sel, aps, self.F, GAMMA_TH)
+            expected = materialized_combined_rss(sel, aps, self.F, GAMMA_TH)
+            assert row.tobytes() == single.tobytes() == expected.tobytes(), i
         assert not rows[-1].any()
 
     def test_one_pass_with_every_link_dead(self):
         aps = random_aps(np.random.default_rng(4), 20)
-        masks = [selection.select_mrt(aps), selection.select_best_per_subchannel()]
-        rows = selection.combined_rss_rows(masks, aps, self.F, P, CFG, gamma_th=1.0)
+        sels = [summed(selection.select_mrt(aps)), best_per_subchannel(aps)]
+        rows = selection.combined_rss_rows(sels, aps, self.F, P, CFG, gamma_th=1.0)
         assert [row.tobytes() for row in rows] == [np.zeros(self.F.size).tobytes()] * 2
 
     def test_one_pass_computes_each_distinct_link_once(self, monkeypatch):
@@ -262,20 +265,20 @@ class TestStreamingCombinedRss:
         monkeypatch.setattr(phy, "link_rss", counting)
         aps = random_aps(np.random.default_rng(5), 6)
         site = [AccessPoint(6 + i, 9.0, 0.7) for i in range(4)]
-        masks = [
-            selection.select_mrt(aps + site),
-            selection.select_best_per_subchannel(),
-            selection.select_nearest(aps + site),
+        sels = [
+            summed(selection.select_mrt(aps + site)),
+            best_per_subchannel(aps + site),
+            summed(selection.select_nearest(aps + site)),
         ]
-        selection.combined_rss_rows(masks, aps + site, self.F, P, CFG, GAMMA_TH)
+        selection.combined_rss_rows(sels, aps + site, self.F, P, CFG, GAMMA_TH)
         assert calls == [0, 1, 2, 3, 4, 5, 6]
 
     def test_scalar_query_equals_array_element(self):
         aps = random_aps(np.random.default_rng(3), 40)
-        for mask in (selection.select_mrt(aps), selection.select_best_per_subchannel()):
-            vec = one_row(mask, aps, self.F[::250], GAMMA_TH)
+        for sel in (summed(selection.select_mrt(aps)), best_per_subchannel(aps)):
+            vec = one_row(sel, aps, self.F[::250], GAMMA_TH)
             for f, v in zip(self.F[::250], vec):
-                assert one_row(mask, aps, f, GAMMA_TH)[0] == v
+                assert one_row(sel, aps, f, GAMMA_TH)[0] == v
 
 
 class TestProperties:
@@ -284,12 +287,12 @@ class TestProperties:
         for _ in range(20):
             aps = random_aps(rng, 6)
             f = rng.uniform(100e9, 300e9, 16)
-            mrt = one_row(selection.select_mrt(aps), aps, f, GAMMA_TH)
+            mrt = one_row(summed(selection.select_mrt(aps)), aps, f, GAMMA_TH)
             for n_sel in (1, 3):
-                sub = one_row(selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER),
+                sub = one_row(summed(selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER)),
                               aps, f, GAMMA_TH)
                 assert np.all(mrt >= sub - 1e-30)
-            bps = one_row(selection.select_best_per_subchannel(), aps, f, GAMMA_TH)
+            bps = one_row(best_per_subchannel(aps), aps, f, GAMMA_TH)
             assert np.all(mrt >= bps - 1e-30)
             assert np.all(bps >= 0)
 
@@ -300,11 +303,11 @@ class TestProperties:
         tot = {"mrt": 0.0, "b2": 0.0, "bps": 0.0}
         for _ in range(50):
             aps = random_aps(rng, 8)
-            tot["mrt"] += one_row(selection.select_mrt(aps), aps, f, GAMMA_TH).mean()
+            tot["mrt"] += one_row(summed(selection.select_mrt(aps)), aps, f, GAMMA_TH).mean()
             tot["b2"] += one_row(
-                selection.select_best_nsel(aps, 2, P, CFG, F_UPPER), aps, f, GAMMA_TH
+                summed(selection.select_best_nsel(aps, 2, P, CFG, F_UPPER)), aps, f, GAMMA_TH
             ).mean()
-            tot["bps"] += one_row(selection.select_best_per_subchannel(), aps, f, GAMMA_TH).mean()
+            tot["bps"] += one_row(best_per_subchannel(aps), aps, f, GAMMA_TH).mean()
         assert tot["mrt"] >= tot["b2"] >= tot["bps"] > 0
 
     def test_constant_gain_reduces_best_at_to_nearest(self, monkeypatch):
@@ -312,7 +315,7 @@ class TestProperties:
         rng = np.random.default_rng(12)
         for _ in range(25):
             aps = random_aps(rng, 6)
-            nearest = next(iter(selection.select_nearest(aps).static_set))
+            (nearest,) = selection.select_nearest(aps)
             f = rng.uniform(100e9, 300e9, 8)
             assert selection.select_best_at(aps, f, P, CFG).tolist() == [nearest] * 8
             assert selection.select_best_at(aps, f[0], P, CFG) == nearest
@@ -322,26 +325,12 @@ class TestProperties:
         aps = random_aps(rng, 7)
         for scale in (1e-3, 1.0, 1e6):
             assert (
-                selection.select_best_nsel(aps, 3, P * scale, CFG, F_UPPER).static_set
-                == selection.select_best_nsel(aps, 3, P, CFG, F_UPPER).static_set
+                selection.select_best_nsel(aps, 3, P * scale, CFG, F_UPPER)
+                == selection.select_best_nsel(aps, 3, P, CFG, F_UPPER)
             )
             assert selection.select_best_at(aps, 211e9, P * scale, CFG) == (
                 selection.select_best_at(aps, 211e9, P, CFG)
             )
-
-
-class TestMaskInvariants:
-    def test_nearest_must_be_singleton(self):
-        with pytest.raises(ValueError):
-            selection.SelectionMask(Scheme.NEAREST, frozenset({1, 2}))
-
-    def test_per_subchannel_carries_no_set(self):
-        with pytest.raises(ValueError):
-            selection.SelectionMask(Scheme.BEST_PER_SUBCHANNEL, frozenset({1}))
-
-    def test_static_schemes_need_aps(self):
-        with pytest.raises(ValueError):
-            selection.SelectionMask(Scheme.MRT, frozenset())
 
 
 class TestAccessPoint:

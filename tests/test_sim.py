@@ -120,10 +120,10 @@ class TestColocatedBaseline:
     def test_identical_links_combine_to_n_gamma(self):
         cfg = fast_cfg(n_aps=6)
         aps = [selection.AccessPoint(i, 10.0, 0.8) for i in range(6)]
-        mask = selection.select_mrt(aps)
+        mrt = (selection.select_mrt(aps), np.add)
         f = 150e9
         one = phy.link_rss(f, aps[0], cfg.p, cfg.antenna)
-        (combined,) = selection.combined_rss_rows([mask], aps, [f], cfg.p, cfg.antenna, 0.0)
+        (combined,) = selection.combined_rss_rows([mrt], aps, [f], cfg.p, cfg.antenna, 0.0)
         assert combined == pytest.approx(6 * one)
 
     def test_determinism(self):
@@ -315,6 +315,31 @@ class TestSharedLinkPass:
         monkeypatch.setattr(phy, "link_rss", counting)
         sim._trial_cell(cfg, 0, 0)
         assert sizes.count(n_grid) == n_aps + 1
+
+    @pytest.mark.parametrize("n_aps", [1, 7, 40])
+    def test_scheme_rows_equal_materialized_oracle(self, n_aps):
+        # every selected link gated at gamma_th, then summed; the best AP per
+        # subchannel is the max over every link
+        cfg = fast_cfg(n_aps=n_aps, radius=8.0)
+        aps = sim.generate_scenario(np.random.default_rng(n_aps), cfg)
+        f = alloc.grid_freqs(cfg.band, cfg.ce.step)
+        links = np.array([phy.link_rss(f, ap, cfg.p, cfg.antenna) for ap in aps])
+        links[links < cfg.gamma_th] = 0.0
+        best = sorted(selection.select_best_nsel(
+            aps, min(cfg.n_sel, n_aps), cfg.p, cfg.antenna, cfg.f_upper))
+        nearest = min(aps, key=lambda ap: (ap.distance, ap.id)).id
+        expected = {
+            "mrt": (set(range(n_aps)), links.sum(axis=0)),
+            "best_nsel": (set(best), links[best].sum(axis=0)),
+            "best_per_subchannel": (set(range(n_aps)), links.max(axis=0)),
+            "nearest": ({nearest}, links[[nearest]].sum(axis=0)),
+        }
+        got = sim.scheme_rss(sim.CE_SCHEMES, aps, cfg)
+        assert list(got) == list(sim.CE_SCHEMES)
+        for scheme, (ids, row) in got.items():
+            want_ids, want_row = expected[scheme]
+            assert ids == want_ids, scheme
+            assert row.tobytes() == want_row.tobytes(), scheme
 
     def test_grid_takes_samples_at_its_own_frequencies(self):
         cfg = fast_cfg()
