@@ -24,7 +24,6 @@ from .phy import (
     BelowCutoffError,
     antenna_gain,
     complex_sinc,
-    cutoff_from_plates,
     link_rss,
     path_gain,
     peak_frequency,

@@ -38,7 +38,7 @@ _UNIT_KEYS = {
     "f_co_hz": "f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
     "p_total_w": "p_total", "noise_psd_dbm_hz": "noise_psd", "gamma_th_dbm_hz": "gamma_th",
     "antenna.atten_per_m": "antenna.atten", "antenna.aperture_m": "antenna.aperture",
-    "antenna.plate_sep_m": "antenna.plate_sep", "ce.step_hz": "ce.step",
+    "ce.step_hz": "ce.step",
 }
 _KEY_OF_FIELD = {path: key for key, path in _UNIT_KEYS.items()}
 _PSD_FIELDS = {"noise_psd", "gamma_th"}  # W/Hz fields written in dBm/Hz
@@ -61,8 +61,6 @@ def _to_entry(path, value):
         return float(w_per_hz_to_dbm_per_hz(value))
     if path == "schemes":
         return ",".join(value)
-    if path == "antenna.plate_sep":
-        return "" if value is None else repr(value)
     return value
 
 
@@ -100,8 +98,6 @@ def _coerce(key, value):
             return dbm_per_hz_to_w_per_hz(typed)
         if path == "schemes":
             return tuple(s.strip() for s in typed.split(",") if s.strip())
-        if path == "antenna.plate_sep":
-            return float(typed) if typed.strip() else None
         return typed
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
@@ -161,9 +157,11 @@ def write_manifest(path, entries, seed, outputs):
 def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
     """Run the sweep and write one CSV row per (axis value, scheme)."""
     try:
-        result = sim.monte_carlo(cfg, axis, values, threads=threads)
+        for value in values:
+            sim._with_axis_value(cfg, axis, value)
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
+    result = sim.monte_carlo(cfg, axis, values, threads=threads)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep_{axis}.csv"
@@ -341,6 +339,8 @@ def main(argv=None):
     if args.trials is not None:
         overrides["trials"] = str(args.trials)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg, entries = load_config(args.config, overrides)
         if args.command == "simulate":
             values = _floats("--values", args.values)

@@ -47,8 +47,6 @@ class AntennaConfig:
     efficiency   radiation efficiency factor, 0 < xi <= 1
     gain_exponent 1 = magnitude of the complex gain (as printed in the
                  source model), 2 = power-style |.|^2
-    plate_sep    optional inter-plate distance [m]; if given it must be
-                 consistent with f_co = c/(2*plate_sep)
     """
 
     f_co: float
@@ -56,7 +54,6 @@ class AntennaConfig:
     aperture: float = 0.09
     efficiency: float = 1.0
     gain_exponent: int = 1
-    plate_sep: float | None = None
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -68,19 +65,6 @@ class AntennaConfig:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.gain_exponent not in (1, 2):
             raise ValueError(f"gain_exponent must be 1 or 2, got {self.gain_exponent}")
-        if self.plate_sep is not None:
-            implied = cutoff_from_plates(self.plate_sep)
-            if abs(implied - self.f_co) > 1e-9 * self.f_co:
-                raise ValueError(
-                    f"plate_sep {self.plate_sep} implies f_co = {implied:.6e} Hz, "
-                    f"inconsistent with f_co = {self.f_co:.6e} Hz"
-                )
-
-
-def cutoff_from_plates(plate_sep):
-    """Cutoff frequency of a parallel-plate waveguide, c/(2*sep)."""
-    _check_positive("plate_sep", plate_sep)
-    return SPEED_OF_LIGHT / (2.0 * plate_sep)
 
 
 def peak_frequency(theta, f_co):

@@ -55,6 +55,8 @@ class ScenarioConfig:
         require_finite_fields(self)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_aps < 1:
             raise ValueError(f"n_aps must be >= 1, got {self.n_aps}")
         if self.n_sel < 1:
@@ -296,9 +298,12 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     Results are a deterministic function of (cfg, seed) regardless of the
     thread count: every trial owns its substreams, keyed by the value's
     position in `values` and the trial index, and aggregation is ordered
-    by trial index. A value that gives an invalid config raises ValueError
-    before any cell runs. The pool runs at most one thread per usable CPU.
+    by trial index. A value that gives an invalid config, or threads below
+    1, raises ValueError before any cell runs. The pool runs at most one
+    thread per usable CPU.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, _usable_cpus())
     configs = [_with_axis_value(cfg, axis, value) for value in values]
     rows = []

@@ -30,7 +30,7 @@ UNIT_KEYS = {
     "f_co_hz": "f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
     "p_total_w": "p_total", "noise_psd_dbm_hz": "noise_psd", "gamma_th_dbm_hz": "gamma_th",
     "antenna.atten_per_m": "antenna.atten", "antenna.aperture_m": "antenna.aperture",
-    "antenna.plate_sep_m": "antenna.plate_sep", "ce.step_hz": "ce.step",
+    "ce.step_hz": "ce.step",
 }
 
 # Every key set away from its default, each to a value no sibling field
@@ -55,7 +55,6 @@ antenna.atten_per_m = 120.0
 antenna.aperture_m = 0.08
 antenna.efficiency = 0.9
 antenna.gain_exponent = 2
-antenna.plate_sep_m = 1e-3
 ce.n_sub = 12
 ce.samples = 30
 ce.elites = 5
@@ -151,16 +150,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.load_config(None, {key: value})
 
-    def test_plate_sep_consistency_check(self, tmp_path):
-        ok = tmp_path / "ok.cfg"
-        ok.write_text("f_co_hz = 100e9\nantenna.plate_sep_m = 1.5e-3\n")
-        cfg, _ = cli.load_config(ok)
-        assert cfg.antenna.plate_sep == 1.5e-3
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("f_co_hz = 100e9\nantenna.plate_sep_m = 2e-3\n")
-        with pytest.raises(ConfigError):
-            cli.load_config(bad)
-
     def test_overrides_beat_file(self, fast_config_path):
         cfg, _ = cli.load_config(fast_config_path, {"trials": "9", "seed": "5"})
         assert cfg.trials == 9
@@ -170,7 +159,7 @@ class TestConfigParsing:
 class TestConfigSchema:
     def test_defaults_digest_pinned(self):
         assert cli.config_digest(cli.DEFAULTS) == (
-            "79d465416fc48fbf039ad3307a1568a508767ff677c4faa4ddc60031be0c26e4"
+            "f51c249dab8ac4711c77c8e9b9e7f4fed75c8343dce15145176bef691991d127"
         )
 
     def test_keys_are_field_paths_with_unit_names(self):
@@ -195,7 +184,7 @@ class TestConfigSchema:
             gamma_th=phy.dbm_per_hz_to_w_per_hz(-176.0),
             eps_db=0.25, trials=11, seed=99, schemes=("mrt", "nearest"),
             antenna=AntennaConfig(f_co=150e9, atten=120.0, aperture=0.08, efficiency=0.9,
-                                  gain_exponent=2, plate_sep=1e-3),
+                                  gain_exponent=2),
             ce=CEConfig(n_sub=12, samples=30, elites=5, smooth_mean=0.7, smooth_var=0.6,
                         smooth_power=4.0, max_iter=7, step=20e6),
         )
@@ -205,7 +194,7 @@ class TestConfigSchema:
     @pytest.mark.parametrize(
         "key, value",
         [("n_aps", "2.5"), ("ce.max_iter", "2.5"), ("antenna.gain_exponent", "2.5"),
-         ("antenna.plate_sep_m", "wide")],
+         ("antenna.aperture_m", "wide")],
     )
     def test_unparseable_entry_named(self, key, value):
         with pytest.raises(ConfigError, match=f"key '{key}': cannot parse"):
@@ -317,6 +306,18 @@ class TestSimulateCommand:
                 "mean_rate_bps": repr(want.mean_rate), "stderr_bps": repr(want.stderr_rate),
                 "mean_active_aps": repr(want.mean_active_aps), "trials": str(want.trials),
             }
+
+    def test_value_error_inside_a_cell_propagates(self, fast_config_path, tmp_path,
+                                                  monkeypatch):
+        # only turning a --values entry into a config is blamed on --values
+        def broken(*args):
+            raise ValueError("cell failed")
+
+        monkeypatch.setattr(sim, "_trial_cell", broken)
+        with pytest.raises(ValueError, match="cell failed") as info:
+            cli.main(["simulate", "--config", fast_config_path, "--axis", "n_aps",
+                      "--values", "2", "--out", str(tmp_path / "x")])
+        assert type(info.value) is ValueError
 
     def test_unexpected_errors_propagate(self, fast_config_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -474,11 +475,14 @@ class TestTrialCommand:
 
 class TestMainErrors:
     def test_config_error_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "c.cfg"
-        p.write_text("bogus = 1\n")
-        rc = cli.main(["trial", "--config", str(p), "--out", str(tmp_path)])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        # the removed antenna.plate_sep_m key is as unknown as a made-up one
+        for line in ("bogus = 1", "antenna.plate_sep_m = 1.5e-3"):
+            p = tmp_path / "c.cfg"
+            p.write_text(line + "\n")
+            rc = cli.main(["trial", "--config", str(p), "--out", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and f"unknown key {line.split()[0]!r}" in err
 
     @pytest.mark.parametrize(
         "line",
@@ -522,10 +526,21 @@ class TestMainErrors:
              "--thetas"),
             (["gain", "--thetas", "1.6", "--f-start", "110e9", "--f-stop", "290e9"],
              "--thetas"),
+            (["simulate", "--axis", "n_aps", "--values", "3", "--threads", "0"],
+             "--threads must be >= 1"),
+            # a negative seed is rejected when the config is built, whatever
+            # the subcommand
+            (["trial", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["simulate", "--axis", "n_aps", "--values", "3", "--seed", "-1"],
+             "seed must be >= 0, got -1"),
+            (["allocate", "--scenario", "aps.csv", "--seed", "-1"], "seed must be >= 0"),
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
+              "--seed", "-1"], "seed must be >= 0"),
         ],
         ids=["values-abc", "values-empty", "thetas-abc", "f-count-0", "f-count-neg",
              "f-start-nan", "f-stop-inf", "f-stop-below-start", "theta-nan", "theta-0",
-             "theta-above-pi/2"],
+             "theta-above-pi/2", "threads-0", "seed-trial", "seed-simulate",
+             "seed-allocate", "seed-gain"],
     )
     def test_bad_argument_exit_code(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

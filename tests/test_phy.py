@@ -16,26 +16,6 @@ def default_antenna(f_co=100e9, **kw):
     return AntennaConfig(f_co=f_co, **kw)
 
 
-class TestCutoffFromPlates:
-    def test_table_values(self):
-        assert phy.cutoff_from_plates(1.5e-3) == pytest.approx(100e9)
-        assert phy.cutoff_from_plates(0.5e-3) == pytest.approx(300e9)
-
-    def test_halving_separation_doubles_cutoff(self):
-        assert phy.cutoff_from_plates(0.75e-3) == pytest.approx(
-            2 * phy.cutoff_from_plates(1.5e-3)
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            phy.cutoff_from_plates(0.0)
-
-    def test_consistency_checked_in_config(self):
-        AntennaConfig(f_co=100e9, plate_sep=1.5e-3)  # consistent pair
-        with pytest.raises(ValueError):
-            AntennaConfig(f_co=100e9, plate_sep=1.0e-3)
-
-
 class TestPeakFrequency:
     def test_broadside(self):
         assert phy.peak_frequency(np.pi / 2, 100e9) == pytest.approx(100e9)

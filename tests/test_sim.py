@@ -212,6 +212,14 @@ class TestMonteCarlo:
             sim.monte_carlo(fast_cfg(), "n_aps", [2, bad])
         assert cells == []
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_fail_before_any_cell(self, monkeypatch, threads):
+        cells = []
+        monkeypatch.setattr(sim, "_trial_cell", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            sim.monte_carlo(fast_cfg(), "n_aps", [2], threads=threads)
+        assert cells == []
+
 
 class TestConfigValidation:
     def test_band_ordering(self):
@@ -238,7 +246,7 @@ class TestConfigValidation:
         "field, value",
         [("eps_db", -0.1), ("n_aps", 0), ("n_aps", -2), ("n_sel", 0),
          ("angle_guard", 0.0), ("angle_guard", -0.01), ("angle_guard", np.pi / 4),
-         ("angle_guard", 1.0), ("noise_psd", 0.0), ("noise_psd", -1e-21)],
+         ("angle_guard", 1.0), ("noise_psd", 0.0), ("noise_psd", -1e-21), ("seed", -1)],
     )
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
