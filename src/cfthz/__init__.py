@@ -23,7 +23,6 @@ from .phy import (
     AntennaConfig,
     BelowCutoffError,
     antenna_gain,
-    complex_sinc,
     link_rss,
     path_gain,
     peak_frequency,

@@ -157,11 +157,9 @@ def write_manifest(path, entries, seed, outputs):
 def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
     """Run the sweep and write one CSV row per (axis value, scheme)."""
     try:
-        for value in values:
-            sim._with_axis_value(cfg, axis, value)
-    except ValueError as exc:
+        result = sim.monte_carlo(cfg, axis, values, threads=threads)
+    except sim.AxisValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
-    result = sim.monte_carlo(cfg, axis, values, threads=threads)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep_{axis}.csv"
@@ -289,7 +287,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (results unchanged)")
 
 
 def build_parser():
@@ -300,6 +297,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo sweep over N or B_total")
     _add_common(p_sim)
+    p_sim.add_argument("--threads", type=int, default=1, help="worker cap (results unchanged)")
     p_sim.add_argument("--axis", choices=["n_aps", "b_total"], required=True)
     p_sim.add_argument("--values", required=True,
                        help="comma-separated axis values (SI units)")
@@ -339,7 +337,7 @@ def main(argv=None):
     if args.trials is not None:
         overrides["trials"] = str(args.trials)
     try:
-        if args.threads < 1:
+        if args.command == "simulate" and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg, entries = load_config(args.config, overrides)
         if args.command == "simulate":

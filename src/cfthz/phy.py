@@ -1,8 +1,9 @@
 """Leaky-wave antenna physics and free-space THz link budgets.
 
 All functions are pure and accept scalar or ndarray frequencies; outputs
-follow numpy broadcasting. Frequencies in Hz, distances in m, angles in
-radians, PSDs in W/Hz.
+follow numpy broadcasting. Every link is evaluated by `link_rss_rows`, in
+real arithmetic. Frequencies in Hz, distances in m, angles in radians,
+PSDs in W/Hz.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import numpy as np
 # Round value used by the leaky-wave design formulas (f_co = c/2v pairs
 # like 1.5 mm -> 100 GHz only work out with c = 3e8 exactly).
 SPEED_OF_LIGHT = 3.0e8
-
-# Complex sinc switches to a Taylor expansion below this |z|.
-_SINC_TAYLOR_CUTOFF = 1e-4
-
 
 class BelowCutoffError(ValueError):
     """Raised when a frequency below the waveguide cutoff is requested."""
@@ -86,49 +83,70 @@ def wavenumber(f):
     return 2.0 * np.pi * np.asarray(f, dtype=float) / SPEED_OF_LIGHT
 
 
-def phase_constant(f, f_co):
-    """Guided phase constant k0(f)*sqrt(1 - (f_co/f)^2); zero at cutoff."""
+def _guided(f, f_co):
+    """(k0(f), beta(f)): the free-space wavenumber and the guided phase
+    constant k0*sqrt(1 - (f_co/f)^2), which is zero at cutoff."""
     f = np.asarray(f, dtype=float)
     if np.any(f < f_co):
         raise BelowCutoffError(f"f = {f} below cutoff {f_co}")
+    k0 = wavenumber(f)
     ratio = f_co / f
-    out = wavenumber(f) * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    return k0, k0 * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+
+
+def phase_constant(f, f_co):
+    """Guided phase constant k0(f)*sqrt(1 - (f_co/f)^2); zero at cutoff."""
+    out = _guided(f, f_co)[1]
     return float(out) if out.ndim == 0 else out
 
 
-def complex_sinc(z):
-    """Unnormalized sinc sin(z)/z for complex z, with sinc(0) = 1.
+def _phase_offset(k0, beta, cos_theta, cfg: AntennaConfig):
+    """x = (beta - k0*cos(theta))*L/2, the real part of the sinc argument z,
+    as a fresh array of at least one dimension."""
+    x = np.atleast_1d(np.multiply(k0, cos_theta))
+    np.subtract(beta, x, out=x)
+    x *= cfg.aperture / 2.0
+    return x
 
-    Arguments below |z| = 1e-4 use the 3-term Taylor series to avoid
-    cancellation.
+
+def sinc_gain(x, cfg: AntennaConfig):
+    """Leaky-wave gain |xi * L * sinc(z)|^gain_exponent at real phase offsets
+    x, where z = x - j*atten*L/2, as an array of x's shape.
+
+    Real arithmetic only: |sin z|^2 = sin^2 x + sinh^2(atten*L/2) and
+    |z|^2 = x^2 + (atten*L/2)^2. Where both vanish (x = 0 with atten = 0)
+    the sinc takes its limit 1.
     """
-    z_in = np.asarray(z, dtype=complex)
-    z = np.atleast_1d(z_in)
-    small = np.abs(z) < _SINC_TAYLOR_CUTOFF
-    # avoid 0/0 in the vectorized branch; the small entries are overwritten
-    safe = np.where(small, 1.0, z)
-    out = np.sin(safe)
-    out /= safe
-    if small.any():
-        z2 = z[small] * z[small]
-        out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return complex(out[0]) if z_in.ndim == 0 else out
+    x = np.asarray(x, dtype=float)
+    s = cfg.atten * cfg.aperture / 2.0
+    g = np.sin(np.atleast_1d(x))
+    g *= g
+    g += np.sinh(s) ** 2
+    den = np.atleast_1d(x * x)
+    den += s * s
+    if s * s == 0.0:
+        at_zero = den == 0.0
+        g[at_zero] = den[at_zero] = 1.0
+    g /= den
+    if cfg.gain_exponent == 1:
+        np.sqrt(g, out=g)
+    g *= (cfg.efficiency * cfg.aperture) ** cfg.gain_exponent
+    return g.reshape(x.shape)
 
 
 def antenna_gain(f, theta, cfg: AntennaConfig):
     """Effective leaky-wave gain |xi * L * sinc(z)|^gain_exponent.
 
     z = (-j*atten - k0(f)*cos(theta) + beta(f)) * L/2. The gain peaks near
-    f = f_co/sin(theta), where the real part of z vanishes.
+    f = f_co/sin(theta), where the real part of z vanishes. This is the
+    gain factor of `link_rss_rows`, for any broadcastable f and theta.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0) & (theta < np.pi / 2)):
         raise ValueError(f"theta must be in (0, pi/2), got {theta}")
-    k0 = wavenumber(f)
-    beta = phase_constant(f, cfg.f_co)
-    z = (-1j * cfg.atten - k0 * np.cos(theta) + beta) * (cfg.aperture / 2.0)
-    g = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z)) ** cfg.gain_exponent
-    return float(g) if np.ndim(g) == 0 else g
+    k0, beta = _guided(f, cfg.f_co)
+    g = sinc_gain(_phase_offset(k0, beta, np.cos(theta), cfg), cfg)
+    return float(g[0]) if np.broadcast(k0, theta).ndim == 0 else g
 
 
 def path_gain(f, d):
@@ -140,10 +158,45 @@ def path_gain(f, d):
     return float(out) if out.ndim == 0 else out
 
 
-def link_rss(f, ap, p, cfg: AntennaConfig):
-    """Received PSD of a single AP-UE link: p * G(f, theta) * |h|^2."""
+def link_rss_rows(f, aps, p, cfg: AntennaConfig):
+    """The received PSD p * G(f, theta) * (c / (4*pi*f*d))^2 of each AP in
+    `aps`, as an iterator that yields one fresh row per AP in turn.
+
+    `f` is one row of frequencies that every AP shares (1-D), or one row
+    per AP (2-D, one row or len(aps) rows). The input checks run, and the
+    frequency-only terms k0, beta and 4*pi*f are computed, once, when the
+    function is called; each row then costs one phase offset, one
+    `sinc_gain` and its path gain.
+    """
     _check_positive("p", p)
-    return p * antenna_gain(f, ap.angle, cfg) * path_gain(f, ap.distance)
+    f = np.asarray(f, dtype=float)
+    if f.ndim not in (1, 2):
+        raise ValueError(f"f must be 1-D or 2-D, got shape {f.shape}")
+    k0, beta = _guided(f, cfg.f_co)
+    four_pi_f = 4.0 * np.pi * f
+    shape = (len(aps), f.shape[-1])
+    k0, beta, four_pi_f = (np.broadcast_to(t, shape) for t in (k0, beta, four_pi_f))
+    cos_theta = np.cos([ap.angle for ap in aps])
+
+    def rows():
+        for i, ap in enumerate(aps):
+            row = sinc_gain(_phase_offset(k0[i], beta[i], cos_theta[i], cfg), cfg)
+            row *= p
+            amp = np.multiply(four_pi_f[i], ap.distance)
+            np.divide(SPEED_OF_LIGHT, amp, out=amp)
+            amp *= amp
+            row *= amp
+            yield row
+
+    return rows()
+
+
+def link_rss(f, ap, p, cfg: AntennaConfig):
+    """Received PSD of a single AP-UE link: p * G(f, theta) * |h|^2, the
+    one-AP case of `link_rss_rows`."""
+    f = np.asarray(f, dtype=float)
+    (row,) = link_rss_rows(f.reshape(1, -1), [ap], p, cfg)
+    return float(row[0]) if f.ndim == 0 else row.reshape(f.shape)
 
 
 def dbm_per_hz_to_w_per_hz(x_dbm_hz):

@@ -56,11 +56,9 @@ def select_best_nsel(aps, n_sel, p, cfg, f_upper) -> frozenset:
     _require_aps(aps)
     if not 1 <= n_sel <= len(aps):
         raise ValueError(f"n_sel must be in [1, {len(aps)}], got {n_sel}")
-    scores = []
-    for ap in aps:
-        f_eval = min(phy.peak_frequency(ap.angle, cfg.f_co), f_upper)
-        scores.append((-phy.link_rss(f_eval, ap, p, cfg), ap.id))
-    chosen = sorted(scores)[:n_sel]
+    peaks = np.minimum(phy.peak_frequency(np.array([ap.angle for ap in aps]), cfg.f_co), f_upper)
+    rss = np.concatenate(list(phy.link_rss_rows(peaks[:, None], aps, p, cfg)))
+    chosen = sorted(zip(-rss, (ap.id for ap in aps)))[:n_sel]
     return frozenset(ap_id for _, ap_id in chosen)
 
 
@@ -69,12 +67,10 @@ def select_best_at(aps, f, p, cfg):
     ties): an int for scalar f, else an array shaped like f."""
     _require_aps(aps)
     f = np.asarray(f, dtype=float)
-    if np.any(f < cfg.f_co):
-        raise phy.BelowCutoffError(f"f = {f} below cutoff {cfg.f_co}")
     by_id = sorted(aps, key=lambda ap: ap.id)
-    rss = np.array([np.broadcast_to(phy.link_rss(f, ap, p, cfg), f.shape) for ap in by_id])
+    rss = np.array(list(phy.link_rss_rows(f.ravel(), by_id, p, cfg)))
     best = np.array([ap.id for ap in by_id])[rss.argmax(axis=0)]
-    return int(best) if f.ndim == 0 else best
+    return int(best[0]) if f.ndim == 0 else best.reshape(f.shape)
 
 
 def select_nearest(aps) -> frozenset:
@@ -93,24 +89,27 @@ def combined_rss_rows(selections, aps, f, p, cfg, gamma_th):
     1(gamma >= gamma_th), and folded into every selection whose ids hold it,
     in AP order, with combine(out, row, out=out): `np.add` sums the links,
     `np.maximum` keeps the strongest. A run of APs with one geometry (a
-    co-located site) reuses its row. Only one link row is held at a time,
-    and each output rounds as a column-wise sum (or max) over its links would.
+    co-located site) reuses its row. The rows stream from one
+    `phy.link_rss_rows` call, so only one link row is held at a time, and
+    each output rounds as a column-wise sum (or max) over its links would.
     """
     _require_aps(aps)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    if np.any(f_arr < cfg.f_co):
-        raise phy.BelowCutoffError(f"f below cutoff {cfg.f_co}")
-
     outs = [np.zeros(f_arr.size) for _ in selections]
-    row, geometry = None, None
+    # (first AP of a run of selected APs with one geometry, the (combine,
+    # out) pairs of the selections that hold each AP of the run, in AP order)
+    runs = []
     for ap in aps:
         users = [(rule, out) for (ids, rule), out in zip(selections, outs) if ap.id in ids]
         if not users:
             continue
-        if (ap.distance, ap.angle) != geometry:
-            row = np.asarray(phy.link_rss(f_arr, ap, p, cfg), dtype=float)
-            row[row < gamma_th] = 0.0
-            geometry = (ap.distance, ap.angle)
+        if runs and (ap.distance, ap.angle) == (runs[-1][0].distance, runs[-1][0].angle):
+            runs[-1][1].extend(users)
+        else:
+            runs.append((ap, users))
+    rows = phy.link_rss_rows(f_arr, [ap for ap, _ in runs], p, cfg)
+    for (_, users), row in zip(runs, rows):
+        row[row < gamma_th] = 0.0
         for rule, out in users:
             rule(out, row, out=out)
     return outs

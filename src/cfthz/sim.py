@@ -276,14 +276,21 @@ def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
     return out
 
 
+class AxisValueError(ValueError):
+    """A sweep value that gives no valid config; the message names it."""
+
+
 def _with_axis_value(cfg, axis, value):
-    if axis == "n_aps":
+    if axis not in ("n_aps", "b_total"):
+        raise ValueError(f"axis must be 'n_aps' or 'b_total', got {axis!r}")
+    try:
+        if axis == "b_total":
+            return replace(cfg, b_total=float(value))
         if not float(value).is_integer():
             raise ValueError(f"n_aps must be a whole number, got {value}")
         return replace(cfg, n_aps=int(value))
-    if axis == "b_total":
-        return replace(cfg, b_total=float(value))
-    raise ValueError(f"axis must be 'n_aps' or 'b_total', got {axis!r}")
+    except ValueError as exc:
+        raise AxisValueError(f"{axis} = {value}: {exc}") from exc
 
 
 def _usable_cpus():
@@ -298,9 +305,9 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     Results are a deterministic function of (cfg, seed) regardless of the
     thread count: every trial owns its substreams, keyed by the value's
     position in `values` and the trial index, and aggregation is ordered
-    by trial index. A value that gives an invalid config, or threads below
-    1, raises ValueError before any cell runs. The pool runs at most one
-    thread per usable CPU.
+    by trial index. A value that gives an invalid config raises
+    AxisValueError, and threads below 1 ValueError, before any cell runs.
+    The pool runs at most one thread per usable CPU.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -49,10 +49,16 @@ def test_c02_analytic_unit_suite():
     # above cutoff the guided wavenumber stays below the free-space one
     for f in (100.001e9, 150e9, 299e9, 1e12):
         assert 0.0 < phy.phase_constant(f, cfg.f_co) < phy.wavenumber(f)
-    # series and direct sinc branches agree and are continuous at 0
-    for z in (1e-7, 1e-7j, 1e-7 * (1 + 1j)):
-        assert abs(phy.complex_sinc(z) - 1.0) < 1e-6
-    assert abs(phy.complex_sinc(9.9e-5) - phy.complex_sinc(1.01e-4)) < 1e-6
+    # the real-form sinc gain takes its limit xi*L at zero phase offset, also
+    # without attenuation, and is continuous there
+    for atten in (0.0, 130.0):
+        lossy = AntennaConfig(f_co=100e9, atten=atten)
+        s = atten * lossy.aperture / 2
+        limit = lossy.aperture * (np.sinh(s) / s if s else 1.0)
+        assert phy.sinc_gain(0.0, lossy) == pytest.approx(limit, rel=1e-15)
+        for x in (1e-7, -1e-7, 9.9e-5, 1.01e-4):
+            assert abs(phy.sinc_gain(x, lossy) - limit) < 1e-6 * limit
+    assert phy.sinc_gain(0.0, AntennaConfig(f_co=100e9, atten=0.0)) == 0.09
     # free-space gain falls off as 1/d^2 and 1/f^2
     g = phy.path_gain(150e9, 10.0)
     assert phy.path_gain(150e9, 20.0) == pytest.approx(g / 4, rel=1e-12)
@@ -187,10 +193,11 @@ def test_c07_optimized_best1_beats_equal_split_in_high_band():
 
 
 def test_c08_constant_gain_reduces_best_selection_to_nearest(monkeypatch):
-    def constant_gain(f, theta, cfg):
-        return 1.0 * np.ones_like(np.asarray(f, dtype=float))
+    def constant_gain(x, cfg):
+        return np.ones_like(np.asarray(x, dtype=float))
 
-    monkeypatch.setattr(phy, "antenna_gain", constant_gain)
+    # every link row takes its gain from phy.sinc_gain
+    monkeypatch.setattr(phy, "sinc_gain", constant_gain)
     rng = np.random.default_rng(8)
     cfg = ScenarioConfig(n_aps=8)
     freqs = np.linspace(100.1e9, 299.9e9, 32)

@@ -550,6 +550,21 @@ class TestMainErrors:
         assert "config error" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["trial"], ["allocate", "--scenario", "aps.csv"],
+         ["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9"]],
+        ids=["trial", "allocate", "gain"],
+    )
+    def test_threads_only_on_simulate(self, tmp_path, capsys, argv):
+        # only a sweep has a pool; elsewhere --threads is a usage error
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--threads", "2", "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_digest(self, tmp_path):
         _, e1 = cli.load_config(None, {"seed": "1"})
         _, e2 = cli.load_config(None, {"seed": "2"})

@@ -1,11 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfthz import phy
 from cfthz.phy import AntennaConfig
 from cfthz.selection import AccessPoint
+from cfthz.sim import ScenarioConfig
 
 C = phy.SPEED_OF_LIGHT
+EPS = np.finfo(float).eps
+
+# The complex sinc switches to a Taylor expansion below this |z|.
+SINC_TAYLOR_CUTOFF = 1e-4
 
 # |xi * L * sinc(z)| at atten=130, L=0.09, f=150 GHz, theta=45 deg,
 # f_co=100 GHz; frozen from a 40-digit mpmath evaluation.
@@ -14,6 +23,36 @@ GAIN_REGRESSION = 1.9614581640592072
 
 def default_antenna(f_co=100e9, **kw):
     return AntennaConfig(f_co=f_co, **kw)
+
+
+def complex_sinc(z):
+    """Unnormalized sinc sin(z)/z for complex z, with sinc(0) = 1: the
+    complex-arithmetic reference for the library's real-form gain.
+
+    Arguments below |z| = 1e-4 use the 3-term Taylor series to avoid
+    cancellation.
+    """
+    z_in = np.asarray(z, dtype=complex)
+    z = np.atleast_1d(z_in)
+    small = np.abs(z) < SINC_TAYLOR_CUTOFF
+    # avoid 0/0 in the vectorized branch; the small entries are overwritten
+    safe = np.where(small, 1.0, z)
+    out = np.sin(safe)
+    out /= safe
+    if small.any():
+        z2 = z[small] * z[small]
+        out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return complex(out[0]) if z_in.ndim == 0 else out
+
+
+def oracle_link_rss(f, ap, p, cfg):
+    """p * |xi * L * sinc(z)|^e * (c / (4*pi*f*d))^2 in complex arithmetic,
+    z = (-j*atten - k0*cos(theta) + beta) * L/2."""
+    k0 = phy.wavenumber(f)
+    beta = phy.phase_constant(f, cfg.f_co)
+    z = (-1j * cfg.atten - k0 * np.cos(ap.angle) + beta) * (cfg.aperture / 2.0)
+    gain = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z)) ** cfg.gain_exponent
+    return p * gain * phy.path_gain(f, ap.distance)
 
 
 class TestPeakFrequency:
@@ -70,21 +109,21 @@ class TestPhaseConstant:
 
 class TestComplexSinc:
     def test_zero_limit(self):
-        assert phy.complex_sinc(0.0) == 1.0
+        assert complex_sinc(0.0) == 1.0
 
     def test_continuity_near_zero(self):
         for z in [1e-9, 1e-8 * (1 + 1j), -1e-8j]:
-            assert abs(phy.complex_sinc(z) - 1.0) < 1e-6
+            assert abs(complex_sinc(z) - 1.0) < 1e-6
 
     def test_matches_direct_formula_away_from_zero(self):
         z = 0.3 - 2.1j
-        assert phy.complex_sinc(z) == pytest.approx(np.sin(z) / z)
+        assert complex_sinc(z) == pytest.approx(np.sin(z) / z)
 
     @staticmethod
     def whole_array_sinc(z):
         """Reference form: both branches over every entry, then a select."""
         z = np.asarray(z, dtype=complex)
-        small = np.abs(z) < 1e-4
+        small = np.abs(z) < SINC_TAYLOR_CUTOFF
         safe = np.where(small, 1.0, z)
         out = np.sin(safe) / safe
         z2 = z * z
@@ -101,15 +140,115 @@ class TestComplexSinc:
         z[1::13] = 1e-4  # exactly at the cutoff: the direct branch
         z[2::13] = np.nextafter(1e-4, 0)
         for arr in (z, z.reshape(40, 100), z[np.abs(z) >= 1e-4], z[np.abs(z) < 1e-4]):
-            got = phy.complex_sinc(arr)
+            got = complex_sinc(arr)
             assert got.shape == arr.shape
             assert got.tobytes() == self.whole_array_sinc(arr).tobytes()
 
     @pytest.mark.parametrize("z", [0.0, 0j, 3e-5 + 2e-5j, 1e-4, 0.3 - 2.1j, 2.0])
     def test_scalar_in_python_complex_out(self, z):
-        got = phy.complex_sinc(z)
+        got = complex_sinc(z)
         assert type(got) is complex
         assert got == self.whole_array_sinc(z)
+
+
+class TestSincGain:
+    """The real-form gain against the complex sinc it replaces."""
+
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_limit_at_zero_offset_without_attenuation(self, exponent):
+        cfg = default_antenna(atten=0.0, efficiency=0.8, gain_exponent=exponent)
+        g = phy.sinc_gain(np.array([0.0, -0.0, 0.0]), cfg)
+        assert g.tolist() == [(0.8 * 0.09) ** exponent] * 3
+        assert phy.sinc_gain(0.0, cfg).shape == ()
+
+    @pytest.mark.parametrize("atten", [0.0, 130.0])
+    def test_continuous_through_zero_offset(self, atten):
+        cfg = default_antenna(atten=atten)
+        at_zero = float(phy.sinc_gain(0.0, cfg))
+        for x in (1e-9, -1e-7, 9.9e-5, 1.01e-4):
+            assert abs(float(phy.sinc_gain(x, cfg)) - at_zero) < 1e-6 * at_zero
+
+    @pytest.mark.parametrize("atten", [0.0, 1e-170, 13.0, 130.0])
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_matches_complex_sinc(self, atten, exponent):
+        cfg = default_antenna(atten=atten, gain_exponent=exponent)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([[0.0, 1e-12, -3e-5, 1e-4], rng.uniform(-300, 300, 2000),
+                            np.pi * np.arange(1, 50) + 1e-3])
+        z = x - 1j * atten * cfg.aperture / 2
+        want = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z)) ** exponent
+        got = phy.sinc_gain(x, cfg)
+        assert np.all(np.abs(got - want) <= 8 * EPS * want)
+
+    def test_keeps_shape_and_input(self):
+        cfg = default_antenna()
+        x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        before = x.copy()
+        assert phy.sinc_gain(x, cfg).shape == (3, 4)
+        assert x.tobytes() == before.tobytes()
+
+
+class TestLinkRssRows:
+    SCENARIO = ScenarioConfig()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.floats(1e-6, np.pi / 2, exclude_max=True),
+        distance=st.floats(SCENARIO.d_min, SCENARIO.radius),
+        f_band=st.floats(SCENARIO.f_co, SCENARIO.f_upper),
+        atten=st.one_of(st.just(0.0), st.just(130.0), st.floats(0.0, 500.0)),
+        exponent=st.sampled_from([1, 2]),
+    )
+    @example(theta=np.pi / 6, distance=10.0, f_band=200e9, atten=0.0, exponent=1)
+    @example(theta=np.pi / 6, distance=10.0, f_band=200e9, atten=0.0, exponent=2)
+    def test_each_link_matches_complex_oracle(self, theta, distance, f_band, atten, exponent):
+        # a band frequency, the cutoff, and the exact peak f_co/sin(theta)
+        cfg = default_antenna(f_co=self.SCENARIO.f_co, atten=atten, gain_exponent=exponent)
+        ap = AccessPoint(0, distance, theta)
+        f = np.array([f_band, cfg.f_co, phy.peak_frequency(theta, cfg.f_co)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (got,) = phy.link_rss_rows(f, [ap], self.SCENARIO.p, cfg)
+        want = oracle_link_rss(f, ap, self.SCENARIO.p, cfg)
+        assert np.all(np.abs(got - want) <= 8 * EPS * want), (got - want) / want / EPS
+
+    def test_one_ap_case_is_link_rss(self):
+        cfg = default_antenna()
+        aps = [AccessPoint(i, 3.0 + 7 * i, 0.2 + 0.25 * i) for i in range(5)]
+        f = np.linspace(100e9, 300e9, 1001)
+        rows = list(phy.link_rss_rows(f, aps, 1e-11, cfg))
+        assert len(rows) == len(aps)
+        for ap, row in zip(aps, rows):
+            assert row.tobytes() == phy.link_rss(f, ap, 1e-11, cfg).tobytes()
+            assert phy.link_rss(f[17], ap, 1e-11, cfg) == row[17]
+        assert type(phy.link_rss(150e9, aps[0], 1e-11, cfg)) is float
+
+    def test_one_frequency_row_per_ap(self):
+        cfg = default_antenna()
+        aps = [AccessPoint(i, 4.0 * (i + 1), 0.3 + 0.2 * i) for i in range(4)]
+        f = np.linspace(110e9, 290e9, 12).reshape(4, 3)
+        for ap, fi, row in zip(aps, f, phy.link_rss_rows(f, aps, 1e-11, cfg)):
+            assert row.tobytes() == phy.link_rss(fi, ap, 1e-11, cfg).tobytes()
+
+    def test_rows_are_independent_arrays(self):
+        cfg = default_antenna()
+        aps = [AccessPoint(0, 5.0, 0.5), AccessPoint(1, 5.0, 0.5)]
+        first, second = phy.link_rss_rows(np.array([150e9, 200e9]), aps, 1e-11, cfg)
+        first[:] = 0.0
+        assert np.all(second > 0)
+
+    @pytest.mark.parametrize("aps", [[AccessPoint(0, 5.0, 0.5)], []])
+    def test_bad_input_rejected_when_called(self, aps):
+        # before any row is asked for, and also with no APs
+        cfg = default_antenna()
+        with pytest.raises(phy.BelowCutoffError):
+            phy.link_rss_rows(np.array([150e9, 99e9]), aps, 1e-11, cfg)
+        with pytest.raises(ValueError, match="p must be positive"):
+            phy.link_rss_rows(np.array([150e9]), aps, 0.0, cfg)
+        with pytest.raises(ValueError, match="f must be positive"):
+            phy.link_rss_rows(np.array([np.nan]), aps, 1e-11, cfg)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            phy.link_rss_rows(np.ones((1, 1, 2)) * 150e9, aps, 1e-11, cfg)
 
 
 class TestAntennaGain:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfthz import phy, selection
+from cfthz import alloc, phy, selection
 from cfthz.phy import AntennaConfig
 from cfthz.selection import AccessPoint
 
@@ -18,10 +20,10 @@ def random_aps(rng, n):
     ]
 
 
-def constant_gain(f, theta, cfg):
+def constant_gain(x, cfg):
     """Frequency- and angle-independent antenna gain, patched in for
-    `phy.antenna_gain`."""
-    return 1.0 * np.ones_like(np.asarray(f, dtype=float))
+    `phy.sinc_gain`, the gain every link row is built from."""
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def summed(ids):
@@ -256,13 +258,14 @@ class TestStreamingCombinedRss:
 
     def test_one_pass_computes_each_distinct_link_once(self, monkeypatch):
         calls = []
-        real = phy.link_rss
+        real = phy.link_rss_rows
 
-        def counting(f, ap, *args, **kwargs):
-            calls.append(ap.id)
-            return real(f, ap, *args, **kwargs)
+        def counting(f, aps, *args, **kwargs):
+            for ap, row in zip(aps, real(f, aps, *args, **kwargs)):
+                calls.append(ap.id)
+                yield row
 
-        monkeypatch.setattr(phy, "link_rss", counting)
+        monkeypatch.setattr(phy, "link_rss_rows", counting)
         aps = random_aps(np.random.default_rng(5), 6)
         site = [AccessPoint(6 + i, 9.0, 0.7) for i in range(4)]
         sels = [
@@ -272,6 +275,33 @@ class TestStreamingCombinedRss:
         ]
         selection.combined_rss_rows(sels, aps + site, self.F, P, CFG, GAMMA_TH)
         assert calls == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_below_cutoff_rejected_even_with_no_ap_selected(self):
+        aps = random_aps(np.random.default_rng(7), 3)
+        for sels in ([], [summed(frozenset({99}))]):
+            with pytest.raises(phy.BelowCutoffError):
+                selection.combined_rss_rows(sels, aps, [150e9, 99e9], P, CFG, GAMMA_TH)
+
+    def test_peak_memory_stays_a_few_grid_rows(self):
+        # one streaming pass over 160 APs on the allocator's 20,001-point
+        # grid; a links x points matrix would take at least 160 rows
+        f = alloc.grid_freqs((100e9, 300e9), 10e6)
+        assert f.size == 20001
+        aps = random_aps(np.random.default_rng(6), 160)
+        sels = [
+            summed(selection.select_mrt(aps)),
+            summed(selection.select_best_nsel(aps, 2, P, CFG, F_UPPER)),
+            best_per_subchannel(aps),
+            summed(selection.select_nearest(aps)),
+        ]
+        tracemalloc.start()
+        try:
+            rows = selection.combined_rss_rows(sels, aps, f, P, CFG, GAMMA_TH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(sels)
+        assert peak / f.nbytes < 24
 
     def test_scalar_query_equals_array_element(self):
         aps = random_aps(np.random.default_rng(3), 40)
@@ -311,7 +341,7 @@ class TestProperties:
         assert tot["mrt"] >= tot["b2"] >= tot["bps"] > 0
 
     def test_constant_gain_reduces_best_at_to_nearest(self, monkeypatch):
-        monkeypatch.setattr(phy, "antenna_gain", constant_gain)
+        monkeypatch.setattr(phy, "sinc_gain", constant_gain)
         rng = np.random.default_rng(12)
         for _ in range(25):
             aps = random_aps(rng, 6)

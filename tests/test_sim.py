@@ -212,6 +212,14 @@ class TestMonteCarlo:
             sim.monte_carlo(fast_cfg(), "n_aps", [2, bad])
         assert cells == []
 
+    @pytest.mark.parametrize("axis, bad", [("n_aps", 2.5), ("n_aps", 0), ("b_total", -1e9)])
+    def test_bad_value_is_named_by_its_error_type(self, axis, bad):
+        # the one value -> config step; a caller can blame exactly this error
+        # on the values it passed
+        with pytest.raises(sim.AxisValueError, match=f"{axis} = {bad}: ") as info:
+            sim.monte_carlo(fast_cfg(), axis, [4, bad])
+        assert isinstance(info.value, ValueError)
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_fail_before_any_cell(self, monkeypatch, threads):
         cells = []
@@ -314,13 +322,14 @@ class TestSharedLinkPass:
         cfg = fast_cfg(n_aps=n_aps)
         n_grid = alloc.grid_freqs(cfg.band, cfg.ce.step).size
         sizes = []
-        real = phy.link_rss
+        real = phy.link_rss_rows
 
-        def counting(f, *args, **kwargs):
-            sizes.append(np.size(f))
-            return real(f, *args, **kwargs)
+        def counting(*args, **kwargs):
+            for row in real(*args, **kwargs):
+                sizes.append(row.size)
+                yield row
 
-        monkeypatch.setattr(phy, "link_rss", counting)
+        monkeypatch.setattr(phy, "link_rss_rows", counting)
         sim._trial_cell(cfg, 0, 0)
         assert sizes.count(n_grid) == n_aps + 1
 
