@@ -117,12 +117,13 @@ def sinc_gain(x, cfg: AntennaConfig):
     |z|^2 = x^2 + (atten*L/2)^2. Where both vanish (x = 0 with atten = 0)
     the sinc takes its limit 1.
     """
-    x = np.asarray(x, dtype=float)
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     s = cfg.atten * cfg.aperture / 2.0
-    g = np.sin(np.atleast_1d(x))
+    g = np.sin(x)
     g *= g
     g += np.sinh(s) ** 2
-    den = np.atleast_1d(x * x)
+    den = x * x
     den += s * s
     if s * s == 0.0:
         at_zero = den == 0.0
@@ -131,7 +132,7 @@ def sinc_gain(x, cfg: AntennaConfig):
     if cfg.gain_exponent == 1:
         np.sqrt(g, out=g)
     g *= (cfg.efficiency * cfg.aperture) ** cfg.gain_exponent
-    return g.reshape(x.shape)
+    return g.reshape(shape)
 
 
 def antenna_gain(f, theta, cfg: AntennaConfig):
