@@ -13,7 +13,6 @@ from .alloc import (
     GridRss,
     Subchannel,
     SubchannelPlan,
-    build_plan,
     ce_optimize,
     integrated_rate,
     plan_rate,
@@ -23,10 +22,7 @@ from .phy import (
     AntennaConfig,
     BelowCutoffError,
     antenna_gain,
-    link_rss,
-    path_gain,
     peak_frequency,
-    phase_constant,
     wavenumber,
 )
 from .selection import (

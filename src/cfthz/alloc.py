@@ -16,10 +16,11 @@ returns. `CEResult.means` holds the final sampler means.
 The allocator works on a `GridRss` only: every center is snapped to a
 grid index, so the bandwidth search is a lookup in a per-grid width table,
 and all of an iteration's plans are built and scored as `(samples, n_sub)`
-arrays by `_plan_rows` and `_score_rows`. `build_plan` and `plan_rate` are
-their one-row cases. Scalar reference forms of the search, the overlap
-resolution, the trim, the rate and the CE loop live in the tests as their
-oracles.
+arrays by `_plan_rows` and `_score_rows`; `ce_optimize` builds and scores
+its final plan as one more row, and `plan_rate` is the scorer's one-row
+case for plans built elsewhere. Scalar reference forms of the search, the
+overlap resolution, the trim, the rate and the CE loop live in the tests as
+their oracles.
 """
 
 from __future__ import annotations
@@ -125,29 +126,30 @@ class CEResult:
     means: np.ndarray  # Hz, the sampler means after the last iteration
 
 
+def grid_size(band, step):
+    """Number of points of the uniform grid over `band` at `step`."""
+    return int(np.floor((float(band[1]) - float(band[0])) / float(step) + 1e-9)) + 1
+
+
 def grid_freqs(band, step):
     """The uniform frequency grid a `GridRss` over `band` samples."""
-    lo, hi, step = float(band[0]), float(band[1]), float(step)
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return float(band[0]) + float(step) * np.arange(grid_size(band, step))
 
 
 class GridRss:
-    """RSS samples cached on a uniform frequency grid over the band.
+    """RSS samples on a uniform frequency grid over the band.
 
-    `rss_fn` is a frequency -> PSD callable, or that PSD already sampled at
-    `grid_freqs(band, step)`. Calling the grid looks frequencies up by
-    nearest grid index, so the allocator snaps candidate centers to this
-    grid before searching bandwidths.
+    `values` is the PSD sampled at `grid_freqs(band, step)`. Calling the
+    grid looks frequencies up by nearest grid index, so the allocator snaps
+    candidate centers to this grid before searching bandwidths.
     """
 
-    def __init__(self, rss_fn, band, step):
+    def __init__(self, values, band, step):
         self.band = (float(band[0]), float(band[1]))
         if self.band[1] <= self.band[0]:
             raise ValueError(f"band upper {band[1]} must exceed lower {band[0]}")
         self.step = float(step)
         self.freqs = grid_freqs(self.band, self.step)
-        values = rss_fn(self.freqs) if callable(rss_fn) else rss_fn
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != self.freqs.shape:
             raise ValueError(
@@ -232,18 +234,19 @@ def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
     return k_star
 
 
-def integrated_rate(plan: SubchannelPlan, rss_fn, noise_psd, step):
-    """Trapezoidal integral of log2(1 + rss(f)/noise) over each channel;
-    fair for wide channels where the center-RSS objective overstates."""
+def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
+    """Trapezoidal integral of log2(1 + rss(f)/noise) over each channel, at
+    the grid's step; fair for wide channels where the center-RSS objective
+    overstates."""
     if noise_psd <= 0:
         raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
     rate = 0.0
     for ch in plan.channels:
         if ch.width <= 0:
             continue
-        n_pts = max(2, int(np.ceil(ch.width / step)) + 1)
+        n_pts = max(2, int(np.ceil(ch.width / grid.step)) + 1)
         f = np.linspace(ch.low, ch.high, n_pts)
-        spectral = np.log2(1.0 + np.asarray(rss_fn(f), dtype=float) / noise_psd)
+        spectral = np.log2(1.0 + grid(f) / noise_psd)
         rate += np.trapezoid(spectral, f)
     return rate
 
@@ -353,14 +356,6 @@ def plan_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     return float(_score_rows(grid, c, w, noise_psd)[0])
 
 
-def build_plan(grid: GridRss, centers, eps_db, total_budget):
-    """Construct a full plan from candidate centers: snap them to the grid,
-    then bandwidth search, overlap resolution and the budget trim."""
-    idx = grid.index_of(np.asarray(centers, dtype=float))
-    c, w = _plan_rows(grid, idx.reshape(1, -1), eps_db, total_budget)
-    return _row_plan(c[0], w[0], total_budget)
-
-
 def variance_smoothing(beta, q, t):
     """beta_t = beta - beta * (1 - 1/(t+1))^q."""
     return beta - beta * (1.0 - 1.0 / (t + 1.0)) ** q
@@ -412,8 +407,9 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
         means = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means
         variances = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances
         variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
-    final_plan = build_plan(grid, means, eps_db, total_budget)
-    final_value = plan_rate(final_plan, grid, noise_psd)
+    centers, widths = _plan_rows(grid, grid.index_of(means)[None, :], eps_db, total_budget)
+    final_value = float(_score_rows(grid, centers, widths, noise_psd)[0])
+    final_plan = _row_plan(centers[0], widths[0], total_budget)
     if final_value > inc_value:
         incumbent, inc_value = final_plan, final_value
     else:
@@ -429,12 +425,12 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
     )
 
 
-def plan_records(plan: SubchannelPlan, rss_fn, noise_psd):
+def plan_records(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Serialize a plan to (index, center_Hz, width_Hz, rss_W_per_Hz,
-    rate_bps) records for machine-readable output."""
+    rate_bps) records for machine-readable output, RSS read on the grid."""
     records = []
     for i, ch in enumerate(plan.channels):
-        g = float(rss_fn(ch.center)) if ch.width > 0 else 0.0
+        g = grid(ch.center) if ch.width > 0 else 0.0
         rate = ch.width * float(np.log2(1.0 + g / noise_psd)) if g > 0 else 0.0
         records.append(
             {

@@ -94,12 +94,6 @@ def _guided(f, f_co):
     return k0, k0 * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
 
-def phase_constant(f, f_co):
-    """Guided phase constant k0(f)*sqrt(1 - (f_co/f)^2); zero at cutoff."""
-    out = _guided(f, f_co)[1]
-    return float(out) if out.ndim == 0 else out
-
-
 def _phase_offset(k0, beta, cos_theta, cfg: AntennaConfig):
     """x = (beta - k0*cos(theta))*L/2, the real part of the sinc argument z,
     as a fresh array of at least one dimension."""
@@ -150,15 +144,6 @@ def antenna_gain(f, theta, cfg: AntennaConfig):
     return float(g[0]) if np.broadcast(k0, theta).ndim == 0 else g
 
 
-def path_gain(f, d):
-    """Free-space path gain (c / (4*pi*f*d))^2."""
-    _check_positive("f", f)
-    _check_positive("d", d)
-    amp = SPEED_OF_LIGHT / (4.0 * np.pi * np.asarray(f, dtype=float) * d)
-    out = amp * amp
-    return float(out) if out.ndim == 0 else out
-
-
 def link_rss_rows(f, aps, p, cfg: AntennaConfig):
     """The received PSD p * G(f, theta) * (c / (4*pi*f*d))^2 of each AP in
     `aps`, as an iterator that yields one fresh row per AP in turn.
@@ -190,14 +175,6 @@ def link_rss_rows(f, aps, p, cfg: AntennaConfig):
             yield row
 
     return rows()
-
-
-def link_rss(f, ap, p, cfg: AntennaConfig):
-    """Received PSD of a single AP-UE link: p * G(f, theta) * |h|^2, the
-    one-AP case of `link_rss_rows`."""
-    f = np.asarray(f, dtype=float)
-    (row,) = link_rss_rows(f.reshape(1, -1), [ap], p, cfg)
-    return float(row[0]) if f.ndim == 0 else row.reshape(f.shape)
 
 
 def dbm_per_hz_to_w_per_hz(x_dbm_hz):

@@ -27,6 +27,9 @@ ALL_SCHEMES = CE_SCHEMES + BASELINE_SCHEMES
 
 # substream tag of each named stream within one (seed, axis, trial) cell
 _STREAMS = {"scenario": 0, "ce": 1, "colocated": 2}
+# Largest band grid a config may ask for: 100x the default grid's steps.
+# Every link row and GridRss holds one float per grid point.
+MAX_GRID_POINTS = 2_000_001
 
 
 @dataclass
@@ -80,14 +83,18 @@ class ScenarioConfig:
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
-        if "equal_mrt" in self.schemes:
-            spacing = (self.f_upper - self.f_co) / self.ce.n_sub
-            width = self.b_total / self.ce.n_sub
-            if width > spacing:
-                raise ValueError(
-                    f"b_total: the equal_mrt plan overlaps: width {width:.3e} "
-                    f"exceeds spacing {spacing:.3e}"
-                )
+        if not self.schemes or len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes must list at least one scheme, each once: {self.schemes}")
+        n_grid = alloc.grid_size(self.band, self.ce.step)
+        if not 2 <= n_grid <= MAX_GRID_POINTS:
+            raise ValueError(f"ce.step {self.ce.step:g} Hz gives {n_grid} grid points over "
+                             f"f_co..f_upper; need 2 to {MAX_GRID_POINTS}")
+        if set(self.schemes) != {"equal_mrt"} and self.b_total < 2 * self.ce.step:
+            raise ValueError(f"b_total {self.b_total:g} Hz is below one 2 * ce.step channel")
+        # equal_mrt's n_sub channels of b_total/n_sub at a spacing of band/n_sub
+        if "equal_mrt" in self.schemes and self.b_total > self.f_upper - self.f_co:
+            raise ValueError(f"b_total: the equal_mrt plan overlaps: b_total {self.b_total:.3e} "
+                             f"exceeds the band {self.f_upper - self.f_co:.3e}")
         if self.antenna is None:
             self.antenna = AntennaConfig(f_co=self.f_co)
         elif self.antenna.f_co != self.f_co:
@@ -193,9 +200,7 @@ def run_trial(aps, scheme, cfg: ScenarioConfig, rng, ids_rss) -> TrialResult:
     return TrialResult(
         scheme=scheme,
         plan_rate=result.plan_value,
-        integrated_rate=alloc.integrated_rate(
-            result.plan, grid, cfg.noise_psd, cfg.ce.step
-        ),
+        integrated_rate=alloc.integrated_rate(result.plan, grid, cfg.noise_psd),
         active_aps=_active_count(scheme, ids, aps, cfg, result.plan),
         plan=result.plan,
         incumbent_value=result.incumbent_value,
@@ -218,7 +223,7 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
     centers = cfg.f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
     channels = tuple(alloc.Subchannel(c, width) for c in centers)
     plan = alloc.SubchannelPlan(channels, cfg.b_total)
-    irate = alloc.integrated_rate(plan, grid, cfg.noise_psd, cfg.ce.step)
+    irate = alloc.integrated_rate(plan, grid, cfg.noise_psd)
     return TrialResult(
         scheme="equal_mrt",
         plan_rate=alloc.plan_rate(plan, grid, cfg.noise_psd),

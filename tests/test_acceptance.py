@@ -17,6 +17,7 @@ from cfthz.alloc import CEConfig, GridRss
 from cfthz.phy import AntennaConfig
 from cfthz.selection import AccessPoint
 from cfthz.sim import ScenarioConfig
+from oracles import sampled_grid
 
 NOISE = phy.dbm_per_hz_to_w_per_hz(-168.0)
 GAMMA_TH = phy.dbm_per_hz_to_w_per_hz(-174.5)
@@ -45,10 +46,10 @@ def test_c01_gain_peak_tracks_beam_angle():
 def test_c02_analytic_unit_suite():
     cfg = AntennaConfig(f_co=100e9)
     # the guided mode stops propagating exactly at cutoff
-    assert phy.phase_constant(cfg.f_co, cfg.f_co) == 0.0
+    assert phy._guided(cfg.f_co, cfg.f_co)[1] == 0.0
     # above cutoff the guided wavenumber stays below the free-space one
     for f in (100.001e9, 150e9, 299e9, 1e12):
-        assert 0.0 < phy.phase_constant(f, cfg.f_co) < phy.wavenumber(f)
+        assert 0.0 < phy._guided(f, cfg.f_co)[1] < phy.wavenumber(f)
     # the real-form sinc gain takes its limit xi*L at zero phase offset, also
     # without attenuation, and is continuous there
     for atten in (0.0, 130.0):
@@ -59,17 +60,21 @@ def test_c02_analytic_unit_suite():
         for x in (1e-7, -1e-7, 9.9e-5, 1.01e-4):
             assert abs(phy.sinc_gain(x, lossy) - limit) < 1e-6 * limit
     assert phy.sinc_gain(0.0, AntennaConfig(f_co=100e9, atten=0.0)) == 0.09
-    # free-space gain falls off as 1/d^2 and 1/f^2
-    g = phy.path_gain(150e9, 10.0)
-    assert phy.path_gain(150e9, 20.0) == pytest.approx(g / 4, rel=1e-12)
-    assert phy.path_gain(300e9, 10.0) == pytest.approx(g / 4, rel=1e-12)
+    # free-space gain falls off as 1/d^2 and 1/f^2: a link row over p times
+    # the antenna gain
+    theta, f = 0.7, np.array([150e9, 300e9])
+    aps = [AccessPoint(0, 10.0, theta), AccessPoint(1, 20.0, theta)]
+    near, far = phy.link_rss_rows(f, aps, P, cfg)
+    assert far[0] == pytest.approx(near[0] / 4, rel=1e-12)
+    g = near / (P * phy.antenna_gain(f, theta, cfg))
+    assert g[1] == pytest.approx(g[0] / 4, rel=1e-12)
 
 
 def _fixed_scenario_grid():
     aps = [AccessPoint(0, 20.0, 0.7), AccessPoint(1, 35.0, 1.1), AccessPoint(2, 10.0, 0.4)]
     mrt = (selection.select_mrt(aps), np.add)
     cfg = AntennaConfig(f_co=100e9)
-    return GridRss(
+    return sampled_grid(
         lambda f: selection.combined_rss_rows([mrt], aps, f, P, cfg, GAMMA_TH)[0], BAND, 10e6
     )
 
@@ -82,14 +87,11 @@ def test_c03_ce_matches_two_channel_grid_oracle():
     cfg = CEConfig(n_sub=2, samples=200, elites=20, max_iter=30, step=10e6)
     kw = dict(eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
 
-    centers = grid.snap(np.linspace(BAND[0] + 5e8, BAND[1] - 5e8, 64))
-    oracle = 0.0
-    for c1 in centers:
-        for c2 in centers:
-            plan = alloc.build_plan(
-                grid, np.array([c1, c2]), eps_db=0.5, total_budget=16e9
-            )
-            oracle = max(oracle, alloc.plan_rate(plan, grid, NOISE))
+    # every (c1, c2) pair of 64 centers, each built and rated as one plan row
+    idx = grid.index_of(np.linspace(BAND[0] + 5e8, BAND[1] - 5e8, 64))
+    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
+    centers, widths = alloc._plan_rows(grid, pairs, 0.5, 16e9)
+    oracle = alloc._score_rows(grid, centers, widths, NOISE).max()
     assert oracle > 0
 
     hits = 0
@@ -108,7 +110,7 @@ def test_c04_incumbent_monotone_over_100_runs():
     for run in range(100):
         aps = sim.generate_scenario(rng, scen_cfg)
         mrt = (selection.select_mrt(aps), np.add)
-        grid = GridRss(
+        grid = sampled_grid(
             lambda f: selection.combined_rss_rows([mrt], aps, f, P, scen_cfg.antenna, GAMMA_TH)[0],
             BAND, cfg.step,
         )

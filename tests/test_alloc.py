@@ -11,7 +11,6 @@ from cfthz.alloc import (
     GridRss,
     Subchannel,
     SubchannelPlan,
-    build_plan,
     ce_optimize,
     integrated_rate,
     plan_rate,
@@ -19,6 +18,7 @@ from cfthz.alloc import (
 )
 from cfthz.phy import AntennaConfig
 from cfthz.selection import AccessPoint
+from oracles import link_rss, sampled_grid
 
 BAND = (100e9, 300e9)
 STEP = 10e6
@@ -34,7 +34,7 @@ ORACLE_FINE_WIDTH = 5056e6
 
 
 def oracle_rss(f):
-    return phy.link_rss(f, ORACLE_AP, P, CFG)
+    return link_rss(f, ORACLE_AP, P, CFG)
 
 
 def flat_rss(level=1e-19):
@@ -132,6 +132,14 @@ def resolve_overlaps(raw, rss_fn, reflatten=None):
         else:
             resolved.append(Subchannel(ch.center, 0.0))
     return resolved
+
+
+def build_plan(grid, centers, eps_db, total_budget):
+    """The plan of one row of candidate centers, snapped to the grid: the
+    one-row case of `alloc._plan_rows`."""
+    idx = grid.index_of(np.asarray(centers, dtype=float)).reshape(1, -1)
+    c, w = alloc._plan_rows(grid, idx, eps_db, total_budget)
+    return alloc._row_plan(c[0], w[0], total_budget)
 
 
 def trim_to_budget(plan, rss_fn):
@@ -274,10 +282,10 @@ def gated_link_grid(step=200e6):
     """One link gated at its median RSS: about half the band is dead."""
     ap = AccessPoint(0, 12.0, np.radians(55.0))
     freqs = np.arange(BAND[0], BAND[1] + step / 2, step)
-    gamma = float(np.median(phy.link_rss(freqs, ap, P, CFG)))
+    gamma = float(np.median(link_rss(freqs, ap, P, CFG)))
     link = (selection.select_nearest([ap]), np.add)
-    return GridRss(lambda f: selection.combined_rss_rows([link], [ap], f, P, CFG, gamma)[0],
-                   BAND, step)
+    return sampled_grid(lambda f: selection.combined_rss_rows([link], [ap], f, P, CFG, gamma)[0],
+                        BAND, step)
 
 
 def dead_end_grid():
@@ -285,14 +293,14 @@ def dead_end_grid():
     band edge, the others one step before the dead pair."""
     values = np.full(301, 1e-19)
     values[-1] = 0.0
-    return GridRss(lambda f: values, (100e9, 103e9), 10e6)
+    return GridRss(values, (100e9, 103e9), 10e6)
 
 
 def plateau_grid():
     """Exactly flat plateaus, a 0.2 dB step, 3 dB steps and dead stretches."""
     levels = [1e-19, 1e-19, 0.0, 2e-19, 1.05e-19, 0.0, 0.0, 1e-19, 4e-19, 1e-19]
     values = np.repeat(levels, 37)[:361]
-    return GridRss(lambda f: values, (0.0, 120.0), 1.0 / 3.0)
+    return GridRss(values, (0.0, 120.0), 1.0 / 3.0)
 
 
 class TestCoherenceSearch:
@@ -323,7 +331,7 @@ class TestCoherenceSearch:
         assert w == pytest.approx(1e9)
 
     def test_grid_path_agrees_with_generic(self):
-        grid = GridRss(oracle_rss, BAND, STEP)
+        grid = sampled_grid(oracle_rss, BAND, STEP)
         centers = grid.snap(np.array([120e9, 150e9, 222e9, 280e9]))
         widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5)
         widths_gen = [coherence_search(oracle_rss, c, 0.5, BAND, STEP) for c in centers]
@@ -363,7 +371,7 @@ class TestGridWidthTable:
         assert third.tolist() == [second[1], second[0]]
 
     def test_two_caps_keep_separate_tables(self):
-        grid = GridRss(flat_rss(), BAND, STEP)
+        grid = sampled_grid(flat_rss(), BAND, STEP)
         idx = grid.index_of(np.array([150e9, 200e9]))
         capped = alloc._grid_widths(grid, idx, 0.5, max_width=1e9)
         free = alloc._grid_widths(grid, idx, 0.5)
@@ -396,7 +404,7 @@ def kernel_cases(draw):
     if values.size < 3:
         values = np.resize(values, 3)
     n = values.size
-    grid = GridRss(lambda f: values, (band0, band0 + step * (n - 1)), step)
+    grid = GridRss(values, (band0, band0 + step * (n - 1)), step)
     assert grid.freqs.size == n
     pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
     n_sub = draw(st.integers(1, 10))
@@ -431,7 +439,7 @@ class TestPlanKernel:
         # rounding cases in every run
         rng = np.random.default_rng(12)
         values = np.repeat(rng.choice([0.0, 1e-19, 1.05e-19, 2e-19], 40), rng.integers(1, 30, 40))
-        grid = GridRss(lambda f: values, (band0, band0 + step * (values.size - 1)), step)
+        grid = GridRss(values, (band0, band0 + step * (values.size - 1)), step)
         assert grid.freqs.size == values.size
         idx = rng.integers(0, values.size, size=(400, 8))
         for budget in (3.3, 40.0, 1e3):
@@ -442,7 +450,7 @@ class TestPlanKernel:
         # does; a pairwise or rank-order total can round past the budget
         rng = np.random.default_rng(13)
         values = np.repeat(rng.choice([1e-19, 1.05e-19, 2e-19], 60), rng.integers(20, 60, 60))
-        grid = GridRss(lambda f: values, (7.3, 7.3 + 0.1 * (values.size - 1)), 0.1)
+        grid = GridRss(values, (7.3, 7.3 + 0.1 * (values.size - 1)), 0.1)
         for row in rng.integers(0, values.size, size=(300, 12)):
             _, untrimmed = alloc._plan_rows(grid, row[None, :], 0.5, 1e9)
             budget = np.cumsum(untrimmed[0])[-1]
@@ -456,7 +464,7 @@ class TestPlanKernel:
         # is then shrunk to [1, 15], the flat pair about grid point 8
         values = np.full(121, 1e-19)
         values[50], values[86] = 2e-19, 4e-19
-        grid = GridRss(lambda f: values, (0.0, 120.0), 1.0)
+        grid = GridRss(values, (0.0, 120.0), 1.0)
         idx = np.array([[15, 50]])
         centers, widths = alloc._plan_rows(grid, idx, 0.5, 1e3)
         assert widths.tolist() == [[14.0, 70.0]]
@@ -468,7 +476,7 @@ class TestPlanKernel:
     def test_ce_iterate_best_plan_is_scalar_build_of_best_sample(self, seed):
         # one CE iteration: its best sample's plan, built by the scalar
         # chain, is the incumbent unless the final plan rates higher
-        grid = GridRss(oracle_rss, BAND, 50e6)
+        grid = sampled_grid(oracle_rss, BAND, 50e6)
         cfg = CEConfig(n_sub=12, samples=25, elites=5, max_iter=1, step=50e6)
         means = 100e9 + (np.arange(12) + 0.5) * 200e9 / 12
         samples = reference_draw(means, np.full(12, 16.0 * (200e9 / 12) ** 2), cfg, BAND,
@@ -487,7 +495,7 @@ class TestPlanKernel:
             assert (res.incumbent_plan, res.incumbent_value) == (ref_plan, ref_best)
 
     def test_build_plan_is_one_kernel_row(self):
-        grid = GridRss(oracle_rss, BAND, STEP)
+        grid = sampled_grid(oracle_rss, BAND, STEP)
         centers = np.random.default_rng(11).uniform(105e9, 295e9, 30)
         plan = build_plan(grid, centers, 0.5, 16e9)
         assert plan == scalar_chain(grid, grid.index_of(centers), 0.5, 16e9, NOISE)[0]
@@ -621,18 +629,18 @@ class TestRates:
         with pytest.raises(ValueError):
             scalar_plan_rate(SubchannelPlan((), 1e9), flat_rss(), 0.0)
         with pytest.raises(ValueError):
-            integrated_rate(SubchannelPlan((), 1e9), flat_rss(), -1.0, STEP)
+            integrated_rate(SubchannelPlan((), 1e9), sampled_grid(flat_rss(), BAND, STEP), -1.0)
 
     def test_integrated_equals_plan_rate_when_flat(self):
         plan = SubchannelPlan((Subchannel(150e9, 3e9), Subchannel(200e9, 5e9)), 16e9)
         pr = scalar_plan_rate(plan, flat_rss(), NOISE)
-        ir = integrated_rate(plan, flat_rss(), NOISE, STEP)
+        ir = integrated_rate(plan, sampled_grid(flat_rss(), BAND, STEP), NOISE)
         assert ir == pytest.approx(pr, rel=1e-9)
 
     def test_integrated_grid_refinement(self):
         plan = SubchannelPlan((Subchannel(150e9, 4e9),), 16e9)
-        coarse = integrated_rate(plan, oracle_rss, NOISE, STEP)
-        fine = integrated_rate(plan, oracle_rss, NOISE, STEP / 2)
+        coarse = integrated_rate(plan, sampled_grid(oracle_rss, BAND, STEP), NOISE)
+        fine = integrated_rate(plan, sampled_grid(oracle_rss, BAND, STEP / 2), NOISE)
         assert abs(coarse - fine) / fine < 1e-3
 
     def test_integrated_matches_quadrature_oracle(self):
@@ -643,18 +651,18 @@ class TestRates:
             return 1e-20 * 10 ** (0.8e-9 * (f - 150e9) / 10)
 
         plan = SubchannelPlan((Subchannel(150e9, 2e9),), 16e9)
-        got = integrated_rate(plan, rss, NOISE, 1e6)
+        got = integrated_rate(plan, sampled_grid(rss, (140e9, 160e9), 1e6), NOISE)
         assert got == pytest.approx(1415305935.9386465, rel=1e-6)
 
     def test_flatness_bound_on_compliant_plans(self):
         # C3-compliant channels: |plan - integrated| / plan <= eps*ln(10)/10
         eps = 0.5
-        grid = GridRss(oracle_rss, BAND, STEP)
+        grid = sampled_grid(oracle_rss, BAND, STEP)
         rng = np.random.default_rng(2)
         centers = grid.snap(rng.uniform(105e9, 295e9, 20))
         plan = build_plan(grid, centers, eps, 1e12)
         pr = plan_rate(plan, grid, NOISE)
-        ir = integrated_rate(plan, grid, NOISE, STEP)
+        ir = integrated_rate(plan, grid, NOISE)
         assert abs(pr - ir) / pr <= eps * np.log(10) / 10
 
 
@@ -672,7 +680,7 @@ class TestPlanRate:
     oracle, on plans the batched kernel never builds."""
 
     GRIDS = {
-        "link": lambda: GridRss(oracle_rss, BAND, STEP),
+        "link": lambda: sampled_grid(oracle_rss, BAND, STEP),
         "gated": gated_link_grid,
         "plateau": plateau_grid,
     }
@@ -709,14 +717,14 @@ class TestPlanRate:
                 scalar_plan_rate(plan, grid, NOISE)).tobytes()
 
     def test_empty_and_all_zero_plans_rate_zero(self):
-        grid = GridRss(oracle_rss, BAND, STEP)
+        grid = sampled_grid(oracle_rss, BAND, STEP)
         assert plan_rate(SubchannelPlan((), 16e9), grid, NOISE) == 0.0
         zeros = SubchannelPlan((Subchannel(150e9, 0.0), Subchannel(151e9, 0.0)), 16e9)
         assert plan_rate(zeros, grid, NOISE) == 0.0
 
     @pytest.mark.parametrize("noise", [0.0, -1.0])
     def test_noise_must_be_positive(self, noise):
-        grid = GridRss(oracle_rss, BAND, STEP)
+        grid = sampled_grid(oracle_rss, BAND, STEP)
         for plan in (SubchannelPlan((), 1e9), equal_plan(BAND, 4, 1e9)):
             with pytest.raises(ValueError, match="noise_psd"):
                 plan_rate(plan, grid, noise)
@@ -733,7 +741,7 @@ def ce_kwargs():
 
 class TestCEInit:
     def test_means_span_band(self):
-        res = ce_optimize(GridRss(oracle_rss, BAND, STEP), CEConfig(n_sub=40, max_iter=0),
+        res = ce_optimize(sampled_grid(oracle_rss, BAND, STEP), CEConfig(n_sub=40, max_iter=0),
                           np.random.default_rng(0), **ce_kwargs())
         assert res.means[0] == pytest.approx(102.5e9)
         assert res.means[-1] == pytest.approx(297.5e9)
@@ -743,7 +751,7 @@ class TestCEInit:
         # the means to the mean of a draw at the initial std, 4 * 200e9 / 40
         cfg = CEConfig(n_sub=40, samples=6, elites=6, smooth_mean=1.0, smooth_var=1.0,
                        max_iter=1)
-        res = ce_optimize(GridRss(oracle_rss, BAND, STEP), cfg, np.random.default_rng(1),
+        res = ce_optimize(sampled_grid(oracle_rss, BAND, STEP), cfg, np.random.default_rng(1),
                           **ce_kwargs())
         probe = reference_draw(initial_means(40), np.full(40, (20e9) ** 2), cfg, BAND,
                                np.random.default_rng(1))
@@ -751,14 +759,14 @@ class TestCEInit:
         np.testing.assert_allclose(res.means, probe.mean(axis=0), rtol=1e-12)
 
     def test_single_channel_mid_band(self):
-        res = ce_optimize(GridRss(oracle_rss, BAND, STEP), CEConfig(n_sub=1, max_iter=0),
+        res = ce_optimize(sampled_grid(oracle_rss, BAND, STEP), CEConfig(n_sub=1, max_iter=0),
                           np.random.default_rng(0), **ce_kwargs())
         assert res.means[0] == pytest.approx(200e9)
 
     def test_degenerate_band_rejected(self):
         for band in ((300e9, 100e9), (200e9, 200e9)):
             with pytest.raises(ValueError, match="band upper"):
-                GridRss(flat_rss(), band, STEP)
+                sampled_grid(flat_rss(), band, STEP)
 
 
 class TestVarianceSmoothing:
@@ -779,7 +787,7 @@ class TestCEIterate:
         # are the sample mean and the floored sample variance of its draw
         cfg = CEConfig(n_sub=4, samples=30, elites=30, smooth_mean=1.0, smooth_var=1.0,
                        smooth_power=5.0, max_iter=2)
-        grid = GridRss(oracle_rss, BAND, cfg.step)
+        grid = sampled_grid(oracle_rss, BAND, cfg.step)
         res = ce_optimize(grid, cfg, np.random.default_rng(3), **ce_kwargs())
         assert_equals_reference_ce(
             res, reference_ce(grid, cfg, np.random.default_rng(3), **ce_kwargs()))
@@ -795,7 +803,7 @@ class TestCEIterate:
         # a single elite has zero MLE variance; the floor keeps sampling
         # proper, and the next draws spread by one step around it
         cfg = CEConfig(n_sub=2, samples=5, elites=1, smooth_var=1.0, max_iter=3)
-        grid = GridRss(oracle_rss, BAND, cfg.step)
+        grid = sampled_grid(oracle_rss, BAND, cfg.step)
         ref = reference_ce(grid, cfg, np.random.default_rng(4), **ce_kwargs())
         np.testing.assert_array_equal(ref["variances"], cfg.step**2)
         res = ce_optimize(grid, cfg, np.random.default_rng(4), **ce_kwargs())
@@ -838,7 +846,7 @@ class TestReferenceCE:
         # rates exactly 16e9 bit/s: a later tie never replaces the
         # incumbent, and a final plan that only ties does not either
         cfg = CEConfig(n_sub=4, samples=40, elites=5, max_iter=3, step=1e9)
-        grid = GridRss(flat_rss(NOISE), BAND, cfg.step)
+        grid = sampled_grid(flat_rss(NOISE), BAND, cfg.step)
         ref = reference_ce(grid, cfg, np.random.default_rng(9), **ce_kwargs())
         res = ce_optimize(grid, cfg, np.random.default_rng(9), **ce_kwargs())
         assert len(set(ref["best_per_iter"].tolist() + [ref["plan_value"]])) == 1
@@ -850,7 +858,7 @@ class TestReferenceCE:
         # exact levels, and the elite cut splits a tied level: the elites
         # are its lowest-index samples
         cfg = CEConfig(n_sub=4, samples=40, elites=5, max_iter=3, step=1e9)
-        grid = GridRss(flat_rss(NOISE), BAND, cfg.step)
+        grid = sampled_grid(flat_rss(NOISE), BAND, cfg.step)
         kwargs = dict(eps_db=0.5, total_budget=120e9, noise_psd=NOISE)
         ref = reference_ce(grid, cfg, np.random.default_rng(9), **kwargs)
         res = ce_optimize(grid, cfg, np.random.default_rng(9), **kwargs)
@@ -860,7 +868,7 @@ class TestReferenceCE:
 class TestCEOptimize:
     def test_zero_iterations_uses_initial_means(self):
         cfg = CEConfig(n_sub=8, samples=4, elites=2, max_iter=0)
-        grid = GridRss(oracle_rss, BAND, cfg.step)
+        grid = sampled_grid(oracle_rss, BAND, cfg.step)
         res = ce_optimize(grid, cfg, np.random.default_rng(6), **ce_kwargs())
         assert res.best_per_iter.size == res.incumbent_trace.size == 0
         assert res.means.tobytes() == initial_means(8).tobytes()
@@ -871,14 +879,14 @@ class TestCEOptimize:
     def test_flat_scenario_reaches_analytic_optimum(self):
         level = NOISE  # unit SNR everywhere
         cfg = CEConfig(n_sub=8, samples=20, elites=4, max_iter=5)
-        res = ce_optimize(GridRss(flat_rss(level), BAND, cfg.step), cfg,
+        res = ce_optimize(sampled_grid(flat_rss(level), BAND, cfg.step), cfg,
                           np.random.default_rng(7), **ce_kwargs())
         analytic = 16e9 * np.log2(2.0)
         assert res.plan_value == pytest.approx(analytic, rel=0.05)
 
     def test_incumbent_trace_non_decreasing(self):
         cfg = CEConfig(n_sub=6, samples=10, elites=3, max_iter=8)
-        res = ce_optimize(GridRss(oracle_rss, BAND, cfg.step), cfg,
+        res = ce_optimize(sampled_grid(oracle_rss, BAND, cfg.step), cfg,
                           np.random.default_rng(8), **ce_kwargs())
         assert np.all(np.diff(res.incumbent_trace) >= 0)
         assert res.incumbent_value >= res.incumbent_trace[-1] - 1e-9
@@ -908,14 +916,14 @@ class TestCEOptimize:
         cfg = CEConfig(n_sub=10, samples=8, elites=2, max_iter=3)
         for _ in range(10):
             ap = AccessPoint(0, rng.uniform(1, 50), rng.uniform(0.1, 1.4))
-            grid = GridRss(lambda f: phy.link_rss(f, ap, P, CFG), BAND, cfg.step)
+            grid = sampled_grid(lambda f: link_rss(f, ap, P, CFG), BAND, cfg.step)
             res = ce_optimize(grid, cfg, rng, **ce_kwargs())
             res.plan.validate(BAND)
             res.incumbent_plan.validate(BAND)
 
     def test_determinism(self):
         cfg = CEConfig(n_sub=4, samples=6, elites=2, max_iter=3)
-        grid = GridRss(oracle_rss, BAND, cfg.step)
+        grid = sampled_grid(oracle_rss, BAND, cfg.step)
         r1 = ce_optimize(grid, cfg, np.random.default_rng(10), **ce_kwargs())
         r2 = ce_optimize(grid, cfg, np.random.default_rng(10), **ce_kwargs())
         assert r1.plan == r2.plan
@@ -961,7 +969,7 @@ class TestEmittedPlansAreFlat:
 class TestPlanRecords:
     def test_fields_and_rates(self):
         plan = SubchannelPlan((Subchannel(150e9, 1e9), Subchannel(200e9, 0.0)), 16e9)
-        recs = alloc.plan_records(plan, flat_rss(NOISE), NOISE)
+        recs = alloc.plan_records(plan, sampled_grid(flat_rss(NOISE), BAND, STEP), NOISE)
         assert [r["index"] for r in recs] == [0, 1]
         assert recs[0]["rate_bps"] == pytest.approx(1e9)
         assert recs[1]["rate_bps"] == 0.0

@@ -497,6 +497,27 @@ class TestMainErrors:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "trial.json").exists()
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [("ce.step_hz = 300e9", "ce.step"), ("f_upper_hz = 100.000001e9", "f_upper"),
+         ("ce.step_hz = 1e-3", "ce.step"), ("b_total_hz = 1e3", "b_total"),
+         ("schemes = ,", "schemes"), ("schemes = mrt,mrt", "schemes")],
+        ids=["step-above-band", "band-below-step", "grid-too-large", "budget-below-channel",
+             "schemes-empty", "schemes-repeated"],
+    )
+    def test_degenerate_config_exit_code(self, tmp_path, capsys, line, field):
+        # each once ran to exit 0 with all-zero rates, an empty or repeated
+        # sweep CSV, or a numpy memory error
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", str(p), "--axis", "n_aps", "--values", "3",
+                       "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not out.exists()
+
     def test_zero_trials_flag_exit_code(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--axis", "n_aps", "--values", "4", "--trials", "0",
                        "--out", str(tmp_path)])

@@ -1,0 +1,23 @@
+import types
+
+import cfthz
+
+# The top-level API. A name added to or dropped from `cfthz/__init__.py`
+# has to be added to or dropped from this set as well.
+EXPORTS = {
+    "AccessPoint", "AntennaConfig", "BelowCutoffError", "CEConfig", "CEResult", "GridRss",
+    "SPEED_OF_LIGHT", "ScenarioConfig", "Subchannel", "SubchannelPlan", "SweepResult",
+    "TrialResult", "antenna_gain", "ce_optimize", "generate_scenario", "integrated_rate",
+    "monte_carlo", "peak_frequency", "plan_rate", "run_trial", "select_best_at",
+    "select_best_nsel", "select_mrt", "select_nearest", "wavenumber",
+}
+
+
+def test_top_level_exports_are_pinned():
+    # submodules (alloc, phy, ...) become attributes once imported; they are
+    # reached by their module path, not exported
+    public = {
+        name for name, value in vars(cfthz).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == EXPORTS

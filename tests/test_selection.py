@@ -6,6 +6,7 @@ import pytest
 from cfthz import alloc, phy, selection
 from cfthz.phy import AntennaConfig
 from cfthz.selection import AccessPoint
+from oracles import link_rss
 
 CFG = AntennaConfig(f_co=100e9)
 P = 1.0 / 16e9
@@ -76,7 +77,7 @@ class TestSelectBestNsel:
         scored = sorted(
             aps,
             key=lambda ap: (
-                -phy.link_rss(
+                -link_rss(
                     min(phy.peak_frequency(ap.angle, CFG.f_co), F_UPPER), ap, P, CFG
                 ),
                 ap.id,
@@ -105,7 +106,7 @@ class TestSelectBestAt:
     def test_matches_exhaustive_argmax(self):
         aps = random_aps(np.random.default_rng(5), 5)
         f = 250e9
-        rss = [phy.link_rss(f, ap, P, CFG) for ap in aps]
+        rss = [link_rss(f, ap, P, CFG) for ap in aps]
         assert selection.select_best_at(aps, f, P, CFG) == int(np.argmax(rss))
 
     def test_below_band_rejected(self):
@@ -122,7 +123,7 @@ class TestSelectBestAt:
         got = selection.select_best_at(aps, f, P, CFG)
         assert got.shape == f.shape
         for fi, best in zip(f, got):
-            rss = {ap.id: phy.link_rss(fi, ap, P, CFG) for ap in aps}
+            rss = {ap.id: link_rss(fi, ap, P, CFG) for ap in aps}
             assert best == max(sorted(rss), key=lambda i: rss[i])
             scalar = selection.select_best_at(aps, fi, P, CFG)
             assert type(scalar) is int and scalar == best
@@ -162,7 +163,7 @@ class TestCombinedRss:
     def test_mrt_additivity_two_identical_aps(self):
         aps = [AccessPoint(0, 10.0, 0.8), AccessPoint(1, 10.0, 0.8)]
         sel = summed(selection.select_mrt(aps))
-        single = phy.link_rss(150e9, aps[0], P, CFG)
+        single = link_rss(150e9, aps[0], P, CFG)
         (got,) = one_row(sel, aps, 150e9, 0.0)
         assert got == pytest.approx(2 * single)
 
@@ -172,7 +173,7 @@ class TestCombinedRss:
         f = 180e9
         expected = sum(
             rss
-            for rss in (phy.link_rss(f, ap, P, CFG) for ap in aps)
+            for rss in (link_rss(f, ap, P, CFG) for ap in aps)
             if rss >= GAMMA_TH
         )
         (got,) = one_row(sel, aps, f, GAMMA_TH)
@@ -181,7 +182,7 @@ class TestCombinedRss:
     def test_best_per_subchannel_is_max_form(self):
         aps = random_aps(np.random.default_rng(8), 5)
         f = 220e9
-        rss = np.array([phy.link_rss(f, ap, P, CFG) for ap in aps])
+        rss = np.array([link_rss(f, ap, P, CFG) for ap in aps])
         rss[rss < GAMMA_TH] = 0.0
         (got,) = one_row(best_per_subchannel(aps), aps, f, GAMMA_TH)
         assert got == pytest.approx(rss.max())
@@ -199,7 +200,7 @@ def materialized_combined_rss(sel, aps, f, gamma_th):
     """Reference: the (links x points) matrix of the selected APs, gated, then
     reduced at once by the selection's rule (sum or max)."""
     ids, combine = sel
-    per_link = np.array([phy.link_rss(f, ap, P, CFG) for ap in aps if ap.id in ids])
+    per_link = np.array([link_rss(f, ap, P, CFG) for ap in aps if ap.id in ids])
     per_link[per_link < gamma_th] = 0.0
     return per_link.max(axis=0) if combine is np.maximum else per_link.sum(axis=0)
 
@@ -219,7 +220,7 @@ class TestStreamingCombinedRss:
             summed(selection.select_nearest(aps)),
             summed(frozenset({n_aps, n_aps + 1})),
         ]
-        assert np.all(phy.link_rss(self.F, aps[-1], P, CFG) < GAMMA_TH)
+        assert np.all(link_rss(self.F, aps[-1], P, CFG) < GAMMA_TH)
         for i, sel in enumerate(sels):
             got = one_row(sel, aps, self.F, GAMMA_TH)
             expected = materialized_combined_rss(sel, aps, self.F, GAMMA_TH)

@@ -4,6 +4,7 @@ import pytest
 from cfthz import alloc, phy, selection, sim
 from cfthz.alloc import CEConfig
 from cfthz.sim import ScenarioConfig
+from oracles import link_rss
 
 
 def fast_cfg(**kw):
@@ -85,6 +86,41 @@ class TestRunTrial:
         res.plan.validate(cfg.band)
 
 
+class TestDegenerateConfigsRejected:
+    """Configs whose band grid or budget leaves no channel to allocate fail
+    when they are built, naming the field."""
+
+    def test_grid_needs_two_points(self):
+        schemes = ("mrt",)
+        one_point = r"ce\.step .* gives 1 grid points over f_co\.\.f_upper"
+        for kw in (dict(ce=CEConfig(step=300e9)), dict(f_upper=100.000001e9)):
+            with pytest.raises(ValueError, match=one_point):
+                fast_cfg(schemes=schemes, **kw)
+        fast_cfg(schemes=schemes, f_upper=100e9 + 50e6, b_total=1e9)
+
+    def test_grid_size_is_bounded(self):
+        # the grid is counted, never built: 2e14 points raise at once
+        with pytest.raises(ValueError, match=r"ce\.step 0\.001 Hz gives 200000000000001 grid"):
+            fast_cfg(ce=CEConfig(step=1e-3))
+        band = 300e9 - 100e9
+        fast_cfg(ce=CEConfig(step=band / (sim.MAX_GRID_POINTS - 1)))
+        with pytest.raises(ValueError, match=f"gives {sim.MAX_GRID_POINTS + 1} grid points"):
+            fast_cfg(ce=CEConfig(step=band / sim.MAX_GRID_POINTS))
+
+    @pytest.mark.parametrize("scheme", sim.CE_SCHEMES + ("colocated",))
+    def test_budget_admits_one_channel(self, scheme):
+        with pytest.raises(ValueError, match=r"b_total 1000 Hz is below one 2 \* ce\.step"):
+            fast_cfg(b_total=1e3, schemes=(scheme, "equal_mrt"))
+        fast_cfg(b_total=2 * 50e6, schemes=(scheme,))
+        # the equal split has no width search to starve
+        fast_cfg(b_total=1e3, schemes=("equal_mrt",))
+
+    @pytest.mark.parametrize("schemes", [(), ("mrt", "mrt"), ("nearest", "mrt", "nearest")])
+    def test_schemes_empty_or_repeated(self, schemes):
+        with pytest.raises(ValueError, match="schemes must list at least one scheme, each once"):
+            fast_cfg(schemes=schemes)
+
+
 class TestEqualAllocationBaseline:
     def test_plan_geometry_from_defaults(self):
         # 40 channels of 0.4 GHz at 5 GHz spacing inside a 200 GHz band
@@ -122,7 +158,7 @@ class TestColocatedBaseline:
         aps = [selection.AccessPoint(i, 10.0, 0.8) for i in range(6)]
         mrt = (selection.select_mrt(aps), np.add)
         f = 150e9
-        one = phy.link_rss(f, aps[0], cfg.p, cfg.antenna)
+        one = link_rss(f, aps[0], cfg.p, cfg.antenna)
         (combined,) = selection.combined_rss_rows([mrt], aps, [f], cfg.p, cfg.antenna, 0.0)
         assert combined == pytest.approx(6 * one)
 
@@ -216,8 +252,9 @@ class TestMonteCarlo:
     def test_bad_value_is_named_by_its_error_type(self, axis, bad):
         # the one value -> config step; a caller can blame exactly this error
         # on the values it passed
+        good = {"n_aps": 4, "b_total": 4e9}[axis]
         with pytest.raises(sim.AxisValueError, match=f"{axis} = {bad}: ") as info:
-            sim.monte_carlo(fast_cfg(), axis, [4, bad])
+            sim.monte_carlo(fast_cfg(), axis, [good, bad])
         assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("threads", [0, -1])
@@ -340,7 +377,7 @@ class TestSharedLinkPass:
         cfg = fast_cfg(n_aps=n_aps, radius=8.0)
         aps = sim.generate_scenario(np.random.default_rng(n_aps), cfg)
         f = alloc.grid_freqs(cfg.band, cfg.ce.step)
-        links = np.array([phy.link_rss(f, ap, cfg.p, cfg.antenna) for ap in aps])
+        links = np.array([link_rss(f, ap, cfg.p, cfg.antenna) for ap in aps])
         links[links < cfg.gamma_th] = 0.0
         best = sorted(selection.select_best_nsel(
             aps, min(cfg.n_sel, n_aps), cfg.p, cfg.antenna, cfg.f_upper))
@@ -364,7 +401,6 @@ class TestSharedLinkPass:
         rss = np.linspace(1.0, 2.0, freqs.size)
         grid = alloc.GridRss(rss, cfg.band, cfg.ce.step)
         assert grid.freqs.tobytes() == freqs.tobytes()
-        from_fn = alloc.GridRss(lambda f: rss, cfg.band, cfg.ce.step)
-        assert grid.values.tobytes() == from_fn.values.tobytes()
+        assert grid.values.tobytes() == rss.tobytes()
         with pytest.raises(ValueError, match="shape"):
             alloc.GridRss(rss[:-1], cfg.band, cfg.ce.step)
