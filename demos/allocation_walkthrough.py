@@ -21,7 +21,7 @@ aps = generate_scenario(rng, cfg)
 print("scenario:")
 for ap in aps:
     print(f"  AP {ap.id}: d = {ap.distance:5.1f} m, theta = {np.degrees(ap.angle):5.1f} deg,"
-          f" peak near {cfg.f_co / np.sin(ap.angle) / 1e9:6.1f} GHz")
+          f" peak near {cfg.antenna.f_co / np.sin(ap.angle) / 1e9:6.1f} GHz")
 
 _, mrt_row = scheme_rss(["mrt"], aps, cfg)["mrt"]
 rss = GridRss(mrt_row, cfg.band, cfg.ce.step)

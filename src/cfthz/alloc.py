@@ -86,7 +86,7 @@ class SubchannelPlan:
                     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CEConfig:
     """Cross-entropy hyperparameters and the bandwidth-search grid."""
 
@@ -176,9 +176,6 @@ class GridRss:
     def index_of(self, f):
         idx = np.round((np.asarray(f, dtype=float) - self.band[0]) / self.step)
         return np.clip(idx.astype(int), 0, self.freqs.size - 1)
-
-    def snap(self, f):
-        return self.freqs[self.index_of(f)]
 
     def __call__(self, f):
         out = self.values[self.index_of(f)]

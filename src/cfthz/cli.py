@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 # Config keys whose name carries a unit, and the field path each one sets.
 _UNIT_KEYS = {
     "radius_m": "radius", "d_min_m": "d_min", "angle_guard_rad": "angle_guard",
-    "f_co_hz": "f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
+    "f_co_hz": "antenna.f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
     "p_total_w": "p_total", "noise_psd_dbm_hz": "noise_psd", "gamma_th_dbm_hz": "gamma_th",
     "antenna.atten_per_m": "antenna.atten", "antenna.aperture_m": "antenna.aperture",
     "ce.step_hz": "ce.step",
@@ -45,13 +45,12 @@ _PSD_FIELDS = {"noise_psd", "gamma_th"}  # W/Hz fields written in dBm/Hz
 
 
 def _field_paths(obj, prefix=""):
-    """(dotted path, value) of every leaf field of a config dataclass; the
-    antenna's f_co is the scenario's f_co and has no key of its own."""
+    """(dotted path, value) of every leaf field of a config dataclass."""
     for f in fields(obj):
         path, value = prefix + f.name, getattr(obj, f.name)
         if is_dataclass(value):
             yield from _field_paths(value, path + ".")
-        elif path != "antenna.f_co":
+        else:
             yield path, value
 
 
@@ -128,7 +127,7 @@ def load_config(path=None, overrides=None):
     entries.update(overrides or {})
     vals = {_UNIT_KEYS.get(k, k): _coerce(k, v) for k, v in entries.items()}
     try:
-        antenna = AntennaConfig(f_co=vals["f_co"], **_kwargs(vals, "antenna."))
+        antenna = AntennaConfig(**_kwargs(vals, "antenna."))
         ce = CEConfig(**_kwargs(vals, "ce."))
         cfg = ScenarioConfig(antenna=antenna, ce=ce, **_kwargs(vals, ""))
     except ValueError as exc:
@@ -189,7 +188,7 @@ def cmd_gain(cfg, thetas, f_start, f_stop, f_count, out):
             raise ConfigError(f"--thetas must lie in (0, pi/2), got {theta}")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     freqs = np.linspace(f_start, f_stop, f_count)
-    in_band = freqs >= cfg.f_co
+    in_band = freqs >= cfg.antenna.f_co
     skipped = int((~in_band).sum()) * len(thetas)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)

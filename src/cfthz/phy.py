@@ -38,7 +38,7 @@ def _check_positive(name, value):
 class AntennaConfig:
     """Leaky-wave antenna parameters.
 
-    f_co         cutoff frequency [Hz]
+    f_co         cutoff frequency [Hz], the lower edge of a scenario's band
     atten        attenuation coefficient along the aperture [1/m]
     aperture     aperture length L [m]
     efficiency   radiation efficiency factor, 0 < xi <= 1
@@ -46,7 +46,7 @@ class AntennaConfig:
                  source model), 2 = power-style |.|^2
     """
 
-    f_co: float
+    f_co: float = 100e9
     atten: float = 130.0
     aperture: float = 0.09
     efficiency: float = 1.0

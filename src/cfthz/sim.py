@@ -32,16 +32,16 @@ _STREAMS = {"scenario": 0, "ce": 1, "colocated": 2}
 MAX_GRID_POINTS = 2_000_001
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment configuration with simulation-parameter defaults."""
+    """Full experiment configuration with simulation-parameter defaults;
+    immutable, so the checks in `__post_init__` hold for its lifetime."""
 
     n_aps: int = 20
     n_sel: int = 2
     radius: float = 50.0  # m
     d_min: float = 0.5  # m, keeps free-space loss finite
     angle_guard: float = 0.01  # rad, keeps theta off both interval ends
-    f_co: float = 100e9
     f_upper: float = 300e9
     b_total: float = 16e9
     p_total: float = 1.0  # W, PSD p = p_total / b_total
@@ -51,7 +51,7 @@ class ScenarioConfig:
     trials: int = 200
     seed: int = 1234
     schemes: tuple = ALL_SCHEMES
-    antenna: AntennaConfig | None = None
+    antenna: AntennaConfig = field(default_factory=AntennaConfig)
     ce: CEConfig = field(default_factory=CEConfig)
 
     def __post_init__(self):
@@ -74,8 +74,8 @@ class ScenarioConfig:
             raise ValueError("d_min must be > 0")
         if self.radius <= self.d_min:
             raise ValueError("radius must exceed d_min")
-        if self.f_upper <= self.f_co:
-            raise ValueError("f_upper must exceed f_co")
+        if self.f_upper <= self.antenna.f_co:
+            raise ValueError("f_upper must exceed antenna.f_co")
         if self.p_total <= 0:
             raise ValueError("p_total must be > 0")
         if self.b_total <= 0:
@@ -85,22 +85,20 @@ class ScenarioConfig:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         if not self.schemes or len(set(self.schemes)) < len(self.schemes):
             raise ValueError(f"schemes must list at least one scheme, each once: {self.schemes}")
+        # a CE channel needs a grid point on each side of its center
+        ce_listed = set(self.schemes) != {"equal_mrt"}
+        n_min = 3 if ce_listed else 2
         n_grid = alloc.grid_size(self.band, self.ce.step)
-        if not 2 <= n_grid <= MAX_GRID_POINTS:
+        if not n_min <= n_grid <= MAX_GRID_POINTS:
             raise ValueError(f"ce.step {self.ce.step:g} Hz gives {n_grid} grid points over "
-                             f"f_co..f_upper; need 2 to {MAX_GRID_POINTS}")
-        if set(self.schemes) != {"equal_mrt"} and self.b_total < 2 * self.ce.step:
+                             f"antenna.f_co..f_upper; need {n_min} to {MAX_GRID_POINTS}")
+        if ce_listed and self.b_total < 2 * self.ce.step:
             raise ValueError(f"b_total {self.b_total:g} Hz is below one 2 * ce.step channel")
         # equal_mrt's n_sub channels of b_total/n_sub at a spacing of band/n_sub
-        if "equal_mrt" in self.schemes and self.b_total > self.f_upper - self.f_co:
+        span = self.f_upper - self.antenna.f_co
+        if "equal_mrt" in self.schemes and self.b_total > span:
             raise ValueError(f"b_total: the equal_mrt plan overlaps: b_total {self.b_total:.3e} "
-                             f"exceeds the band {self.f_upper - self.f_co:.3e}")
-        if self.antenna is None:
-            self.antenna = AntennaConfig(f_co=self.f_co)
-        elif self.antenna.f_co != self.f_co:
-            raise ValueError(
-                f"antenna.f_co {self.antenna.f_co} != config f_co {self.f_co}"
-            )
+                             f"exceeds the band {span:.3e}")
 
     @property
     def p(self):
@@ -109,7 +107,7 @@ class ScenarioConfig:
 
     @property
     def band(self):
-        return (self.f_co, self.f_upper)
+        return (self.antenna.f_co, self.f_upper)
 
 
 @dataclass
@@ -217,10 +215,11 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
     equal_mrt has a budget whose equal plan does not overlap.
     """
     n_sub = cfg.ce.n_sub
-    spacing = (cfg.f_upper - cfg.f_co) / n_sub
+    f_co, f_upper = cfg.band
+    spacing = (f_upper - f_co) / n_sub
     width = cfg.b_total / n_sub
     grid = GridRss(mrt_rss, cfg.band, cfg.ce.step)
-    centers = cfg.f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
+    centers = f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
     channels = tuple(alloc.Subchannel(c, width) for c in centers)
     plan = alloc.SubchannelPlan(channels, cfg.b_total)
     irate = alloc.integrated_rate(plan, grid, cfg.noise_psd)

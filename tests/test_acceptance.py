@@ -145,7 +145,7 @@ def test_c05_plan_validity_fuzz():
             # per-channel flatness at construction: the channel around
             # snapped center i never exceeds its coherence width, and the
             # pair of symmetric edges at that width stays within eps dB
-            snapped = grid.snap(np.asarray(res.means))
+            snapped = grid.freqs[grid.index_of(np.asarray(res.means))]
             raw_w = alloc._grid_widths(grid, grid.index_of(snapped), cfg.eps_db)
             for i, ch in enumerate(res.plan.channels):
                 if ch.width <= 0:
@@ -163,7 +163,8 @@ def test_c05_plan_validity_fuzz():
 def test_c06_scheme_ordering_distributed_beats_colocated():
     start = time.perf_counter()
     cfg = ScenarioConfig(
-        f_co=100e9, b_total=16e9, n_aps=20, n_sel=2, trials=200, seed=1234,
+        antenna=AntennaConfig(f_co=100e9), b_total=16e9, n_aps=20, n_sel=2, trials=200,
+        seed=1234,
         schemes=("mrt", "best_nsel", "best_per_subchannel", "nearest", "colocated"),
         ce=DESK_CE,
     )
@@ -184,8 +185,8 @@ def test_c06_scheme_ordering_distributed_beats_colocated():
 
 def test_c07_optimized_best1_beats_equal_split_in_high_band():
     cfg = ScenarioConfig(
-        f_co=200e9, b_total=8e9, n_aps=20, trials=200, seed=1234,
-        schemes=("best_per_subchannel", "equal_mrt"), ce=DESK_CE, antenna=None,
+        antenna=AntennaConfig(f_co=200e9), b_total=8e9, n_aps=20, trials=200, seed=1234,
+        schemes=("best_per_subchannel", "equal_mrt"), ce=DESK_CE,
     )
     rows = sim.monte_carlo(cfg, "n_aps", [20], threads=8).rows
     mean = {row.scheme: row.mean_rate for row in rows}
@@ -232,7 +233,7 @@ def test_c09_sweep_csv_byte_identical(tmp_path):
 def test_c10_rate_grows_with_ap_count():
     for f_co in (100e9, 200e9):
         cfg = ScenarioConfig(
-            f_co=f_co, trials=50, seed=7, schemes=("mrt",), ce=DESK_CE, antenna=None
+            antenna=AntennaConfig(f_co=f_co), trials=50, seed=7, schemes=("mrt",), ce=DESK_CE
         )
         rows = sim.monte_carlo(cfg, "n_aps", [10, 40], threads=8).rows
         r10, r40 = rows[0].mean_rate, rows[1].mean_rate

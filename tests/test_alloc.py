@@ -122,7 +122,7 @@ def resolve_overlaps(raw, rss_fn, reflatten=None):
         lo, hi = interval or (ch.center, ch.center)
         if reflatten is not None and interval is not None and interval != (ch.low, ch.high):
             grid = rss_fn
-            f_m = grid.snap((lo + hi) / 2.0)
+            f_m = grid.freqs[grid.index_of((lo + hi) / 2.0)]
             fit = np.floor(min(f_m - lo, hi - f_m) / grid.step + 1e-9) * grid.step
             half = min(coherence_search(grid, f_m, reflatten[0], grid.band, grid.step,
                                         max_width=reflatten[1]) / 2.0, fit)
@@ -332,7 +332,7 @@ class TestCoherenceSearch:
 
     def test_grid_path_agrees_with_generic(self):
         grid = sampled_grid(oracle_rss, BAND, STEP)
-        centers = grid.snap(np.array([120e9, 150e9, 222e9, 280e9]))
+        centers = grid.freqs[grid.index_of(np.array([120e9, 150e9, 222e9, 280e9]))]
         widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5)
         widths_gen = [coherence_search(oracle_rss, c, 0.5, BAND, STEP) for c in centers]
         np.testing.assert_allclose(widths_grid, widths_gen)
@@ -659,7 +659,7 @@ class TestRates:
         eps = 0.5
         grid = sampled_grid(oracle_rss, BAND, STEP)
         rng = np.random.default_rng(2)
-        centers = grid.snap(rng.uniform(105e9, 295e9, 20))
+        centers = grid.freqs[grid.index_of(rng.uniform(105e9, 295e9, 20))]
         plan = build_plan(grid, centers, eps, 1e12)
         pr = plan_rate(plan, grid, NOISE)
         ir = integrated_rate(plan, grid, NOISE)
@@ -692,7 +692,7 @@ class TestPlanRate:
         plan = equal_plan(grid.band, n_sub, budget_steps * grid.step)
         centers, widths = plan_arrays(plan)
         # off-grid centers and widths that are not a multiple of the step
-        assert np.any(grid.snap(centers) != centers)
+        assert np.any(grid.freqs[grid.index_of(centers)] != centers)
         assert np.any(widths % grid.step != 0)
         got = plan_rate(plan, grid, NOISE)
         assert type(got) is float

@@ -27,7 +27,7 @@ ce.step_hz = 50e6
 # The config keys whose name carries a unit, and the field path each one sets.
 UNIT_KEYS = {
     "radius_m": "radius", "d_min_m": "d_min", "angle_guard_rad": "angle_guard",
-    "f_co_hz": "f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
+    "f_co_hz": "antenna.f_co", "f_upper_hz": "f_upper", "b_total_hz": "b_total",
     "p_total_w": "p_total", "noise_psd_dbm_hz": "noise_psd", "gamma_th_dbm_hz": "gamma_th",
     "antenna.atten_per_m": "antenna.atten", "antenna.aperture_m": "antenna.aperture",
     "ce.step_hz": "ce.step",
@@ -163,8 +163,7 @@ class TestConfigSchema:
         )
 
     def test_keys_are_field_paths_with_unit_names(self):
-        # antenna.f_co has no key: the antenna takes the scenario's f_co_hz
-        paths = leaf_paths(ScenarioConfig()) - {"antenna.f_co"}
+        paths = leaf_paths(ScenarioConfig())
         assert set(UNIT_KEYS.values()) <= paths
         assert set(cli.DEFAULTS) == (paths - set(UNIT_KEYS.values())) | set(UNIT_KEYS)
 
@@ -179,7 +178,7 @@ class TestConfigSchema:
         cfg, _ = cli.load_config(p)
         want = ScenarioConfig(
             n_aps=7, n_sel=3, radius=40.0, d_min=0.75, angle_guard=0.02,
-            f_co=150e9, f_upper=350e9, b_total=8e9, p_total=2.0,
+            f_upper=350e9, b_total=8e9, p_total=2.0,
             noise_psd=phy.dbm_per_hz_to_w_per_hz(-170.0),
             gamma_th=phy.dbm_per_hz_to_w_per_hz(-176.0),
             eps_db=0.25, trials=11, seed=99, schemes=("mrt", "nearest"),
@@ -501,9 +500,10 @@ class TestMainErrors:
         "line, field",
         [("ce.step_hz = 300e9", "ce.step"), ("f_upper_hz = 100.000001e9", "f_upper"),
          ("ce.step_hz = 1e-3", "ce.step"), ("b_total_hz = 1e3", "b_total"),
-         ("schemes = ,", "schemes"), ("schemes = mrt,mrt", "schemes")],
+         ("schemes = ,", "schemes"), ("schemes = mrt,mrt", "schemes"),
+         ("f_upper_hz = 100.01e9\nb_total_hz = 1e9\nschemes = mrt,nearest,colocated", "ce.step")],
         ids=["step-above-band", "band-below-step", "grid-too-large", "budget-below-channel",
-             "schemes-empty", "schemes-repeated"],
+             "schemes-empty", "schemes-repeated", "ce-grid-two-points"],
     )
     def test_degenerate_config_exit_code(self, tmp_path, capsys, line, field):
         # each once ran to exit 0 with all-zero rates, an empty or repeated

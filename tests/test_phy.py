@@ -211,7 +211,7 @@ class TestLinkRssRows:
     @given(
         theta=st.floats(1e-6, np.pi / 2, exclude_max=True),
         distance=st.floats(SCENARIO.d_min, SCENARIO.radius),
-        f_band=st.floats(SCENARIO.f_co, SCENARIO.f_upper),
+        f_band=st.floats(*SCENARIO.band),
         atten=st.one_of(st.just(0.0), st.just(130.0), st.floats(0.0, 500.0)),
         exponent=st.sampled_from([1, 2]),
     )
@@ -219,7 +219,7 @@ class TestLinkRssRows:
     @example(theta=np.pi / 6, distance=10.0, f_band=200e9, atten=0.0, exponent=2)
     def test_each_link_matches_complex_oracle(self, theta, distance, f_band, atten, exponent):
         # a band frequency, the cutoff, and the exact peak f_co/sin(theta)
-        cfg = default_antenna(f_co=self.SCENARIO.f_co, atten=atten, gain_exponent=exponent)
+        cfg = default_antenna(f_co=self.SCENARIO.antenna.f_co, atten=atten, gain_exponent=exponent)
         ap = AccessPoint(0, distance, theta)
         f = np.array([f_band, cfg.f_co, phy.peak_frequency(theta, cfg.f_co)])
         with warnings.catch_warnings():

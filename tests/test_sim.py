@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -91,12 +93,23 @@ class TestDegenerateConfigsRejected:
     when they are built, naming the field."""
 
     def test_grid_needs_two_points(self):
-        schemes = ("mrt",)
-        one_point = r"ce\.step .* gives 1 grid points over f_co\.\.f_upper"
+        one_point = r"ce\.step .* gives 1 grid points over antenna\.f_co\.\.f_upper; need 2 to"
         for kw in (dict(ce=CEConfig(step=300e9)), dict(f_upper=100.000001e9)):
             with pytest.raises(ValueError, match=one_point):
-                fast_cfg(schemes=schemes, **kw)
-        fast_cfg(schemes=schemes, f_upper=100e9 + 50e6, b_total=1e9)
+                fast_cfg(schemes=("equal_mrt",), **kw)
+        # the equal split needs no width search, so two points are enough
+        fast_cfg(schemes=("equal_mrt",), f_upper=100e9 + 50e6, b_total=50e6)
+
+    @pytest.mark.parametrize("scheme", sim.CE_SCHEMES + ("colocated",))
+    def test_ce_grid_needs_three_points(self, scheme):
+        # a CE channel needs a grid point on each side of its center: on a
+        # two-point grid every CE rate was 0
+        two_point = r"ce\.step .* gives 2 grid points over antenna\.f_co\.\.f_upper; need 3 to"
+        for schemes in ((scheme,), (scheme, "equal_mrt")):
+            with pytest.raises(ValueError, match=two_point):
+                fast_cfg(schemes=schemes, f_upper=100e9 + 50e6, b_total=1e9)
+        cfg = fast_cfg(schemes=(scheme,), f_upper=100e9 + 100e6, b_total=1e9, seed=3)
+        assert sim._trial_cell(cfg, 0, 0)[scheme].plan_rate > 0
 
     def test_grid_size_is_bounded(self):
         # the grid is counted, never built: 2e14 points raise at once
@@ -125,7 +138,7 @@ class TestEqualAllocationBaseline:
     def test_plan_geometry_from_defaults(self):
         # 40 channels of 0.4 GHz at 5 GHz spacing inside a 200 GHz band
         cfg = ScenarioConfig()
-        spacing = (cfg.f_upper - cfg.f_co) / cfg.ce.n_sub
+        spacing = (cfg.f_upper - cfg.antenna.f_co) / cfg.ce.n_sub
         width = cfg.b_total / cfg.ce.n_sub
         assert spacing == pytest.approx(5e9)
         assert width == pytest.approx(0.4e9)
@@ -134,9 +147,9 @@ class TestEqualAllocationBaseline:
     def test_overlapping_equal_plan_rejected(self):
         # rejected when the config is built, so no sweep fails mid-way
         with pytest.raises(ValueError, match="equal_mrt plan overlaps"):
-            fast_cfg(b_total=250e9, f_co=100e9, f_upper=300e9, antenna=None)
+            fast_cfg(b_total=250e9, f_upper=300e9)
         # a budget of exactly the band fits; without equal_mrt any budget does
-        fast_cfg(b_total=200e9, f_co=100e9, f_upper=300e9, antenna=None)
+        fast_cfg(b_total=200e9, f_upper=300e9)
         fast_cfg(b_total=250e9, schemes=sim.CE_SCHEMES + ("colocated",))
 
     def test_zero_rss_scenario(self):
@@ -269,11 +282,26 @@ class TestMonteCarlo:
 class TestConfigValidation:
     def test_band_ordering(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(f_co=300e9, f_upper=100e9, antenna=None)
+            ScenarioConfig(antenna=phy.AntennaConfig(f_co=300e9), f_upper=100e9)
 
-    def test_antenna_cutoff_must_match(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(f_co=200e9, antenna=phy.AntennaConfig(f_co=100e9))
+    def test_cutoff_lives_on_a_frozen_antenna(self):
+        # moving the antenna's cutoff moves the band and the equal split
+        cfg = ScenarioConfig()
+        moved = replace(cfg, antenna=replace(cfg.antenna, f_co=200e9))
+        assert moved.band == (200e9, 300e9)
+        aps = sim.generate_scenario(np.random.default_rng(0), moved)
+        centers = [ch.center for ch in equal_trial(aps, moved).plan.channels]
+        assert centers[0] == pytest.approx(200e9 + 1.25e9)
+        assert np.diff(centers) == pytest.approx(np.full(cfg.ce.n_sub - 1, 2.5e9))
+        assert not hasattr(cfg, "f_co")
+        # a checked config cannot be changed into one that would fail the checks
+        with pytest.raises(FrozenInstanceError):
+            cfg.ce.elites = 0
+        with pytest.raises(FrozenInstanceError):
+            cfg.b_total = 1e3
+        with pytest.raises(FrozenInstanceError):
+            cfg.antenna.f_co = 200e9
+        assert (cfg.ce.elites, cfg.b_total) == (10, 16e9)
 
     def test_psd_derivation(self):
         cfg = ScenarioConfig()
