@@ -3,8 +3,8 @@
 A small Monte Carlo sweep over the number of access points. Distributed
 MRT combines everything it can see and should come out on top; the
 co-located baseline pays the full pathloss of a single random site and
-lands far below. Uses a reduced optimizer budget so it finishes in about
-a minute; bump `trials` and the CE numbers for smoother curves.
+lands far below. Uses a reduced optimizer budget so it finishes in
+seconds; bump `trials` and the CE numbers for smoother curves.
 
 Run:  python demos/scheme_sweep.py
 """
@@ -18,7 +18,7 @@ cfg = ScenarioConfig(
     ce=CEConfig(n_sub=20, samples=20, elites=4, max_iter=6),
 )
 
-sweep = monte_carlo(cfg, "n_aps", [5, 10, 20], threads=8)
+sweep = monte_carlo(cfg, "n_aps", [5, 10, 20])
 
 print(f"{cfg.trials} trials per point, rates in Gbit/s (mean +/- stderr)")
 print()

@@ -135,13 +135,6 @@ def load_config(path=None, overrides=None):
     return cfg, entries
 
 
-def _fmt(x):
-    """Locale-independent shortest round-trip formatting."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_manifest(path, entries, seed, outputs):
     manifest = {
         "config_digest": config_digest(entries),
@@ -170,8 +163,8 @@ def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
         )
         for row in result.rows:
             writer.writerow(
-                [row.axis, _fmt(row.axis_value), row.scheme, _fmt(row.mean_rate),
-                 _fmt(row.stderr_rate), _fmt(row.mean_active_aps), row.trials]
+                [row.axis, row.axis_value, row.scheme, row.mean_rate,
+                 row.stderr_rate, row.mean_active_aps, row.trials]
             )
     write_manifest(out_dir / "manifest.json", entries, cfg.seed, [csv_path])
     return 0
@@ -196,7 +189,7 @@ def cmd_gain(cfg, thetas, f_start, f_stop, f_count, out):
         for theta in thetas:
             gains = phy.antenna_gain(freqs[in_band], theta, cfg.antenna)
             for f, g in zip(freqs[in_band], np.atleast_1d(gains)):
-                writer.writerow([_fmt(float(theta)), _fmt(float(f)), _fmt(float(g))])
+                writer.writerow([float(theta), float(f), float(g)])
     if skipped:
         print(f"gain: skipped {skipped} below-cutoff rows", file=sys.stderr)
     return 0
@@ -250,12 +243,9 @@ def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
         writer.writerow(["iteration", "best_rate_bps", "incumbent_rate_bps"])
         for t in range(len(result.best_per_iter)):
             writer.writerow(
-                [t, _fmt(float(result.best_per_iter[t])),
-                 _fmt(float(result.incumbent_trace[t]))]
+                [t, float(result.best_per_iter[t]), float(result.incumbent_trace[t])]
             )
-        writer.writerow(
-            ["final", _fmt(float(result.plan_value)), _fmt(float(result.incumbent_value))]
-        )
+        writer.writerow(["final", float(result.plan_value), float(result.incumbent_value)])
     write_manifest(out_dir / "manifest.json", entries, cfg.seed, [plan_path, trace_path])
     return 0
 
@@ -296,7 +286,8 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo sweep over N or B_total")
     _add_common(p_sim)
-    p_sim.add_argument("--threads", type=int, default=1, help="worker cap (results unchanged)")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="upper bound on workers; the sweep runs one (results unchanged)")
     p_sim.add_argument("--axis", choices=["n_aps", "b_total"], required=True)
     p_sim.add_argument("--values", required=True,
                        help="comma-separated axis values (SI units)")

@@ -10,8 +10,6 @@ the same cross-entropy stream so per-trial comparisons are paired.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -297,34 +295,22 @@ def _with_axis_value(cfg, axis, value):
         raise AxisValueError(f"{axis} = {value}: {exc}") from exc
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     """Sweep `axis` over `values`, running cfg.trials trials per point.
 
-    Results are a deterministic function of (cfg, seed) regardless of the
-    thread count: every trial owns its substreams, keyed by the value's
-    position in `values` and the trial index, and aggregation is ordered
-    by trial index. A value that gives an invalid config raises
-    AxisValueError, and threads below 1 ValueError, before any cell runs.
-    The pool runs at most one thread per usable CPU.
+    Results are a deterministic function of (cfg, seed): every trial owns
+    its substreams, keyed by the value's position in `values` and the
+    trial index. Cells run in (value, trial) order on the calling thread;
+    `threads` is an upper bound on workers, which this one worker always
+    meets. A value that gives an invalid config raises AxisValueError,
+    and threads below 1 ValueError, before any cell runs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, _usable_cpus())
     configs = [_with_axis_value(cfg, axis, value) for value in values]
     rows = []
     for axis_idx, (value, cfg_v) in enumerate(zip(values, configs)):
-        jobs = range(cfg_v.trials)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                cells = list(pool.map(lambda t: _trial_cell(cfg_v, axis_idx, t), jobs))
-        else:
-            cells = [_trial_cell(cfg_v, axis_idx, t) for t in jobs]
+        cells = [_trial_cell(cfg_v, axis_idx, t) for t in range(cfg_v.trials)]
         for scheme in cfg_v.schemes:
             rates = np.array([_headline_rate(cell[scheme]) for cell in cells])
             active = np.array([cell[scheme].active_aps for cell in cells], dtype=float)

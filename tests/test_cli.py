@@ -578,7 +578,7 @@ class TestMainErrors:
         ids=["trial", "allocate", "gain"],
     )
     def test_threads_only_on_simulate(self, tmp_path, capsys, argv):
-        # only a sweep has a pool; elsewhere --threads is a usage error
+        # only a sweep takes a worker cap; elsewhere --threads is a usage error
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as info:
             cli.main(argv + ["--threads", "2", "--out", str(out)])

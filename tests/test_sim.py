@@ -1,3 +1,4 @@
+import threading
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -204,22 +205,19 @@ class TestMonteCarlo:
         s4 = sim.monte_carlo(cfg, "n_aps", [3, 4], threads=4)
         assert s1 == s2 == s4
 
-    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
-        pools = []
+    def test_cells_run_in_order_on_the_calling_thread(self, monkeypatch):
+        calls = []
+        real = sim._trial_cell
 
-        class RecordingPool(sim.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording_cell(cfg, axis_idx, trial_idx):
+            calls.append((threading.get_ident(), (axis_idx, trial_idx)))
+            return real(cfg, axis_idx, trial_idx)
 
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "_trial_cell", recording_cell)
         cfg = fast_cfg(trials=2, schemes=("nearest",))
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-        capped = sim.monte_carlo(cfg, "n_aps", [4], threads=8)
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
-        serial = sim.monte_carlo(cfg, "n_aps", [4], threads=8)
-        assert pools == [2]
-        assert capped == serial
+        sim.monte_carlo(cfg, "n_aps", [3, 4], threads=2)
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert [cell for _, cell in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_row_schema(self):
         cfg = fast_cfg(trials=2)
