@@ -18,9 +18,20 @@ grid index, so the bandwidth search is a lookup in a per-grid width table,
 and all of an iteration's plans are built and scored as `(samples, n_sub)`
 arrays by `_plan_rows` and `_score_rows`; `ce_optimize` builds and scores
 its final plan as one more row, and `plan_rate` is the scorer's one-row
-case for plans built elsewhere. Scalar reference forms of the search, the
-overlap resolution, the trim, the rate and the CE loop live in the tests as
-their oracles.
+case for plans built elsewhere. On a grid with no live point every plan
+has width 0, so `ce_optimize` then skips both. Scalar reference forms of
+the search, the overlap resolution, the trim, the rate and the CE loop live
+in the tests as their oracles.
+
+The width table is filled lazily, for the centers the optimizer asks for.
+A flat-window certificate (`_flat_radii`), built once per table in
+O(points log points), gives each grid index a half-width whose window of
+dB values spans less than eps_db, so every edge pair inside it passes;
+the scan (`_scan_half_widths`) checks only the pairs past it. Most centers
+settle on the first pair or two; those near an RSS peak, whose mirrored
+edges stay matched after the window spans more, run on in chunks that
+grow as the frontier shrinks. The widths equal the pair-by-pair search bit
+for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +43,14 @@ import numpy as np
 
 from .phy import require_finite_fields
 
-# Search steps checked per pass of the grid width scan.
-_SCAN_CHUNK = 64
+# Search steps checked by the first pass of the grid width scan; a later
+# pass checks about _SCAN_PAIRS edge pairs in all, in chunks of at most
+# _SCAN_MAX steps per center.
+_SCAN_CHUNK = 8
+_SCAN_PAIRS = 1 << 14
+_SCAN_MAX = 1024
+# Spacing of the grid indices the width certificate searches at.
+_CERT_STRIDE = 8
 # Resampling attempts before out-of-band Gaussian draws get clamped.
 _MAX_RESAMPLE = 50
 
@@ -142,6 +159,11 @@ class GridRss:
     `values` is the PSD sampled at `grid_freqs(band, step)`. Calling the
     grid looks frequencies up by nearest grid index, so the allocator snaps
     candidate centers to this grid before searching bandwidths.
+
+    The grid carries the allocator's width tables, one per (eps_db, cap in
+    steps), and beside each the flat-window certificate its scan starts
+    from: one O(points) array of half-widths per table, no per-level
+    tables.
     """
 
     def __init__(self, values, band, step):
@@ -160,18 +182,21 @@ class GridRss:
         # coherence half-widths in steps, one table per (eps_db, cap in
         # steps), filled by `_grid_widths`; -1 marks an index not yet searched
         self.k_tables = {}
+        # the flat-window certificate of each table, built by `_flat_radii`
+        self.flat_radii = {}
 
     @cached_property
     def scan_windows(self):
-        """Chunk-long windows over the dB values, upward and from the top
-        down, for `_scan_half_widths`. Dead points (and a chunk of padding
-        each side) are NaN, so one comparison rejects dead and non-flat
-        edge pairs alike; edges below a center are read from the reversed
-        array so that both sides of a chunk are contiguous runs."""
-        pad = np.full(_SCAN_CHUNK, np.nan)
-        db = np.concatenate([pad, np.where(self.values > 0.0, self.db, np.nan), pad])
+        """Windows of `_SCAN_MAX` points over the dB values, upward and from
+        the top down, for `_scan_half_widths`. Dead and infinite points (and
+        `_SCAN_MAX` points of padding each side) are NaN, so one comparison
+        rejects every pair they are in (an inf edge fails either way) and
+        non-flat pairs alike; edges below a center are read from the
+        reversed array so that both sides of a chunk are contiguous runs."""
+        pad = np.full(_SCAN_MAX, np.nan)
+        db = np.concatenate([pad, np.where(np.isfinite(self.db), self.db, np.nan), pad])
         window = np.lib.stride_tricks.sliding_window_view
-        return window(db, _SCAN_CHUNK), window(db[::-1].copy(), _SCAN_CHUNK)
+        return window(db, _SCAN_MAX), window(db[::-1].copy(), _SCAN_MAX)
 
     def index_of(self, f):
         idx = np.round((np.asarray(f, dtype=float) - self.band[0]) / self.step)
@@ -192,42 +217,119 @@ def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width=None):
     table = grid.k_tables.get((eps_db, cap))
     if table is None:
         table = grid.k_tables[(eps_db, cap)] = np.full(grid.values.size, -1)
-    todo = np.unique(idx[table[idx] < 0])
-    if todo.size:
+    new = table[idx] < 0
+    if new.any():
+        pending = np.zeros(table.size, dtype=bool)
+        pending[idx[new]] = True
+        todo = np.flatnonzero(pending)  # sorted, each index once
         table[todo] = _scan_half_widths(grid, todo, eps_db, cap)
     return 2.0 * table[idx] * grid.step
+
+
+def _flat(hi, lo, eps_db):
+    """Whether windows whose largest and smallest dB values are hi and lo
+    span less than eps_db (exactly 0 at eps 0)."""
+    span = hi - lo
+    return span < eps_db if eps_db > 0 else span == 0.0
+
+
+def _flat_radii(grid: GridRss, eps_db, cap):
+    """Flat-window certificate: for each grid index i a half-width r, at
+    most the band limit and the cap, such that the dB values on
+    [i - r, i + r] are finite and span less than eps_db (exactly 0 at eps
+    0). For k <= r both edges i - k and i + k lie in that window, so their
+    difference is at most the span, and float subtraction rounds
+    monotonically: every such pair passes the scan's test.
+
+    Every `_CERT_STRIDE`-th index is certified from running max/min over
+    power-of-two windows (sparse-table doubling), a radius r being the
+    union of two windows of a level at least r + 1 points long. A center
+    drops out at the first level whose widest radius is not flat, and a
+    binary search inside that level brings its radius to within 3 steps of
+    the widest flat one. A window certified at j holds [i - r, i + r] for
+    r = r_j - |i - j|, so each index takes the better of its two nearest
+    certified ones."""
+    n = grid.values.size
+    top = (n - 1) // 2 if cap is None else min(cap, (n - 1) // 2)
+    if top < 1:
+        return np.zeros(n, dtype=np.intp)
+    # padding and non-finite points make every window holding them fail;
+    # hi and lo hold the max and min of the h points from each position on
+    pad = 2 * top
+    finite = np.isfinite(grid.db)
+    hi = np.full(n + 2 * pad, np.inf)
+    lo = np.full(n + 2 * pad, -np.inf)
+    hi[pad : pad + n] = np.where(finite, grid.db, np.inf)
+    lo[pad : pad + n] = np.where(finite, grid.db, -np.inf)
+    sampled = np.arange(0, n, _CERT_STRIDE)
+    found_at = np.zeros(sampled.size + 1, dtype=np.intp)  # 0 past the last one
+    active = sampled[finite[sampled]] + pad
+    h = 1
+    while active.size:
+        hi, lo = np.maximum(hi[:-h], hi[h:]), np.minimum(lo[:-h], lo[h:])
+        h *= 2
+        # radius r about c is the h-windows starting at c - r and at
+        # c + r - h + 1; r = h - 1 is the widest this level can test
+        r = min(h - 1, top)
+        a, b = active - r, active + r - h + 1
+        ok = _flat(np.maximum(hi[a], hi[b]), np.minimum(lo[a], lo[b]), eps_db)
+        done = active[~ok]
+        found = np.full(done.size, h // 2 - 1)  # certified one level down
+        step = h // 4 if done.size else 0
+        while step >= 4:
+            m = found + step
+            a, b = done - m, done + m - h + 1
+            found = np.where(_flat(np.maximum(hi[a], hi[b]), np.minimum(lo[a], lo[b]), eps_db),
+                             m, found)
+            step //= 2
+        found_at[(done - pad) // _CERT_STRIDE] = found
+        if r == top:
+            found_at[(active[ok] - pad) // _CERT_STRIDE] = top
+            break
+        active = active[ok]
+    d = np.arange(n) % _CERT_STRIDE
+    below = np.repeat(found_at[:-1], _CERT_STRIDE)[:n] - d
+    above = np.repeat(found_at[1:], _CERT_STRIDE)[:n] - (_CERT_STRIDE - d)
+    return np.maximum(np.maximum(below, above), 0)
 
 
 def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
     """Widest admissible half-width k (in steps) of each center: the last k
     before the first edge pair (idx - k, idx + k) that is dead or not flat,
-    limited by the band and the cap. Chunks of k are checked for the whole
-    frontier at once; a center leaves the frontier once it has settled."""
+    limited by the band and the cap. Each center starts past its certified
+    radius (`_flat_radii`); chunks of k are then checked for the whole
+    frontier at once, and a center leaves the frontier once it has settled.
+    The first chunk is short, because most centers settle on the first pair
+    past their radius; later chunks grow as the frontier shrinks."""
+    radii = grid.flat_radii.get((eps_db, cap))
+    if radii is None:
+        radii = grid.flat_radii[(eps_db, cap)] = _flat_radii(grid, eps_db, cap)
     n = grid.values.size
     k_cap = np.minimum(idx, n - 1 - idx)
     if cap is not None:
         k_cap = np.minimum(k_cap, cap)
-    k_star = np.where(grid.values[idx] > 0.0, k_cap, 0)
-    front = np.flatnonzero(k_star > 0)
+    k_star = radii[idx]  # 0 at a dead center
+    front = np.flatnonzero((k_star < k_cap) & (grid.values[idx] > 0.0))
+    k0, k_cap = k_star[front] + 1, k_cap[front]
     above, below = grid.scan_windows
-    mirror = n - 1 + _SCAN_CHUNK
-    k0 = 1
+    mirror = n - 1 + _SCAN_MAX
+    chunk = _SCAN_CHUNK
     while front.size:
         centers = idx[front]
         # column j of both blocks holds the edges at k = k0 + j
-        diff = below[mirror - centers + k0]
-        with np.errstate(invalid="ignore"):  # inf - inf where both edges are inf
-            np.subtract(diff, above[_SCAN_CHUNK + centers + k0], out=diff)
+        diff = below[:, :chunk][mirror - centers + k0]
+        np.subtract(diff, above[:, :chunk][_SCAN_MAX + centers + k0], out=diff)
         np.abs(diff, out=diff)
-        # NaN (a dead edge) fails both tests; a diff of 0 passes even at eps 0
+        # NaN (a dead or inf edge) fails both tests; a diff of 0 passes even at eps 0
         ok = diff < eps_db if eps_db > 0 else diff == 0.0
-        first_bad = ok.argmin(axis=1)
-        hit = ~ok[np.arange(front.size), first_bad]
+        hit = ~ok.all(axis=1)
         # pairs past the cap were checked too; the cap bounds the result
-        last_ok = np.where(hit, k0 - 1 + first_bad, k0 - 1 + _SCAN_CHUNK)
-        k_star[front] = np.minimum(last_ok, k_cap[front])
-        front = front[~hit & (k_cap[front] >= k0 + _SCAN_CHUNK)]
-        k0 += _SCAN_CHUNK
+        k_star[front] = np.minimum(k0 - 1 + np.where(hit, ok.argmin(axis=1), chunk), k_cap)
+        more = ~hit & (k_cap >= k0 + chunk)
+        front, k0, k_cap = front[more], k0[more] + chunk, k_cap[more]
+        if front.size:
+            chunk = min(_SCAN_MAX, max(chunk, _SCAN_PAIRS // front.size),
+                        int((k_cap - k0).max()) + 1)
     return k_star
 
 
@@ -372,6 +474,16 @@ def _sample_centers(means, std, cfg: CEConfig, band, rng):
     return np.clip(x, lo, hi)
 
 
+def _rated_rows(grid: GridRss, idx, live, eps_db, total_budget, noise_psd):
+    """The plans of rows of snapped center indices and their scores. On a
+    grid with no live point every plan is its snapped centers at width 0
+    and scores 0, which is what `_plan_rows` and `_score_rows` return there."""
+    if not live:
+        return grid.freqs[idx], np.zeros(idx.shape), np.zeros(len(idx))
+    centers, widths = _plan_rows(grid, idx, eps_db, total_budget)
+    return centers, widths, _score_rows(grid, centers, widths, noise_psd)
+
+
 def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, noise_psd):
     """Run the cross-entropy loop over `grid.band` and build the plan from
     the final means.
@@ -381,8 +493,12 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
     sample's plan in one batch, and refits the Gaussians to the elites with
     smoothing. The incumbent is the best sampled plan, or the final plan
     where that scores strictly higher; the objective traces come along as
-    diagnostics.
+    diagnostics. A grid with no live point skips the plan kernel: its draws
+    and refits run as usual, so the means and plan centers are the same.
     """
+    if noise_psd <= 0:
+        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
+    live = bool((grid.values > 0.0).any())
     lo, hi = grid.band
     means = lo + (np.arange(1, cfg.n_sub + 1) - 0.5) * (hi - lo) / cfg.n_sub
     variances = np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2)
@@ -392,8 +508,9 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
     inc_value = -np.inf
     for t in range(cfg.max_iter):
         samples = _sample_centers(means, np.sqrt(variances), cfg, grid.band, rng)
-        centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
-        scores = _score_rows(grid, centers, widths, noise_psd)
+        centers, widths, scores = _rated_rows(
+            grid, grid.index_of(samples), live, eps_db, total_budget, noise_psd
+        )
         best = int(np.argmax(scores))
         if scores[best] > inc_value:
             inc_centers, inc_widths, inc_value = centers[best], widths[best], scores[best]
@@ -404,8 +521,10 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
         means = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means
         variances = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances
         variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
-    centers, widths = _plan_rows(grid, grid.index_of(means)[None, :], eps_db, total_budget)
-    final_value = float(_score_rows(grid, centers, widths, noise_psd)[0])
+    centers, widths, scores = _rated_rows(
+        grid, grid.index_of(means)[None, :], live, eps_db, total_budget, noise_psd
+    )
+    final_value = float(scores[0])
     final_plan = _row_plan(centers[0], widths[0], total_budget)
     if final_value > inc_value:
         incumbent, inc_value = final_plan, final_value

@@ -338,6 +338,39 @@ class TestCoherenceSearch:
         np.testing.assert_allclose(widths_grid, widths_gen)
 
 
+@st.composite
+def width_table_cases(draw):
+    """Random grids for the width table, and the lazy chunks of indices it
+    is filled in (repeats included): smooth single and double peaks, whose
+    mirrored edges stay within eps_db long after the window about a center
+    spans more (the scan's long residuals); exact plateaus from a dB
+    quantum; dead stretches and runs of inf; eps_db 0, 0.5 or random; no
+    cap or a few steps."""
+    n = draw(st.integers(3, 400))
+    x = np.arange(n, dtype=float)
+    db = np.zeros(n)
+    for _ in range(draw(st.integers(1, 2))):
+        mu, width = draw(st.floats(0.0, n - 1.0)), draw(st.floats(1.0, float(n)))
+        db += draw(st.floats(-30.0, 30.0)) * np.exp(-0.5 * ((x - mu) / width) ** 2)
+    quantum = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    if quantum:
+        db = np.round(db / quantum) * quantum
+    values = 1e-19 * 10.0 ** (db / 10.0)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        values[start : start + draw(st.integers(1, 30))] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        values[start : start + draw(st.integers(1, 4))] = np.inf
+    eps_db = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 3.0))
+    cap = draw(st.none() | st.integers(1, 12))
+    order = np.array(draw(st.permutations(range(n))))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    chunks = [np.concatenate([part, part[: len(part) // 3]])
+              for part in np.split(order, cuts) if part.size]
+    return GridRss(values, (0.0, n - 1.0), 1.0), eps_db, cap, chunks
+
+
 class TestGridWidthTable:
     @pytest.mark.parametrize("make_grid", [gated_link_grid, plateau_grid, dead_end_grid])
     @pytest.mark.parametrize("eps_db", [0.0, 0.5])
@@ -388,6 +421,43 @@ class TestGridWidthTable:
             warnings.simplefilter("error", RuntimeWarning)
             for eps_db in (0.0, 0.5):
                 alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=width_table_cases())
+    def test_lazy_fill_matches_coherence_search(self, case):
+        grid, eps_db, cap, chunks = case
+        max_width = None if cap is None else 2 * cap * grid.step
+        expected = np.array([
+            coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=max_width)
+            for c in grid.freqs
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for chunk in chunks:
+                got = alloc._grid_widths(grid, chunk, eps_db, max_width)
+                assert got.tobytes() == expected[chunk].tobytes()
+            got = alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db, max_width)
+            radii = alloc._flat_radii(grid, eps_db, cap)
+        assert got.tobytes() == expected.tobytes()
+        # the certificate itself: each certified window is live and flat
+        n = grid.freqs.size
+        assert np.all(radii <= np.minimum(np.arange(n), n - 1 - np.arange(n)))
+        assert cap is None or np.all(radii <= cap)
+        for i in np.flatnonzero(radii):
+            window = grid.db[i - radii[i] : i + radii[i] + 1]
+            assert np.all(grid.values[i - radii[i] : i + radii[i] + 1] > 0)
+            span = window.max() - window.min()
+            assert span < eps_db or span == 0.0, (i, radii[i], span)
+        # and at the indices it searches, it is within 3 steps of the widest
+        # flat window: 4 steps wider leaves the band or the cap, or holds a
+        # non-finite point, or is not flat
+        for i in range(0, n, alloc._CERT_STRIDE):
+            r = radii[i] + 4
+            if r <= min(i, n - 1 - i) and (cap is None or r <= cap):
+                window = grid.db[i - r : i + r + 1]
+                if np.isfinite(window).all():
+                    span = window.max() - window.min()
+                    assert not (span < eps_db or span == 0.0), (i, radii[i], span)
 
 
 @st.composite
@@ -863,6 +933,36 @@ class TestReferenceCE:
         ref = reference_ce(grid, cfg, np.random.default_rng(9), **kwargs)
         res = ce_optimize(grid, cfg, np.random.default_rng(9), **kwargs)
         assert_equals_reference_ce(res, ref)
+
+
+class TestAllDeadGrid:
+    """A grid with no live point skips the plan kernel, and the run still
+    equals the reference loop bit for bit: draws, means, plan centers."""
+
+    @pytest.mark.parametrize("max_iter", [0, 4])
+    @pytest.mark.parametrize("budget", [0.5e9, 16e9])
+    def test_equals_reference_ce_without_the_kernel(self, monkeypatch, max_iter, budget):
+        # every link gated off, as at a co-located site out of range
+        grid = GridRss(np.zeros(alloc.grid_size(BAND, 50e6)), BAND, 50e6)
+        cfg = CEConfig(n_sub=6, samples=12, elites=3, max_iter=max_iter, step=grid.step)
+        kwargs = dict(eps_db=0.5, total_budget=budget, noise_psd=NOISE)
+        ref = reference_ce(grid, cfg, np.random.default_rng(13), **kwargs)
+
+        def kernel_called(*args, **kw):
+            raise AssertionError("plan kernel ran on an all-dead grid")
+
+        monkeypatch.setattr(alloc, "_plan_rows", kernel_called)
+        monkeypatch.setattr(alloc, "_score_rows", kernel_called)
+        res = ce_optimize(grid, cfg, np.random.default_rng(13), **kwargs)
+        assert_equals_reference_ce(res, ref)
+        assert res.plan_value == res.incumbent_value == 0.0
+
+    def test_noise_still_checked(self):
+        grid = GridRss(np.zeros(11), (0.0, 10.0), 1.0)
+        cfg = CEConfig(n_sub=2, samples=4, elites=1, max_iter=1, step=1.0)
+        with pytest.raises(ValueError, match="noise_psd"):
+            ce_optimize(grid, cfg, np.random.default_rng(0), eps_db=0.5, total_budget=4.0,
+                        noise_psd=0.0)
 
 
 class TestCEOptimize:
