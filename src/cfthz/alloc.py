@@ -207,13 +207,13 @@ class GridRss:
         return float(out) if np.ndim(f) == 0 else out
 
 
-def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width=None):
+def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width):
     """Coherence widths of grid-aligned centers: the largest width 2k*step
     whose edges stay in band, under the cap and within eps_db of each other
     (0 for a dead center). Read from the grid's width table; indices no
     earlier call has searched are scanned first."""
     idx = np.atleast_1d(centers_idx)
-    cap = None if max_width is None else int(max_width / (2 * grid.step) + 1e-9)
+    cap = int(max_width / (2 * grid.step) + 1e-9)
     table = grid.k_tables.get((eps_db, cap))
     if table is None:
         table = grid.k_tables[(eps_db, cap)] = np.full(grid.values.size, -1)
@@ -250,7 +250,7 @@ def _flat_radii(grid: GridRss, eps_db, cap):
     r = r_j - |i - j|, so each index takes the better of its two nearest
     certified ones."""
     n = grid.values.size
-    top = (n - 1) // 2 if cap is None else min(cap, (n - 1) // 2)
+    top = min(cap, (n - 1) // 2)
     if top < 1:
         return np.zeros(n, dtype=np.intp)
     # padding and non-finite points make every window holding them fail;
@@ -305,9 +305,7 @@ def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
     if radii is None:
         radii = grid.flat_radii[(eps_db, cap)] = _flat_radii(grid, eps_db, cap)
     n = grid.values.size
-    k_cap = np.minimum(idx, n - 1 - idx)
-    if cap is not None:
-        k_cap = np.minimum(k_cap, cap)
+    k_cap = np.minimum(np.minimum(idx, n - 1 - idx), cap)
     k_star = radii[idx]  # 0 at a dead center
     front = np.flatnonzero((k_star < k_cap) & (grid.values[idx] > 0.0))
     k0, k_cap = k_star[front] + 1, k_cap[front]

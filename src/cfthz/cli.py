@@ -4,8 +4,9 @@ machine-readable CSV/JSON output.
 Config files are flat `key = value` text. A key is the dotted path of a
 `ScenarioConfig` field, or its unit-suffixed name in `_UNIT_KEYS`; keys
 and defaults come from the dataclasses (see DEFAULTS). Unknown keys are
-rejected, missing keys take the defaults. dBm/Hz entries are converted to
-linear W/Hz at load time. All emitted numbers are SI (Hz, W/Hz, bit/s).
+rejected, missing keys keep their dataclass defaults. dBm/Hz entries are
+converted to linear W/Hz at load time. All emitted numbers are SI (Hz,
+W/Hz, bit/s).
 """
 
 from __future__ import annotations
@@ -55,18 +56,21 @@ def _field_paths(obj, prefix=""):
 
 
 def _to_entry(path, value):
-    """A field value as its config entry."""
+    """A field value as its config entry; -0.0 is 0.0, as it compares."""
     if path in _PSD_FIELDS:
         return float(w_per_hz_to_dbm_per_hz(value))
     if path == "schemes":
         return ",".join(value)
-    return value
+    return value + 0.0 if isinstance(value, float) else value
 
 
-DEFAULTS = {
-    _KEY_OF_FIELD.get(path, path): _to_entry(path, value)
-    for path, value in _field_paths(ScenarioConfig())
-}
+def _entries(cfg):
+    """{key: entry} of every config key, as a file that builds cfg sets it."""
+    return {_KEY_OF_FIELD.get(path, path): _to_entry(path, value)
+            for path, value in _field_paths(cfg)}
+
+
+DEFAULTS = _entries(ScenarioConfig())
 
 
 def parse_config_file(path):
@@ -109,36 +113,32 @@ def _kwargs(values, prefix):
     return {p[n:]: v for p, v in values.items() if p.startswith(prefix) and "." not in p[n:]}
 
 
-def config_digest(entries):
-    """SHA-256 over the canonical sorted key=value lines; stable under key
-    reordering of the source file."""
+def config_digest(cfg):
+    """SHA-256 over the config's sorted key=entry lines: equal configs get
+    one digest, however their files spell or order the values."""
+    entries = _entries(cfg)
     canon = "\n".join(f"{k}={entries[k]}" for k in sorted(entries))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def load_config(path=None, overrides=None):
-    """Build a ScenarioConfig from a config file (or pure defaults).
-
-    Returns (config, effective key-value mapping used for the digest).
-    """
-    entries = dict(DEFAULTS)
-    if path is not None:
-        entries.update(parse_config_file(path))
+    """Build a ScenarioConfig from a config file and {key: text} overrides,
+    which beat the file; a key neither gives keeps its dataclass default."""
+    entries = parse_config_file(path) if path is not None else {}
     entries.update(overrides or {})
     vals = {_UNIT_KEYS.get(k, k): _coerce(k, v) for k, v in entries.items()}
     try:
         antenna = AntennaConfig(**_kwargs(vals, "antenna."))
         ce = CEConfig(**_kwargs(vals, "ce."))
-        cfg = ScenarioConfig(antenna=antenna, ce=ce, **_kwargs(vals, ""))
+        return ScenarioConfig(antenna=antenna, ce=ce, **_kwargs(vals, ""))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg, entries
 
 
-def write_manifest(path, entries, seed, outputs):
+def write_manifest(path, cfg, outputs):
     manifest = {
-        "config_digest": config_digest(entries),
-        "seed": seed,
+        "config_digest": config_digest(cfg),
+        "seed": cfg.seed,
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
@@ -146,7 +146,7 @@ def write_manifest(path, entries, seed, outputs):
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
+def cmd_simulate(cfg, axis, values, out_dir, threads=1):
     """Run the sweep and write one CSV row per (axis value, scheme)."""
     try:
         result = sim.monte_carlo(cfg, axis, values, threads=threads)
@@ -166,7 +166,7 @@ def cmd_simulate(cfg, entries, axis, values, out_dir, threads=1):
                 [row.axis, row.axis_value, row.scheme, row.mean_rate,
                  row.stderr_rate, row.mean_active_aps, row.trials]
             )
-    write_manifest(out_dir / "manifest.json", entries, cfg.seed, [csv_path])
+    write_manifest(out_dir / "manifest.json", cfg, [csv_path])
     return 0
 
 
@@ -215,7 +215,7 @@ def read_scenario_file(path):
     return aps
 
 
-def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
+def cmd_allocate(cfg, scenario_file, scheme, out_dir):
     """CE subchannel allocation for one fixed scenario; emits the final
     plan, the best-ever incumbent, and the objective trace."""
     aps = read_scenario_file(scenario_file)
@@ -246,11 +246,11 @@ def cmd_allocate(cfg, entries, scenario_file, scheme, out_dir):
                 [t, float(result.best_per_iter[t]), float(result.incumbent_trace[t])]
             )
         writer.writerow(["final", float(result.plan_value), float(result.incumbent_value)])
-    write_manifest(out_dir / "manifest.json", entries, cfg.seed, [plan_path, trace_path])
+    write_manifest(out_dir / "manifest.json", cfg, [plan_path, trace_path])
     return 0
 
 
-def cmd_trial(cfg, entries, out_dir):
+def cmd_trial(cfg, out_dir):
     """One scenario draw, every configured scheme, JSON result."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,47 +267,47 @@ def cmd_trial(cfg, entries, out_dir):
     }
     out_path = out_dir / "trial.json"
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_manifest(out_dir / "manifest.json", entries, cfg.seed, [out_path])
+    write_manifest(out_dir / "manifest.json", cfg, [out_path])
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--trials", type=int, default=None, help="override trial count")
-    p.add_argument("--out", default=".", help="output directory")
-
-
 def build_parser():
+    """The `cfthz` parser; each subcommand takes only the options it reads:
+    `--seed` where random numbers are drawn, `--trials` on the sweep."""
     parser = argparse.ArgumentParser(
         prog="cfthz", description="Cell-free THz leaky-wave downlink simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="key=value config file")
+    common.add_argument("--out", default=".", help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override the seed")
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo sweep over N or B_total")
-    _add_common(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[seeded],
+                           help="Monte Carlo sweep over N or B_total")
+    p_sim.add_argument("--trials", type=int, default=None, help="override trial count")
     p_sim.add_argument("--threads", type=int, default=1,
                        help="upper bound on workers; the sweep runs one (results unchanged)")
     p_sim.add_argument("--axis", choices=["n_aps", "b_total"], required=True)
     p_sim.add_argument("--values", required=True,
                        help="comma-separated axis values (SI units)")
 
-    p_alloc = sub.add_parser("allocate", help="CE allocation for a fixed scenario")
-    _add_common(p_alloc)
+    p_alloc = sub.add_parser("allocate", parents=[seeded],
+                             help="CE allocation for a fixed scenario")
     p_alloc.add_argument("--scenario", required=True,
                          help="CSV of distance_m,theta_rad rows")
     p_alloc.add_argument("--scheme", choices=sim.CE_SCHEMES, default="mrt")
 
-    p_gain = sub.add_parser("gain", help="antenna gain table over (theta, f)")
-    _add_common(p_gain)
+    p_gain = sub.add_parser("gain", parents=[common],
+                            help="antenna gain table over (theta, f)")
     p_gain.add_argument("--thetas", required=True,
                         help="comma-separated angles in radians")
     p_gain.add_argument("--f-start", type=float, required=True)
     p_gain.add_argument("--f-stop", type=float, required=True)
     p_gain.add_argument("--f-count", type=int, default=1000)
 
-    p_trial = sub.add_parser("trial", help="run one trial across all schemes")
-    _add_common(p_trial)
+    sub.add_parser("trial", parents=[seeded], help="run one trial across all schemes")
     return parser
 
 
@@ -321,21 +321,17 @@ def _floats(option, text):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.trials is not None:
-        overrides["trials"] = str(args.trials)
+    overrides = {key: str(value) for key in ("seed", "trials")
+                 if (value := getattr(args, key, None)) is not None}
     try:
         if args.command == "simulate" and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        cfg, entries = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides)
         if args.command == "simulate":
             values = _floats("--values", args.values)
-            return cmd_simulate(cfg, entries, args.axis, values, args.out,
-                                threads=args.threads)
+            return cmd_simulate(cfg, args.axis, values, args.out, threads=args.threads)
         if args.command == "allocate":
-            return cmd_allocate(cfg, entries, args.scenario, args.scheme, args.out)
+            return cmd_allocate(cfg, args.scenario, args.scheme, args.out)
         if args.command == "gain":
             thetas = _floats("--thetas", args.thetas)
             out = Path(args.out)
@@ -343,7 +339,7 @@ def main(argv=None):
                 out = out / "gain.csv"
             return cmd_gain(cfg, thetas, args.f_start, args.f_stop, args.f_count, out)
         if args.command == "trial":
-            return cmd_trial(cfg, entries, args.out)
+            return cmd_trial(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

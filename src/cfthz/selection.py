@@ -88,28 +88,21 @@ def combined_rss_rows(selections, aps, f, p, cfg, gamma_th):
     A selected AP's link row is computed once, gated by the outage indicator
     1(gamma >= gamma_th), and folded into every selection whose ids hold it,
     in AP order, with combine(out, row, out=out): `np.add` sums the links,
-    `np.maximum` keeps the strongest. A run of APs with one geometry (a
-    co-located site) reuses its row. The rows stream from one
+    `np.maximum` keeps the strongest. The rows stream from one
     `phy.link_rss_rows` call, so only one link row is held at a time, and
     each output rounds as a column-wise sum (or max) over its links would.
     """
     _require_aps(aps)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     outs = [np.zeros(f_arr.size) for _ in selections]
-    # (first AP of a run of selected APs with one geometry, the (combine,
-    # out) pairs of the selections that hold each AP of the run, in AP order)
-    runs = []
+    selected = []  # (AP, the (combine, out) pairs of the selections that hold it)
     for ap in aps:
-        users = [(rule, out) for (ids, rule), out in zip(selections, outs) if ap.id in ids]
-        if not users:
-            continue
-        if runs and (ap.distance, ap.angle) == (runs[-1][0].distance, runs[-1][0].angle):
-            runs[-1][1].extend(users)
-        else:
-            runs.append((ap, users))
-    rows = phy.link_rss_rows(f_arr, [ap for ap, _ in runs], p, cfg)
-    for (_, users), row in zip(runs, rows):
+        pairs = [(rule, out) for (ids, rule), out in zip(selections, outs) if ap.id in ids]
+        if pairs:
+            selected.append((ap, pairs))
+    rows = phy.link_rss_rows(f_arr, [ap for ap, _ in selected], p, cfg)
+    for (_, pairs), row in zip(selected, rows):
         row[row < gamma_th] = 0.0
-        for rule, out in users:
+        for rule, out in pairs:
             rule(out, row, out=out)
     return outs

@@ -148,9 +148,9 @@ def scenario_digest(aps):
     return hashlib.sha256(geom.tobytes()).hexdigest()[:16]
 
 
-def _build_mask(scheme, aps, cfg):
-    """(ids of the APs that transmit, combining rule) of a selection scheme:
-    the best AP per subchannel is every AP, max-combined."""
+def _selection(scheme, aps, cfg):
+    """The selection of a scheme: (ids of the APs that transmit, combining
+    rule); the best AP per subchannel is every AP, max-combined."""
     if scheme == "mrt":
         return selection.select_mrt(aps), np.add
     if scheme == "best_nsel":
@@ -173,7 +173,7 @@ def _active_count(scheme, ids, aps, cfg, plan):
 def scheme_rss(schemes, aps, cfg: ScenarioConfig):
     """{scheme: (ids, combined RSS on the band grid)} of each selection
     scheme in `schemes`, from one link pass over `aps`."""
-    selections = {s: _build_mask(s, aps, cfg) for s in dict.fromkeys(schemes)}
+    selections = {s: _selection(s, aps, cfg) for s in dict.fromkeys(schemes)}
     rows = selection.combined_rss_rows(
         list(selections.values()), aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
         cfg.p, cfg.antenna, cfg.gamma_th,
@@ -234,11 +234,16 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
 
 def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
     """All n_aps antennas share one random site: a single (d, theta) draw,
-    MRT combining (N identical links), then the usual CE allocation."""
+    MRT combining (the site's one gated link row added N times into zeros,
+    as a link pass over N such APs adds it), then the usual CE allocation."""
     d = draw_rng.uniform(cfg.d_min, cfg.radius)
     theta = draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard)
     aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
-    result = run_trial(aps, "mrt", cfg, ce_rng, scheme_rss(["mrt"], aps, cfg)["mrt"])
+    _, row = scheme_rss(["mrt"], aps[:1], cfg)["mrt"]
+    rss = np.zeros(row.size)
+    for _ in aps:
+        rss += row
+    result = run_trial(aps, "mrt", cfg, ce_rng, (selection.select_mrt(aps), rss))
     return replace(result, scheme="colocated")
 
 

@@ -146,7 +146,8 @@ def test_c05_plan_validity_fuzz():
             # snapped center i never exceeds its coherence width, and the
             # pair of symmetric edges at that width stays within eps dB
             snapped = grid.freqs[grid.index_of(np.asarray(res.means))]
-            raw_w = alloc._grid_widths(grid, grid.index_of(snapped), cfg.eps_db)
+            raw_w = alloc._grid_widths(grid, grid.index_of(snapped), cfg.eps_db,
+                                       grid.band[1] - grid.band[0])
             for i, ch in enumerate(res.plan.channels):
                 if ch.width <= 0:
                     continue

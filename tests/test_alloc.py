@@ -278,6 +278,11 @@ def plan_arrays(plan):
     )
 
 
+def band_width(grid):
+    """A width cap that caps nothing: the band already bounds every width."""
+    return grid.band[1] - grid.band[0]
+
+
 def gated_link_grid(step=200e6):
     """One link gated at its median RSS: about half the band is dead."""
     ap = AccessPoint(0, 12.0, np.radians(55.0))
@@ -333,7 +338,7 @@ class TestCoherenceSearch:
     def test_grid_path_agrees_with_generic(self):
         grid = sampled_grid(oracle_rss, BAND, STEP)
         centers = grid.freqs[grid.index_of(np.array([120e9, 150e9, 222e9, 280e9]))]
-        widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5)
+        widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5, band_width(grid))
         widths_gen = [coherence_search(oracle_rss, c, 0.5, BAND, STEP) for c in centers]
         np.testing.assert_allclose(widths_grid, widths_gen)
 
@@ -344,8 +349,8 @@ def width_table_cases(draw):
     is filled in (repeats included): smooth single and double peaks, whose
     mirrored edges stay within eps_db long after the window about a center
     spans more (the scan's long residuals); exact plateaus from a dB
-    quantum; dead stretches and runs of inf; eps_db 0, 0.5 or random; no
-    cap or a few steps."""
+    quantum; dead stretches and runs of inf; eps_db 0, 0.5 or random; a
+    cap of a few steps, or None for none (the band's width)."""
     n = draw(st.integers(3, 400))
     x = np.arange(n, dtype=float)
     db = np.zeros(n)
@@ -376,10 +381,12 @@ class TestGridWidthTable:
     @pytest.mark.parametrize("eps_db", [0.0, 0.5])
     @pytest.mark.parametrize("cap_steps", [None, 13, 65])
     def test_matches_coherence_search_at_every_index(self, make_grid, eps_db, cap_steps):
+        # the oracle searches uncapped where the table is capped at the band
         grid = make_grid()
         max_width = None if cap_steps is None else 2 * cap_steps * grid.step
         assert np.any(grid.values <= 0) and np.any(grid.values > 0)
-        got = alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db, max_width)
+        got = alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db,
+                                 max_width or band_width(grid))
         expected = [
             coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=max_width)
             for c in grid.freqs
@@ -407,10 +414,10 @@ class TestGridWidthTable:
         grid = sampled_grid(flat_rss(), BAND, STEP)
         idx = grid.index_of(np.array([150e9, 200e9]))
         capped = alloc._grid_widths(grid, idx, 0.5, max_width=1e9)
-        free = alloc._grid_widths(grid, idx, 0.5)
+        free = alloc._grid_widths(grid, idx, 0.5, max_width=band_width(grid))
         assert capped.tolist() == [1e9, 1e9]
         assert free.tolist() == [100e9, 200e9]
-        assert sorted(grid.k_tables, key=str) == [(0.5, 50), (0.5, None)]
+        assert sorted(grid.k_tables) == [(0.5, 50), (0.5, 10_000)]
         np.testing.assert_array_equal(alloc._grid_widths(grid, idx, 0.5, max_width=1e9), capped)
 
     def test_no_runtime_warning(self):
@@ -420,29 +427,32 @@ class TestGridWidthTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for eps_db in (0.0, 0.5):
-                alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db)
+                alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db, band_width(grid))
 
     @settings(max_examples=150, deadline=None)
     @given(case=width_table_cases())
     def test_lazy_fill_matches_coherence_search(self, case):
+        # the oracle searches uncapped where the table is capped at the band
         grid, eps_db, cap, chunks = case
-        max_width = None if cap is None else 2 * cap * grid.step
         expected = np.array([
-            coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=max_width)
+            coherence_search(grid, c, eps_db, grid.band, grid.step,
+                             max_width=None if cap is None else 2 * cap * grid.step)
             for c in grid.freqs
         ])
+        n = grid.freqs.size
+        if cap is None:
+            cap = (n - 1) // 2  # the widest half-width in band, in steps
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for chunk in chunks:
-                got = alloc._grid_widths(grid, chunk, eps_db, max_width)
+                got = alloc._grid_widths(grid, chunk, eps_db, 2 * cap * grid.step)
                 assert got.tobytes() == expected[chunk].tobytes()
-            got = alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db, max_width)
+            got = alloc._grid_widths(grid, np.arange(n), eps_db, 2 * cap * grid.step)
             radii = alloc._flat_radii(grid, eps_db, cap)
         assert got.tobytes() == expected.tobytes()
         # the certificate itself: each certified window is live and flat
-        n = grid.freqs.size
         assert np.all(radii <= np.minimum(np.arange(n), n - 1 - np.arange(n)))
-        assert cap is None or np.all(radii <= cap)
+        assert np.all(radii <= cap)
         for i in np.flatnonzero(radii):
             window = grid.db[i - radii[i] : i + radii[i] + 1]
             assert np.all(grid.values[i - radii[i] : i + radii[i] + 1] > 0)
@@ -453,7 +463,7 @@ class TestGridWidthTable:
         # non-finite point, or is not flat
         for i in range(0, n, alloc._CERT_STRIDE):
             r = radii[i] + 4
-            if r <= min(i, n - 1 - i) and (cap is None or r <= cap):
+            if r <= min(i, n - 1 - i) and r <= cap:
                 window = grid.db[i - r : i + r + 1]
                 if np.isfinite(window).all():
                     span = window.max() - window.min()

@@ -1,8 +1,11 @@
+import argparse
 import csv
 import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfthz import cli, phy, selection, sim
 from cfthz.alloc import CEConfig
@@ -65,6 +68,21 @@ ce.max_iter = 7
 ce.step_hz = 20e6
 """
 
+# Each key of EVERY_KEY_CONFIG with its entry; each alone builds a valid
+# config that differs from the defaults.
+EVERY_KEY_ENTRIES = dict(
+    (part.strip() for part in line.split("=")) for line in EVERY_KEY_CONFIG.strip().splitlines()
+)
+
+# The options each subcommand reads, and no others: `--seed` where random
+# numbers are drawn, `--trials` and `--threads` on the sweep.
+SUBCOMMAND_OPTIONS = {
+    "simulate": {"--config", "--out", "--seed", "--trials", "--threads", "--axis", "--values"},
+    "allocate": {"--config", "--out", "--seed", "--scenario", "--scheme"},
+    "gain": {"--config", "--out", "--thetas", "--f-start", "--f-stop", "--f-count"},
+    "trial": {"--config", "--out", "--seed"},
+}
+
 # The reduced-budget config and 3-AP scenario of the CI allocate check.
 CI_ALLOCATE_CONFIG = "ce.n_sub = 10\nce.samples = 20\nce.elites = 4\nce.max_iter = 4\n"
 CI_SCENARIO = "distance_m,theta_rad\n20.0,0.7\n35.0,1.1\n10.0,0.4\n"
@@ -82,6 +100,28 @@ def leaf_paths(obj, prefix=""):
     return paths
 
 
+def spellings(entry):
+    """Config texts that parse to a DEFAULTS entry: a float as its repr, in
+    17-digit exponent form and, when integral, as an int; an int as is and
+    signed; the schemes list with spaces."""
+    if isinstance(entry, str):
+        return [entry, entry.replace(",", ", "), entry.replace(",", " ,  ")]
+    if isinstance(entry, int):
+        return [str(entry), f"+{entry}"]
+    texts = [repr(entry), format(entry, ".17e")]
+    if entry.is_integer():
+        texts.append(str(int(entry)))
+    return texts
+
+
+@st.composite
+def respelled_defaults(draw):
+    """Config lines setting a random subset of keys, in random order, each to
+    its default in a random spelling."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli.DEFAULTS)), unique=True))
+    return [f"{key} = {draw(st.sampled_from(spellings(cli.DEFAULTS[key])))}" for key in keys]
+
+
 @pytest.fixture
 def fast_config_path(tmp_path):
     p = tmp_path / "fast.cfg"
@@ -91,7 +131,7 @@ def fast_config_path(tmp_path):
 
 class TestConfigParsing:
     def test_defaults_round_trip(self):
-        cfg, entries = cli.load_config(None)
+        cfg = cli.load_config(None)
         assert cfg.n_aps == 20
         assert cfg.n_sel == 2
         assert cfg.b_total == 16e9
@@ -99,11 +139,10 @@ class TestConfigParsing:
         assert cfg.gamma_th == pytest.approx(3.548133892335755e-21)
         assert cfg.antenna.atten == 130.0
         assert cfg.ce.n_sub == 40
-        assert entries == cli.DEFAULTS
         assert cfg == ScenarioConfig()
 
     def test_file_overrides_defaults(self, fast_config_path):
-        cfg, _ = cli.load_config(fast_config_path)
+        cfg = cli.load_config(fast_config_path)
         assert cfg.n_aps == 4
         assert cfg.trials == 2
         assert cfg.schemes == ("mrt", "nearest")
@@ -151,14 +190,14 @@ class TestConfigParsing:
             cli.load_config(None, {key: value})
 
     def test_overrides_beat_file(self, fast_config_path):
-        cfg, _ = cli.load_config(fast_config_path, {"trials": "9", "seed": "5"})
+        cfg = cli.load_config(fast_config_path, {"trials": "9", "seed": "5"})
         assert cfg.trials == 9
         assert cfg.seed == 5
 
 
 class TestConfigSchema:
     def test_defaults_digest_pinned(self):
-        assert cli.config_digest(cli.DEFAULTS) == (
+        assert cli.config_digest(ScenarioConfig()) == (
             "f51c249dab8ac4711c77c8e9b9e7f4fed75c8343dce15145176bef691991d127"
         )
 
@@ -175,7 +214,7 @@ class TestConfigSchema:
         assert all(
             cli._coerce(k, v) != cli._coerce(k, cli.DEFAULTS[k]) for k, v in entries.items()
         )
-        cfg, _ = cli.load_config(p)
+        cfg = cli.load_config(p)
         want = ScenarioConfig(
             n_aps=7, n_sel=3, radius=40.0, d_min=0.75, angle_guard=0.02,
             f_upper=350e9, b_total=8e9, p_total=2.0,
@@ -210,16 +249,39 @@ class TestConfigDigest:
         b = tmp_path / "b.cfg"
         a.write_text("n_aps = 5\ntrials = 3\n")
         b.write_text("trials = 3\nn_aps = 5\n")
-        _, ea = cli.load_config(a)
-        _, eb = cli.load_config(b)
-        assert cli.config_digest(ea) == cli.config_digest(eb)
+        assert cli.config_digest(cli.load_config(a)) == cli.config_digest(cli.load_config(b))
 
     def test_sensitive_to_values(self, tmp_path):
         a = tmp_path / "a.cfg"
         a.write_text("n_aps = 5\n")
-        _, ea = cli.load_config(a)
-        _, e0 = cli.load_config(None)
-        assert cli.config_digest(ea) != cli.config_digest(e0)
+        assert cli.config_digest(cli.load_config(a)) != cli.config_digest(ScenarioConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=respelled_defaults(), seed=st.integers(0, 2**32), seed_in_file=st.booleans())
+    def test_equal_configs_share_a_digest_however_spelled(self, tmp_path_factory, lines, seed,
+                                                          seed_in_file):
+        # the digest hashes the config's values, not the text that set them,
+        # and a seed from --seed hashes as one from the file
+        p = tmp_path_factory.mktemp("digest") / "respelled.cfg"
+        p.write_text("\n".join(lines + [f"seed = {seed}"] * seed_in_file) + "\n")
+        cfg = cli.load_config(p, None if seed_in_file else {"seed": str(seed)})
+        want = dataclasses.replace(ScenarioConfig(), seed=seed)
+        assert cfg == want
+        assert cli.config_digest(cfg) == cli.config_digest(want)
+
+    def test_signed_zero_hashes_as_zero(self):
+        # eps_db = -0.0 builds a config equal to eps_db = 0
+        zero, signed = (cli.load_config(None, {"eps_db": text}) for text in ("0", "-0.0"))
+        assert zero == signed
+        assert cli.config_digest(zero) == cli.config_digest(signed)
+
+    @pytest.mark.parametrize("key", sorted(EVERY_KEY_ENTRIES))
+    def test_any_changed_value_changes_the_digest(self, tmp_path, key):
+        p = tmp_path / "one.cfg"
+        p.write_text(f"{key} = {EVERY_KEY_ENTRIES[key]}\n")
+        cfg = cli.load_config(p)
+        assert cfg != ScenarioConfig()
+        assert cli.config_digest(cfg) != cli.config_digest(ScenarioConfig())
 
 
 class TestSimulateCommand:
@@ -296,7 +358,7 @@ class TestSimulateCommand:
         assert rc == 0
         with open(out / f"sweep_{axis}.csv") as fh:
             rows = list(csv.DictReader(fh))
-        cfg, _ = cli.load_config(fast_config_path)
+        cfg = cli.load_config(fast_config_path)
         library = sim.monte_carlo(cfg, axis, [float(v) for v in values.split(",")]).rows
         assert len(rows) == len(library) == 2 * len(values.split(","))
         for row, want in zip(rows, library):
@@ -336,7 +398,7 @@ class TestGainCommand:
              "--f-stop", "290e9", "--f-count", "10", "--out", str(out)]
         )
         assert rc == 0
-        cfg, _ = cli.load_config(None)
+        cfg = cli.load_config(None)
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
@@ -459,12 +521,30 @@ class TestAllocateCommand:
 
 
 class TestTrialCommand:
+    def test_same_config_spelled_two_ways_gives_the_same_files(self, tmp_path):
+        # the CI trial config, then the same values respelled, reordered and
+        # joined by explicit defaults, with the seed from the file
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(CI_ALLOCATE_CONFIG)
+        respelled = tmp_path / "respelled.cfg"
+        respelled.write_text("seed = 7\nce.max_iter = +4\nb_total_hz = 16e9\nce.n_sub = +10\n"
+                             "noise_psd_dbm_hz = -168\nce.samples = 20\nce.elites = 4\n"
+                             "schemes = mrt, best_nsel, best_per_subchannel, nearest, "
+                             "equal_mrt, colocated\n")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        assert cli.main(["trial", "--config", str(plain), "--seed", "7", "--out", str(outs[0])]) == 0
+        assert cli.main(["trial", "--config", str(respelled), "--out", str(outs[1])]) == 0
+        a, b = ((out / "trial.json").read_bytes() for out in outs)
+        assert a == b
+        digests = [json.loads((out / "manifest.json").read_text())["config_digest"] for out in outs]
+        assert digests[0] == digests[1]
+
     def test_matches_library_cell(self, fast_config_path, tmp_path):
         out = tmp_path / "t"
         rc = cli.main(["trial", "--config", fast_config_path, "--out", str(out)])
         assert rc == 0
         payload = json.loads((out / "trial.json").read_text())
-        cfg, _ = cli.load_config(fast_config_path)
+        cfg = cli.load_config(fast_config_path)
         cell = sim._trial_cell(cfg, 0, 0)
         assert set(payload) == set(cfg.schemes)
         for scheme, res in cell.items():
@@ -525,47 +605,52 @@ class TestMainErrors:
         assert "trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, config, message",
         [
-            (["simulate", "--axis", "n_aps", "--values", "10,abc"], "--values"),
-            (["simulate", "--axis", "b_total", "--values", "8e9,"], "--values"),
-            (["gain", "--thetas", "10,abc", "--f-start", "110e9", "--f-stop", "290e9"],
+            (["simulate", "--axis", "n_aps", "--values", "10,abc"], None, "--values"),
+            (["simulate", "--axis", "b_total", "--values", "8e9,"], None, "--values"),
+            (["gain", "--thetas", "10,abc", "--f-start", "110e9", "--f-stop", "290e9"], None,
              "--thetas"),
             (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
-              "--f-count", "0"], "--f-count"),
+              "--f-count", "0"], None, "--f-count"),
             (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
-              "--f-count", "-3"], "--f-count"),
-            (["gain", "--thetas", "0.5", "--f-start", "nan", "--f-stop", "290e9"],
+              "--f-count", "-3"], None, "--f-count"),
+            (["gain", "--thetas", "0.5", "--f-start", "nan", "--f-stop", "290e9"], None,
              "--f-start"),
-            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "inf"],
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "inf"], None,
              "--f-stop"),
-            (["gain", "--thetas", "0.5", "--f-start", "290e9", "--f-stop", "110e9"],
+            (["gain", "--thetas", "0.5", "--f-start", "290e9", "--f-stop", "110e9"], None,
              "--f-stop"),
-            (["gain", "--thetas", "0.5,nan", "--f-start", "110e9", "--f-stop", "290e9"],
+            (["gain", "--thetas", "0.5,nan", "--f-start", "110e9", "--f-stop", "290e9"], None,
              "--thetas"),
-            (["gain", "--thetas", "0", "--f-start", "110e9", "--f-stop", "290e9"],
+            (["gain", "--thetas", "0", "--f-start", "110e9", "--f-stop", "290e9"], None,
              "--thetas"),
-            (["gain", "--thetas", "1.6", "--f-start", "110e9", "--f-stop", "290e9"],
+            (["gain", "--thetas", "1.6", "--f-start", "110e9", "--f-stop", "290e9"], None,
              "--thetas"),
-            (["simulate", "--axis", "n_aps", "--values", "3", "--threads", "0"],
+            (["simulate", "--axis", "n_aps", "--values", "3", "--threads", "0"], None,
              "--threads must be >= 1"),
             # a negative seed is rejected when the config is built, whatever
-            # the subcommand
-            (["trial", "--seed", "-1"], "seed must be >= 0, got -1"),
-            (["simulate", "--axis", "n_aps", "--values", "3", "--seed", "-1"],
+            # the subcommand; gain draws no random numbers, so takes no --seed
+            (["trial", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+            (["simulate", "--axis", "n_aps", "--values", "3", "--seed", "-1"], None,
              "seed must be >= 0, got -1"),
-            (["allocate", "--scenario", "aps.csv", "--seed", "-1"], "seed must be >= 0"),
-            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
-              "--seed", "-1"], "seed must be >= 0"),
+            (["allocate", "--scenario", "aps.csv", "--seed", "-1"], None, "seed must be >= 0"),
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9"],
+             "seed = -1\n", "seed must be >= 0, got -1"),
         ],
         ids=["values-abc", "values-empty", "thetas-abc", "f-count-0", "f-count-neg",
              "f-start-nan", "f-stop-inf", "f-stop-below-start", "theta-nan", "theta-0",
              "theta-above-pi/2", "threads-0", "seed-trial", "seed-simulate",
              "seed-allocate", "seed-gain"],
     )
-    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, message):
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, config, message):
+        if argv[0] == "simulate":
+            argv = argv + ["--trials", "1"]
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "c.cfg")]
         out = tmp_path / "out"
-        rc = cli.main(argv + ["--trials", "1", "--out", str(out)])
+        rc = cli.main(argv + ["--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
@@ -586,7 +671,35 @@ class TestMainErrors:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9"], "--seed"),
+         (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9"], "--trials"),
+         (["trial"], "--trials"),
+         (["allocate", "--scenario", "aps.csv"], "--trials")],
+        ids=["gain-seed", "gain-trials", "trial-trials", "allocate-trials"],
+    )
+    def test_unread_option_is_a_usage_error(self, tmp_path, capsys, argv, option):
+        # a subcommand takes only the options it reads: --seed where random
+        # numbers are drawn, --trials on the sweep
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + [option, "1", "--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_subcommand_takes_the_options_it_reads(self):
+        parser = cli.build_parser()
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in subcommands.choices.items()
+        }
+        assert options == SUBCOMMAND_OPTIONS
+        assert sum(map(len, options.values())) == 21
+
     def test_seed_override_changes_digest(self, tmp_path):
-        _, e1 = cli.load_config(None, {"seed": "1"})
-        _, e2 = cli.load_config(None, {"seed": "2"})
-        assert cli.config_digest(e1) != cli.config_digest(e2)
+        cfg1 = cli.load_config(None, {"seed": "1"})
+        cfg2 = cli.load_config(None, {"seed": "2"})
+        assert cli.config_digest(cfg1) != cli.config_digest(cfg2)

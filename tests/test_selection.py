@@ -231,7 +231,7 @@ class TestStreamingCombinedRss:
     @pytest.mark.parametrize("n_aps", [1, 20, 160])
     def test_one_pass_equals_per_mask_bitwise(self, n_aps):
         # a co-located run of identical geometries and two dead links ride
-        # along; the pass computes the run's row once and adds it n times
+        # along
         aps = random_aps(np.random.default_rng(100 + n_aps), n_aps)
         aps += [AccessPoint(n_aps + i, 7.0, 0.9) for i in range(n_aps)]
         aps += [AccessPoint(2 * n_aps + i, 50.0, 1.55) for i in range(2)]
@@ -268,14 +268,14 @@ class TestStreamingCombinedRss:
 
         monkeypatch.setattr(phy, "link_rss_rows", counting)
         aps = random_aps(np.random.default_rng(5), 6)
-        site = [AccessPoint(6 + i, 9.0, 0.7) for i in range(4)]
         sels = [
-            summed(selection.select_mrt(aps + site)),
-            best_per_subchannel(aps + site),
-            summed(selection.select_nearest(aps + site)),
+            summed(selection.select_mrt(aps)),
+            best_per_subchannel(aps),
+            summed(selection.select_nearest(aps)),
+            summed(frozenset({1, 3})),
         ]
-        selection.combined_rss_rows(sels, aps + site, self.F, P, CFG, GAMMA_TH)
-        assert calls == [0, 1, 2, 3, 4, 5, 6]
+        selection.combined_rss_rows(sels, aps, self.F, P, CFG, GAMMA_TH)
+        assert calls == [0, 1, 2, 3, 4, 5]
 
     def test_below_cutoff_rejected_even_with_no_ap_selected(self):
         aps = random_aps(np.random.default_rng(7), 3)

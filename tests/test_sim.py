@@ -182,6 +182,39 @@ class TestColocatedBaseline:
         b = sim.colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
         assert a == b
 
+    @pytest.mark.parametrize("n_aps", [1, 6, 160])
+    def test_site_costs_one_link_row(self, monkeypatch, n_aps):
+        # the site's one row, added n_aps times, gives the trial of the link
+        # pass over its n_aps co-located APs, bit for bit
+        cfg = fast_cfg(n_aps=n_aps, radius=8.0)
+        draw_rng = np.random.default_rng(21)
+        site = (draw_rng.uniform(cfg.d_min, cfg.radius),
+                draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard))
+        aps = [selection.AccessPoint(i, *site) for i in range(n_aps)]
+        ids, rss = sim.scheme_rss(["mrt"], aps, cfg)["mrt"]
+        expected = sim.run_trial(aps, "mrt", cfg, np.random.default_rng(22), (ids, rss))
+        assert expected.plan_rate > 0
+        rows, inputs = [], []
+        real_rows, real_trial = phy.link_rss_rows, sim.run_trial
+
+        def counting(f, aps, *args, **kwargs):
+            for row in real_rows(f, aps, *args, **kwargs):
+                rows.append(row.size)
+                yield row
+
+        def recording(aps, scheme, cfg, rng, ids_rss):
+            inputs.append(ids_rss)
+            return real_trial(aps, scheme, cfg, rng, ids_rss)
+
+        monkeypatch.setattr(phy, "link_rss_rows", counting)
+        monkeypatch.setattr(sim, "run_trial", recording)
+        got = sim.colocated_trial(np.random.default_rng(21), np.random.default_rng(22), cfg)
+        assert rows == [rss.size]
+        ((got_ids, got_rss),) = inputs
+        assert got_ids == ids
+        assert got_rss.tobytes() == rss.tobytes()
+        assert got == replace(expected, scheme="colocated")
+
 
 class TestMonteCarlo:
     def test_single_trial_mean_is_trial_value(self):
