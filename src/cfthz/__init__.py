@@ -11,7 +11,6 @@ from .alloc import (
     CEConfig,
     CEResult,
     GridRss,
-    Subchannel,
     SubchannelPlan,
     ce_optimize,
     integrated_rate,

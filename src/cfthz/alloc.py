@@ -5,7 +5,8 @@ usable band whose widths sum to at most the bandwidth budget and whose
 edge-to-edge RSS difference stays below a flatness tolerance (in dB). Plans
 are built per candidate center vector by a one-dimensional bandwidth
 search, overlap resolution in favor of the stronger subchannel, and a
-budget trim that grants bandwidth to the strongest subchannels first.
+budget trim that grants bandwidth to the strongest subchannels first. A
+`SubchannelPlan` holds a plan as two arrays, its centers and its widths.
 
 `ce_optimize` is the whole cross-entropy loop; there is no per-iteration
 API. It fits per-subchannel Gaussians over center frequencies to elite
@@ -36,6 +37,7 @@ for bit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,52 +57,71 @@ _CERT_STRIDE = 8
 _MAX_RESAMPLE = 50
 
 
-@dataclass(frozen=True)
-class Subchannel:
-    center: float  # Hz
-    width: float  # Hz, >= 0
+# One channel of `SubchannelPlan.channels`.
+_Channel = namedtuple("Subchannel", "center width low high")
+
+
+@dataclass(frozen=True, eq=False)
+class SubchannelPlan:
+    """Channel i spans centers[i] -/+ widths[i] / 2 [Hz]; a width of 0 is an
+    unused slot. Holds read-only copies of its two equal-length 1-D arrays."""
+
+    centers: np.ndarray
+    widths: np.ndarray
+    total_budget: float  # Hz
 
     def __post_init__(self):
-        if self.width < 0:
-            raise ValueError(f"width must be >= 0, got {self.width}")
+        for name in ("centers", "widths"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.centers.ndim != 1 or self.centers.shape != self.widths.shape:
+            raise ValueError(f"centers {self.centers.shape} and widths {self.widths.shape} "
+                             "must be 1-D and of one length")
+        if not (np.isfinite(self.centers).all() and np.isfinite(self.widths).all()
+                and (self.widths >= 0).all()):
+            raise ValueError(f"need finite centers and finite widths >= 0, got {self.centers} "
+                             f"and {self.widths}")
+
+    def __eq__(self, other):
+        return (isinstance(other, SubchannelPlan)
+                and np.array_equal(self.centers, other.centers)
+                and np.array_equal(self.widths, other.widths)
+                and self.total_budget == other.total_budget)
 
     @property
     def low(self):
-        return self.center - self.width / 2.0
+        return self.centers - self.widths / 2.0
 
     @property
     def high(self):
-        return self.center + self.width / 2.0
-
-
-@dataclass(frozen=True)
-class SubchannelPlan:
-    channels: tuple
-    total_budget: float  # Hz
+        return self.centers + self.widths / 2.0
 
     @property
     def total_width(self):
-        return sum(ch.width for ch in self.channels)
+        return sum(self.widths.tolist())  # in index order
+
+    @property
+    def channels(self):
+        """The channels as (center, width, low, high) named tuples."""
+        return tuple(map(_Channel, self.centers.tolist(), self.widths.tolist(),
+                         self.low.tolist(), self.high.tolist()))
 
     def validate(self, band=None, atol=1e-3):
         """Raise if disjointness, the budget, or band containment fails."""
         if self.total_width > self.total_budget * (1 + 1e-12) + atol:
-            raise ValueError(
-                f"total width {self.total_width:.6e} exceeds budget {self.total_budget:.6e}"
-            )
-        occupied = sorted(
-            (ch.low, ch.high) for ch in self.channels if ch.width > 0
-        )
-        for (_, hi), (lo, _) in zip(occupied, occupied[1:]):
-            if lo < hi - atol:
-                raise ValueError(f"overlapping subchannels near {lo:.6e} Hz")
+            raise ValueError(f"total width {self.total_width:.6e} exceeds budget "
+                             f"{self.total_budget:.6e}")
+        low, high = self.low[self.widths > 0], self.high[self.widths > 0]
+        order = np.lexsort((high, low))  # by (low, high)
+        lo, hi = low[order], high[order]
+        overlap = np.flatnonzero(lo[1:] < hi[:-1] - atol)
+        if overlap.size:
+            raise ValueError(f"overlapping subchannels near {lo[overlap[0] + 1]:.6e} Hz")
         if band is not None:
-            lo_b, hi_b = band
-            for ch in self.channels:
-                if ch.width > 0 and (ch.low < lo_b - atol or ch.high > hi_b + atol):
-                    raise ValueError(
-                        f"subchannel [{ch.low:.6e}, {ch.high:.6e}] outside band"
-                    )
+            out = np.flatnonzero((low < band[0] - atol) | (high > band[1] + atol))
+            if out.size:
+                raise ValueError(f"subchannel [{low[out[0]]:.6e}, {high[out[0]]:.6e}] outside band")
 
 
 @dataclass(frozen=True)
@@ -338,11 +359,11 @@ def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     if noise_psd <= 0:
         raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
     rate = 0.0
-    for ch in plan.channels:
-        if ch.width <= 0:
+    for low, high, width in zip(plan.low.tolist(), plan.high.tolist(), plan.widths.tolist()):
+        if width <= 0:
             continue
-        n_pts = max(2, int(np.ceil(ch.width / grid.step)) + 1)
-        f = np.linspace(ch.low, ch.high, n_pts)
+        n_pts = max(2, int(np.ceil(width / grid.step)) + 1)
+        f = np.linspace(low, high, n_pts)
         spectral = np.log2(1.0 + grid(f) / noise_psd)
         rate += np.trapezoid(spectral, f)
     return rate
@@ -440,17 +461,9 @@ def _score_rows(grid: GridRss, centers, widths, noise_psd):
     return scores
 
 
-def _row_plan(centers, widths, total_budget):
-    return SubchannelPlan(
-        tuple(Subchannel(c, w) for c, w in zip(centers, widths)), total_budget
-    )
-
-
 def plan_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Rate objective of one plan, its centers looked up on the grid."""
-    c = np.array([[ch.center for ch in plan.channels]], dtype=float)
-    w = np.array([[ch.width for ch in plan.channels]], dtype=float)
-    return float(_score_rows(grid, c, w, noise_psd)[0])
+    return float(_score_rows(grid, plan.centers[None], plan.widths[None], noise_psd)[0])
 
 
 def variance_smoothing(beta, q, t):
@@ -523,15 +536,12 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
         grid, grid.index_of(means)[None, :], live, eps_db, total_budget, noise_psd
     )
     final_value = float(scores[0])
-    final_plan = _row_plan(centers[0], widths[0], total_budget)
     if final_value > inc_value:
-        incumbent, inc_value = final_plan, final_value
-    else:
-        incumbent = _row_plan(inc_centers, inc_widths, total_budget)
+        inc_centers, inc_widths, inc_value = centers[0], widths[0], final_value
     return CEResult(
-        plan=final_plan,
+        plan=SubchannelPlan(centers[0], widths[0], total_budget),
         plan_value=final_value,
-        incumbent_plan=incumbent,
+        incumbent_plan=SubchannelPlan(inc_centers, inc_widths, total_budget),
         incumbent_value=inc_value,
         best_per_iter=best_per_iter,
         incumbent_trace=incumbent_trace,
@@ -541,18 +551,16 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
 
 def plan_records(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Serialize a plan to (index, center_Hz, width_Hz, rss_W_per_Hz,
-    rate_bps) records for machine-readable output, RSS read on the grid."""
-    records = []
-    for i, ch in enumerate(plan.channels):
-        g = grid(ch.center) if ch.width > 0 else 0.0
-        rate = ch.width * float(np.log2(1.0 + g / noise_psd)) if g > 0 else 0.0
-        records.append(
-            {
-                "index": i,
-                "center_hz": ch.center,
-                "width_hz": ch.width,
-                "rss_w_per_hz": g,
-                "rate_bps": rate,
-            }
-        )
-    return records
+    rate_bps) records for machine-readable output, RSS read on the grid
+    (0 for an unused slot)."""
+    if noise_psd <= 0:
+        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
+    rss = np.where(plan.widths > 0, grid.values[grid.index_of(plan.centers)], 0.0)
+    live = rss > 0
+    rate = np.zeros(rss.size)
+    rate[live] = plan.widths[live] * np.log2(1.0 + rss[live] / noise_psd)
+    columns = (plan.centers, plan.widths, rss, rate)
+    return [
+        {"index": i, "center_hz": c, "width_hz": w, "rss_w_per_hz": g, "rate_bps": r}
+        for i, (c, w, g, r) in enumerate(zip(*(col.tolist() for col in columns)))
+    ]

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import astuple, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,12 +55,19 @@ def _field_paths(obj, prefix=""):
             yield path, value
 
 
+# each field's type, as its default has it
+_FIELD_TYPES = {path: type(value) for path, value in _field_paths(ScenarioConfig())}
+
+
 def _to_entry(path, value):
-    """A field value as its config entry; -0.0 is 0.0, as it compares."""
+    """A field value as its config entry, of its default's type where that
+    keeps the value (20.0 is 20 for an int field); -0.0 is 0.0, as it compares."""
     if path in _PSD_FIELDS:
         return float(w_per_hz_to_dbm_per_hz(value))
     if path == "schemes":
         return ",".join(value)
+    if _FIELD_TYPES[path](value) == value:
+        value = _FIELD_TYPES[path](value)
     return value + 0.0 if isinstance(value, float) else value
 
 
@@ -157,15 +164,10 @@ def cmd_simulate(cfg, axis, values, out_dir, threads=1):
     csv_path = out_dir / f"sweep_{axis}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["axis", "axis_value", "scheme", "mean_rate_bps", "stderr_bps",
-             "mean_active_aps", "trials"]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [row.axis, row.axis_value, row.scheme, row.mean_rate,
-                 row.stderr_rate, row.mean_active_aps, row.trials]
-            )
+        # one column per SweepRow field, in field order
+        writer.writerow(["axis", "axis_value", "scheme", "mean_rate_bps", "stderr_bps",
+                         "mean_active_aps", "trials"])
+        writer.writerows(astuple(row) for row in result.rows)
     write_manifest(out_dir / "manifest.json", cfg, [csv_path])
     return 0
 

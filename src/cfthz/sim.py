@@ -166,7 +166,7 @@ def _selection(scheme, aps, cfg):
 def _active_count(scheme, ids, aps, cfg, plan):
     if scheme != "best_per_subchannel":
         return len(ids)
-    live = np.array([ch.center for ch in plan.channels if ch.width > 0])
+    live = plan.centers[plan.widths > 0]
     return np.unique(selection.select_best_at(aps, live, cfg.p, cfg.antenna)).size
 
 
@@ -218,8 +218,7 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
     width = cfg.b_total / n_sub
     grid = GridRss(mrt_rss, cfg.band, cfg.ce.step)
     centers = f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
-    channels = tuple(alloc.Subchannel(c, width) for c in centers)
-    plan = alloc.SubchannelPlan(channels, cfg.b_total)
+    plan = alloc.SubchannelPlan(centers, np.full(n_sub, width), cfg.b_total)
     irate = alloc.integrated_rate(plan, grid, cfg.noise_psd)
     return TrialResult(
         scheme="equal_mrt",
@@ -319,18 +318,8 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
         for scheme in cfg_v.schemes:
             rates = np.array([_headline_rate(cell[scheme]) for cell in cells])
             active = np.array([cell[scheme].active_aps for cell in cells], dtype=float)
-            stderr = (
-                float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
-            )
-            rows.append(
-                SweepRow(
-                    axis=axis,
-                    axis_value=float(value),
-                    scheme=scheme,
-                    mean_rate=float(rates.mean()),
-                    stderr_rate=stderr,
-                    mean_active_aps=float(active.mean()),
-                    trials=int(rates.size),
-                )
-            )
+            stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
+            rows.append(SweepRow(axis=axis, axis_value=float(value), scheme=scheme,
+                                 mean_rate=float(rates.mean()), stderr_rate=stderr,
+                                 mean_active_aps=float(active.mean()), trials=int(rates.size)))
     return SweepResult(axis=axis, rows=rows)

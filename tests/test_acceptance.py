@@ -148,12 +148,11 @@ def test_c05_plan_validity_fuzz():
             snapped = grid.freqs[grid.index_of(np.asarray(res.means))]
             raw_w = alloc._grid_widths(grid, grid.index_of(snapped), cfg.eps_db,
                                        grid.band[1] - grid.band[0])
-            for i, ch in enumerate(res.plan.channels):
-                if ch.width <= 0:
-                    continue
+            plan = res.plan
+            for i in np.flatnonzero(plan.widths > 0):
                 lo_raw = snapped[i] - raw_w[i] / 2
                 hi_raw = snapped[i] + raw_w[i] / 2
-                assert lo_raw - 1e-3 <= ch.low and ch.high <= hi_raw + 1e-3
+                assert lo_raw - 1e-3 <= plan.low[i] and plan.high[i] <= hi_raw + 1e-3
                 if raw_w[i] > 0:
                     d = abs(
                         10 * np.log10(grid(lo_raw)) - 10 * np.log10(grid(hi_raw))

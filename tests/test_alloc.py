@@ -1,4 +1,6 @@
+import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from cfthz import alloc, phy, selection, sim
 from cfthz.alloc import (
     CEConfig,
     GridRss,
-    Subchannel,
     SubchannelPlan,
     ce_optimize,
     integrated_rate,
@@ -39,6 +40,33 @@ def oracle_rss(f):
 
 def flat_rss(level=1e-19):
     return lambda f: level * np.ones_like(np.asarray(f, dtype=float))
+
+
+@dataclass(frozen=True)
+class Chan:
+    """One channel of the scalar oracles: a center and a width >= 0 [Hz]."""
+
+    center: float
+    width: float
+
+    @property
+    def low(self):
+        return self.center - self.width / 2.0
+
+    @property
+    def high(self):
+        return self.center + self.width / 2.0
+
+
+def chans_of(plan):
+    """The oracle channels of a `SubchannelPlan`, in index order."""
+    return [Chan(c, w) for c, w in zip(plan.centers.tolist(), plan.widths.tolist())]
+
+
+def plan_of(chans, total_budget):
+    """The `SubchannelPlan` of a list of oracle channels."""
+    return SubchannelPlan(np.array([ch.center for ch in chans], dtype=float),
+                          np.array([ch.width for ch in chans], dtype=float), total_budget)
 
 
 # Chunk length of the reference bandwidth search's expanding scan.
@@ -128,9 +156,9 @@ def resolve_overlaps(raw, rss_fn, reflatten=None):
                                         max_width=reflatten[1]) / 2.0, fit)
             lo, hi = f_m - half, f_m + half
         if hi - lo > 0:
-            resolved.append(Subchannel((lo + hi) / 2.0, hi - lo))
+            resolved.append(Chan((lo + hi) / 2.0, hi - lo))
         else:
-            resolved.append(Subchannel(ch.center, 0.0))
+            resolved.append(Chan(ch.center, 0.0))
     return resolved
 
 
@@ -139,14 +167,14 @@ def build_plan(grid, centers, eps_db, total_budget):
     one-row case of `alloc._plan_rows`."""
     idx = grid.index_of(np.asarray(centers, dtype=float)).reshape(1, -1)
     c, w = alloc._plan_rows(grid, idx, eps_db, total_budget)
-    return alloc._row_plan(c[0], w[0], total_budget)
+    return SubchannelPlan(c[0], w[0], total_budget)
 
 
 def trim_to_budget(plan, rss_fn):
     """Reference budget trim: grant budget in descending center-RSS order;
     the channel at the boundary is trimmed symmetrically about its center
     and weaker ones are dropped. A plan within budget is returned as is."""
-    chans = list(plan.channels)
+    chans = chans_of(plan)
     if sum(ch.width for ch in chans) <= plan.total_budget:
         return plan
     g = np.asarray(rss_fn(np.array([ch.center for ch in chans])), dtype=float)
@@ -156,9 +184,9 @@ def trim_to_budget(plan, rss_fn):
     for j in order:
         take = min(chans[j].width, max(remaining, 0.0))
         if take < chans[j].width:
-            out[j] = Subchannel(chans[j].center, take)
+            out[j] = Chan(chans[j].center, take)
         remaining -= take
-    return SubchannelPlan(tuple(out), plan.total_budget)
+    return plan_of(out, plan.total_budget)
 
 
 def scalar_plan_rate(plan, rss_fn, noise_psd):
@@ -166,7 +194,7 @@ def scalar_plan_rate(plan, rss_fn, noise_psd):
     over the live channels [bit/s]."""
     if noise_psd <= 0:
         raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
-    live = [ch for ch in plan.channels if ch.width > 0]
+    live = [ch for ch in chans_of(plan) if ch.width > 0]
     if not live:
         return 0.0
     g = np.asarray(rss_fn(np.array([ch.center for ch in live])), dtype=float)
@@ -179,13 +207,10 @@ def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
     center, then `resolve_overlaps` with the flatness post-pass,
     `trim_to_budget` and `scalar_plan_rate`."""
     raw = [
-        Subchannel(c, coherence_search(grid, c, eps_db, grid.band, grid.step,
-                                       max_width=total_budget))
+        Chan(c, coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=total_budget))
         for c in grid.freqs[idx_row]
     ]
-    resolved = SubchannelPlan(
-        tuple(resolve_overlaps(raw, grid, reflatten=(eps_db, total_budget))), total_budget
-    )
+    resolved = plan_of(resolve_overlaps(raw, grid, reflatten=(eps_db, total_budget)), total_budget)
     plan = trim_to_budget(resolved, grid)
     return plan, scalar_plan_rate(plan, grid, noise_psd)
 
@@ -251,9 +276,9 @@ def assert_equals_reference_ce(res, ref):
     for name in ("best_per_iter", "incumbent_trace", "means"):
         assert np.asarray(getattr(res, name)).tobytes() == ref[name].tobytes(), name
     for name in ("plan", "incumbent_plan"):
-        got, want = plan_arrays(getattr(res, name)), plan_arrays(ref[name])
-        assert got[0].tobytes() == want[0].tobytes(), name
-        assert got[1].tobytes() == want[1].tobytes(), name
+        got, want = getattr(res, name), ref[name]
+        assert got.centers.tobytes() == want.centers.tobytes(), name
+        assert got.widths.tobytes() == want.widths.tobytes(), name
     for name in ("plan_value", "incumbent_value"):
         assert np.float64(getattr(res, name)).tobytes() == np.float64(ref[name]).tobytes(), name
 
@@ -265,17 +290,9 @@ def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
     scores = alloc._score_rows(grid, centers, widths, NOISE)
     for s in range(idx.shape[0]):
         plan, rate = scalar_chain(grid, idx[s], eps_db, total_budget, NOISE)
-        c_ref, w_ref = plan_arrays(plan)
-        assert centers[s].tobytes() == c_ref.tobytes()
-        assert widths[s].tobytes() == w_ref.tobytes()
+        assert centers[s].tobytes() == plan.centers.tobytes()
+        assert widths[s].tobytes() == plan.widths.tobytes()
         assert scores[s].tobytes() == np.float64(rate).tobytes()
-
-
-def plan_arrays(plan):
-    return (
-        np.array([ch.center for ch in plan.channels], dtype=float),
-        np.array([ch.width for ch in plan.channels], dtype=float),
-    )
 
 
 def band_width(grid):
@@ -510,7 +527,7 @@ class TestPlanKernel:
         grid, idx, eps_db, budget = case
         centers, widths = alloc._plan_rows(grid, idx, eps_db, budget)
         for c, w in zip(centers, widths):
-            assert_flat_plan(alloc._row_plan(c, w, budget), grid, eps_db)
+            assert_flat_plan(SubchannelPlan(c, w, budget), grid, eps_db)
 
     @pytest.mark.parametrize("band0, step", [(7.3, 0.1), (0.0, 1.0 / 3.0)])
     def test_rows_equal_scalar_chain_on_inexact_grids(self, band0, step):
@@ -536,7 +553,7 @@ class TestPlanKernel:
             budget = np.cumsum(untrimmed[0])[-1]
             _, widths = alloc._plan_rows(grid, row[None, :], 0.5, budget)
             plan, _ = scalar_chain(grid, row, 0.5, budget, NOISE)
-            assert widths[0].tobytes() == untrimmed[0].tobytes() == plan_arrays(plan)[1].tobytes()
+            assert widths[0].tobytes() == untrimmed[0].tobytes() == plan.widths.tobytes()
 
     def test_center_on_a_claimed_edge_keeps_its_outer_side(self):
         # the strong channel at 50 spans [15, 85]; the weaker one centered
@@ -550,7 +567,7 @@ class TestPlanKernel:
         assert widths.tolist() == [[14.0, 70.0]]
         assert centers.tolist() == [[8.0, 50.0]]
         plan, _ = scalar_chain(grid, idx[0], 0.5, 1e3, NOISE)
-        assert plan_arrays(plan)[1].tolist() == [14.0, 70.0]
+        assert plan.widths.tolist() == [14.0, 70.0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ce_iterate_best_plan_is_scalar_build_of_best_sample(self, seed):
@@ -579,24 +596,24 @@ class TestPlanKernel:
         centers = np.random.default_rng(11).uniform(105e9, 295e9, 30)
         plan = build_plan(grid, centers, 0.5, 16e9)
         assert plan == scalar_chain(grid, grid.index_of(centers), 0.5, 16e9, NOISE)[0]
-        assert build_plan(grid, [], 0.5, 16e9).channels == ()
+        assert build_plan(grid, [], 0.5, 16e9) == SubchannelPlan([], [], 16e9)
 
 
 class TestResolveOverlaps:
     def test_disjoint_passthrough(self):
-        raw = [Subchannel(110e9, 2e9), Subchannel(150e9, 4e9)]
+        raw = [Chan(110e9, 2e9), Chan(150e9, 4e9)]
         out = resolve_overlaps(raw, flat_rss())
         assert out == raw
 
     def test_equal_rss_tie_lower_index_wins(self):
-        raw = [Subchannel(150e9, 4e9), Subchannel(150e9, 4e9)]
+        raw = [Chan(150e9, 4e9), Chan(150e9, 4e9)]
         out = resolve_overlaps(raw, flat_rss())
         assert out[0].width == pytest.approx(4e9)
         assert out[1].width == 0.0
 
     def test_winner_keeps_interval_loser_truncated(self):
         rss = lambda f: np.where(np.asarray(f) < 150e9, 2e-19, 1e-19)
-        raw = [Subchannel(149e9, 2e9), Subchannel(150.5e9, 2e9)]  # overlap on [149.5, 150]
+        raw = [Chan(149e9, 2e9), Chan(150.5e9, 2e9)]  # overlap on [149.5, 150]
         out = resolve_overlaps(raw, rss)
         assert out[0] == raw[0]  # larger center RSS: untouched
         assert out[1].low == pytest.approx(150e9)
@@ -614,7 +631,7 @@ class TestResolveOverlaps:
                 out = np.where(np.abs(f - c) < 0.75e9, v, out)
             return out
 
-        raw = [Subchannel(110e9, 2e9), Subchannel(111e9, 2e9), Subchannel(112e9, 2e9)]
+        raw = [Chan(110e9, 2e9), Chan(111e9, 2e9), Chan(112e9, 2e9)]
         out = resolve_overlaps(raw, rss)
         # ch1 keeps [110, 112]; ch0 truncated to [109, 110]; ch2 to [112, 113]
         assert (out[1].low, out[1].high) == (pytest.approx(110e9), pytest.approx(112e9))
@@ -623,7 +640,7 @@ class TestResolveOverlaps:
 
     def test_fully_covered_loser_zeroed(self):
         rss = lambda f: np.where(np.abs(np.asarray(f) - 150e9) < 3e9, 2e-19, 1e-19)
-        raw = [Subchannel(150e9, 8e9), Subchannel(150.5e9, 1e9)]
+        raw = [Chan(150e9, 8e9), Chan(150.5e9, 1e9)]
         out = resolve_overlaps(raw, rss)
         assert out[1].width == 0.0
 
@@ -631,94 +648,82 @@ class TestResolveOverlaps:
         rng = np.random.default_rng(0)
         for _ in range(50):
             raw = [
-                Subchannel(rng.uniform(105e9, 295e9), rng.uniform(0, 10e9))
+                Chan(rng.uniform(105e9, 295e9), rng.uniform(0, 10e9))
                 for _ in range(8)
             ]
             out = resolve_overlaps(raw, oracle_rss)
-            SubchannelPlan(tuple(out), 1e12).validate()
+            plan_of(out, 1e12).validate()
 
 
 class TestTrimToBudget:
     def test_under_budget_unchanged(self):
-        plan = SubchannelPlan((Subchannel(150e9, 4e9),), total_budget=8e9)
+        plan = SubchannelPlan([150e9], [4e9], total_budget=8e9)
         assert trim_to_budget(plan, flat_rss()) is plan
 
     def test_strong_kept_whole_boundary_trimmed_weak_dropped(self):
         rss = lambda f: np.where(
             np.asarray(f) < 130e9, 3e-19, np.where(np.asarray(f) < 170e9, 2e-19, 1e-19)
         )
-        plan = SubchannelPlan(
-            (Subchannel(120e9, 4e9), Subchannel(150e9, 4e9), Subchannel(200e9, 4e9)),
-            total_budget=6e9,
-        )
+        plan = SubchannelPlan([120e9, 150e9, 200e9], [4e9, 4e9, 4e9], total_budget=6e9)
         out = trim_to_budget(plan, rss)
-        assert out.channels[0] == plan.channels[0]
-        assert out.channels[1].center == 150e9
-        assert out.channels[1].width == pytest.approx(2e9)
-        assert out.channels[2].width == 0.0
+        assert out.centers.tolist() == plan.centers.tolist()
+        assert out.widths[0] == plan.widths[0]
+        assert out.widths[1] == pytest.approx(2e9)
+        assert out.widths[2] == 0.0
 
     def test_equal_rss_tie_grants_lower_index_first(self):
-        plan = SubchannelPlan(
-            (Subchannel(150e9, 4e9), Subchannel(200e9, 4e9)), total_budget=4e9
-        )
+        plan = SubchannelPlan([150e9, 200e9], [4e9, 4e9], total_budget=4e9)
         out = trim_to_budget(plan, flat_rss())
-        assert out.channels[0].width == pytest.approx(4e9)
-        assert out.channels[1].width == 0.0
+        assert out.widths[0] == pytest.approx(4e9)
+        assert out.widths[1] == 0.0
 
     def test_fuzz_preserves_invariants(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = rng.integers(1, 10)
             edges = np.sort(rng.uniform(100e9, 300e9, 2 * n))
-            channels = tuple(
-                Subchannel((lo + hi) / 2, hi - lo)
-                for lo, hi in zip(edges[::2], edges[1::2])
-            )
-            plan = SubchannelPlan(channels, total_budget=rng.uniform(1e9, 50e9))
+            lo, hi = edges[::2], edges[1::2]
+            plan = SubchannelPlan((lo + hi) / 2, hi - lo, total_budget=rng.uniform(1e9, 50e9))
             out = trim_to_budget(plan, oracle_rss)
             out.validate(BAND)
             expect = min(plan.total_budget, plan.total_width)
             assert out.total_width == pytest.approx(expect)
             # every channel keeps its center and never grows
-            for before, after in zip(plan.channels, out.channels):
-                assert after.center == before.center
-                assert after.width <= before.width + 1e-6
+            assert out.centers.tobytes() == plan.centers.tobytes()
+            assert np.all(out.widths <= plan.widths + 1e-6)
 
 
 class TestRates:
     def test_empty_plan(self):
-        assert scalar_plan_rate(SubchannelPlan((), 16e9), flat_rss(), NOISE) == 0.0
+        assert scalar_plan_rate(SubchannelPlan([], [], 16e9), flat_rss(), NOISE) == 0.0
 
     def test_unit_snr_channel(self):
-        plan = SubchannelPlan((Subchannel(150e9, 1e9),), 16e9)
+        plan = SubchannelPlan([150e9], [1e9], 16e9)
         assert scalar_plan_rate(plan, flat_rss(NOISE), NOISE) == pytest.approx(1e9)
 
     def test_term_by_term(self):
-        plan = SubchannelPlan(
-            (Subchannel(120e9, 1e9), Subchannel(180e9, 2e9), Subchannel(250e9, 0.0)),
-            16e9,
-        )
+        plan = SubchannelPlan([120e9, 180e9, 250e9], [1e9, 2e9, 0.0], 16e9)
         expected = sum(
-            ch.width * np.log2(1 + oracle_rss(ch.center) / NOISE)
-            for ch in plan.channels
-            if ch.width > 0
+            w * np.log2(1 + oracle_rss(c) / NOISE)
+            for c, w in zip(plan.centers, plan.widths)
+            if w > 0
         )
         assert scalar_plan_rate(plan, oracle_rss, NOISE) == pytest.approx(expected)
 
     def test_noise_must_be_positive(self):
         with pytest.raises(ValueError):
-            scalar_plan_rate(SubchannelPlan((), 1e9), flat_rss(), 0.0)
+            scalar_plan_rate(SubchannelPlan([], [], 1e9), flat_rss(), 0.0)
         with pytest.raises(ValueError):
-            integrated_rate(SubchannelPlan((), 1e9), sampled_grid(flat_rss(), BAND, STEP), -1.0)
+            integrated_rate(SubchannelPlan([], [], 1e9), sampled_grid(flat_rss(), BAND, STEP), -1.0)
 
     def test_integrated_equals_plan_rate_when_flat(self):
-        plan = SubchannelPlan((Subchannel(150e9, 3e9), Subchannel(200e9, 5e9)), 16e9)
+        plan = SubchannelPlan([150e9, 200e9], [3e9, 5e9], 16e9)
         pr = scalar_plan_rate(plan, flat_rss(), NOISE)
         ir = integrated_rate(plan, sampled_grid(flat_rss(), BAND, STEP), NOISE)
         assert ir == pytest.approx(pr, rel=1e-9)
 
     def test_integrated_grid_refinement(self):
-        plan = SubchannelPlan((Subchannel(150e9, 4e9),), 16e9)
+        plan = SubchannelPlan([150e9], [4e9], 16e9)
         coarse = integrated_rate(plan, sampled_grid(oracle_rss, BAND, STEP), NOISE)
         fine = integrated_rate(plan, sampled_grid(oracle_rss, BAND, STEP / 2), NOISE)
         assert abs(coarse - fine) / fine < 1e-3
@@ -730,7 +735,7 @@ class TestRates:
             f = np.asarray(f, dtype=float)
             return 1e-20 * 10 ** (0.8e-9 * (f - 150e9) / 10)
 
-        plan = SubchannelPlan((Subchannel(150e9, 2e9),), 16e9)
+        plan = SubchannelPlan([150e9], [2e9], 16e9)
         got = integrated_rate(plan, sampled_grid(rss, (140e9, 160e9), 1e6), NOISE)
         assert got == pytest.approx(1415305935.9386465, rel=1e-6)
 
@@ -752,7 +757,7 @@ def equal_plan(band, n_sub, total_budget):
     spacing = (band[1] - band[0]) / n_sub
     centers = band[0] + (np.arange(1, n_sub + 1) - 0.5) * spacing
     width = total_budget / n_sub
-    return SubchannelPlan(tuple(Subchannel(c, width) for c in centers), total_budget)
+    return plan_of([Chan(c, width) for c in centers], total_budget)
 
 
 class TestPlanRate:
@@ -770,7 +775,7 @@ class TestPlanRate:
     def test_equal_plans_match_oracle_bitwise(self, grid_name, n_sub, budget_steps):
         grid = self.GRIDS[grid_name]()
         plan = equal_plan(grid.band, n_sub, budget_steps * grid.step)
-        centers, widths = plan_arrays(plan)
+        centers, widths = plan.centers, plan.widths
         # off-grid centers and widths that are not a multiple of the step
         assert np.any(grid.freqs[grid.index_of(centers)] != centers)
         assert np.any(widths % grid.step != 0)
@@ -789,23 +794,21 @@ class TestPlanRate:
             centers = rng.uniform(lo, hi, n)
             widths = rng.uniform(0.0, 40.0, n) * grid.step
             widths[rng.random(n) < 0.3] = 0.0
-            plan = SubchannelPlan(
-                tuple(Subchannel(c, w) for c, w in zip(centers, widths)), 1e12
-            )
+            plan = SubchannelPlan(centers, widths, 1e12)
             got = plan_rate(plan, grid, NOISE)
             assert np.float64(got).tobytes() == np.float64(
                 scalar_plan_rate(plan, grid, NOISE)).tobytes()
 
     def test_empty_and_all_zero_plans_rate_zero(self):
         grid = sampled_grid(oracle_rss, BAND, STEP)
-        assert plan_rate(SubchannelPlan((), 16e9), grid, NOISE) == 0.0
-        zeros = SubchannelPlan((Subchannel(150e9, 0.0), Subchannel(151e9, 0.0)), 16e9)
+        assert plan_rate(SubchannelPlan([], [], 16e9), grid, NOISE) == 0.0
+        zeros = SubchannelPlan([150e9, 151e9], [0.0, 0.0], 16e9)
         assert plan_rate(zeros, grid, NOISE) == 0.0
 
     @pytest.mark.parametrize("noise", [0.0, -1.0])
     def test_noise_must_be_positive(self, noise):
         grid = sampled_grid(oracle_rss, BAND, STEP)
-        for plan in (SubchannelPlan((), 1e9), equal_plan(BAND, 4, 1e9)):
+        for plan in (SubchannelPlan([], [], 1e9), equal_plan(BAND, 4, 1e9)):
             with pytest.raises(ValueError, match="noise_psd"):
                 plan_rate(plan, grid, noise)
 
@@ -1044,12 +1047,12 @@ def assert_flat_plan(plan, grid, eps_db):
     """The plan is valid in the grid's band, and each live channel's two
     edges, looked up on the grid, are alive and within eps_db."""
     plan.validate(grid.band)
-    for ch in plan.channels:
-        if ch.width > 0:
-            g_lo, g_hi = grid(ch.low), grid(ch.high)
-            assert g_lo > 0 and g_hi > 0, ch
+    for lo, hi, w in zip(plan.low, plan.high, plan.widths):
+        if w > 0:
+            g_lo, g_hi = grid(lo), grid(hi)
+            assert g_lo > 0 and g_hi > 0, (lo, hi)
             d = abs(10 * np.log10(g_lo) - 10 * np.log10(g_hi))
-            assert d < eps_db or d == 0.0, (ch, d)
+            assert d < eps_db or d == 0.0, (lo, hi, d)
 
 
 class TestEmittedPlansAreFlat:
@@ -1078,9 +1081,164 @@ class TestEmittedPlansAreFlat:
 
 class TestPlanRecords:
     def test_fields_and_rates(self):
-        plan = SubchannelPlan((Subchannel(150e9, 1e9), Subchannel(200e9, 0.0)), 16e9)
+        plan = SubchannelPlan([150e9, 200e9], [1e9, 0.0], 16e9)
         recs = alloc.plan_records(plan, sampled_grid(flat_rss(NOISE), BAND, STEP), NOISE)
         assert [r["index"] for r in recs] == [0, 1]
         assert recs[0]["rate_bps"] == pytest.approx(1e9)
         assert recs[1]["rate_bps"] == 0.0
         assert recs[1]["rss_w_per_hz"] == 0.0
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0])
+    def test_noise_must_be_positive(self, noise):
+        plan = SubchannelPlan([150e9], [1e9], 16e9)
+        with pytest.raises(ValueError, match="noise_psd"):
+            alloc.plan_records(plan, sampled_grid(flat_rss(NOISE), BAND, STEP), noise)
+
+
+def reference_validate(plan, band=None, atol=1e-3):
+    """Reference plan check, one channel at a time: the budget, then
+    disjointness of the live channels sorted by (low, high), then band
+    containment in index order."""
+    chans = chans_of(plan)
+    total = sum(ch.width for ch in chans)
+    if total > plan.total_budget * (1 + 1e-12) + atol:
+        raise ValueError(f"total width {total:.6e} exceeds budget {plan.total_budget:.6e}")
+    occupied = sorted((ch.low, ch.high) for ch in chans if ch.width > 0)
+    for (_, hi), (lo, _) in zip(occupied, occupied[1:]):
+        if lo < hi - atol:
+            raise ValueError(f"overlapping subchannels near {lo:.6e} Hz")
+    if band is not None:
+        lo_b, hi_b = band
+        for ch in chans:
+            if ch.width > 0 and (ch.low < lo_b - atol or ch.high > hi_b + atol):
+                raise ValueError(f"subchannel [{ch.low:.6e}, {ch.high:.6e}] outside band")
+
+
+def reference_records(plan, grid, noise_psd):
+    """Reference `plan_records`, one channel at a time."""
+    records = []
+    for i, ch in enumerate(chans_of(plan)):
+        g = grid(ch.center) if ch.width > 0 else 0.0
+        rate = ch.width * float(np.log2(1.0 + g / noise_psd)) if g > 0 else 0.0
+        records.append({"index": i, "center_hz": ch.center, "width_hz": ch.width,
+                        "rss_w_per_hz": g, "rate_bps": rate})
+    return records
+
+
+@st.composite
+def validate_cases(draw):
+    """Plans whose edges are whole multiples of a power-of-two unit, so each
+    edge and sum is exact and the boundary cases are hit on the nose: zero
+    widths, equal lows, edges that touch within atol or overlap one unit
+    past it, and channels out of band by atol or one unit more. atol is 0,
+    1 or 4 units, or 1e-3 Hz (then the anchors take atol as 0)."""
+    unit = 0.25 * 2.0 ** draw(st.sampled_from([0, 30]))
+    a = draw(st.sampled_from([0, 1, 4]))
+    atol = a * unit
+    if draw(st.booleans()):
+        a, atol = 0, 1e-3
+    lo_b = draw(st.integers(0, 40))
+    hi_b = lo_b + draw(st.integers(4, 200))
+    edges = []  # (lo, hi) in units
+    for _ in range(draw(st.integers(0, 6))):
+        w = draw(st.sampled_from([0, 1, 3]) | st.integers(0, 60))
+        prev = draw(st.sampled_from(edges)) if edges else (lo_b, hi_b)
+        lo = draw(st.sampled_from([lo_b - a, lo_b - a - 1, prev[0], prev[1] - a,
+                                   prev[1] - a - 1, prev[1]]) | st.integers(lo_b - 8, hi_b + 8))
+        if draw(st.booleans()):
+            lo = draw(st.sampled_from([hi_b + a, hi_b + a + 1, prev[0] + a, prev[0] + a + 1])) - w
+        edges.append((lo, lo + w))
+    lo, hi = (np.array([e[i] for e in edges], dtype=float) * unit for i in (0, 1))
+    total = (hi - lo).sum()
+    budget = total + draw(st.sampled_from([-atol]) | st.integers(-2, 2).map(lambda k: k * unit))
+    band = draw(st.sampled_from([None, (lo_b * unit, hi_b * unit)]))
+    return SubchannelPlan((lo + hi) / 2.0, hi - lo, budget), band, atol
+
+
+@st.composite
+def record_cases(draw):
+    """A grid with dead points, and a plan with off-grid centers, dead
+    centers and width-0 slots."""
+    levels = st.sampled_from([0.0, 1e-19, NOISE, 3.7e-18]) | st.floats(0.0, 1e-17)
+    values = np.array(draw(st.lists(levels, min_size=3, max_size=60)))
+    band0, step = draw(st.sampled_from([(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)]))
+    grid = GridRss(values, (band0, band0 + step * (values.size - 1)), step)
+    n = draw(st.integers(0, 10))
+    centers = [draw(st.sampled_from(grid.freqs.tolist()) | st.floats(*grid.band))
+               for _ in range(n)]
+    widths = [draw(st.just(0.0) | st.floats(0.0, 20.0 * step)) for _ in range(n)]
+    noise = draw(st.sampled_from([NOISE, 1e-19]) | st.floats(1e-22, 1e-16))
+    return SubchannelPlan(centers, widths, 1e12), grid, noise
+
+
+class TestSubchannelPlan:
+    @pytest.mark.parametrize("centers, widths", [
+        ([np.nan], [1e9]), ([150e9, np.inf], [1e9, 1e9]), ([-np.inf], [1e9]),
+        ([150e9], [np.nan]), ([150e9, 160e9], [0.0, np.inf]), ([150e9], [-1.0]),
+        ([150e9, 160e9], [1e9]), ([[150e9]], [[1e9]]), (150e9, 1e9),
+    ], ids=["nan-center", "inf-center", "minus-inf-center", "nan-width", "inf-width",
+            "negative-width", "mismatched", "2-d", "0-d"])
+    def test_rejects_non_finite_or_malformed_arrays(self, centers, widths):
+        with pytest.raises(ValueError, match="centers"):
+            SubchannelPlan(centers, widths, 16e9)
+
+    def test_holds_read_only_copies(self):
+        centers, widths = np.array([150e9, 160e9]), np.array([1e9, 0.0])
+        plan = SubchannelPlan(centers, widths, 16e9)
+        centers[0] = widths[0] = 7.0
+        assert plan == SubchannelPlan([150e9, 160e9], [1e9, 0.0], 16e9)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.widths[1] = 1e9
+        # so a CE result's plans are not views of the rows it scored
+        res = ce_optimize(sampled_grid(oracle_rss, BAND, 50e6),
+                          CEConfig(n_sub=4, samples=6, elites=2, max_iter=2, step=50e6),
+                          np.random.default_rng(1), **ce_kwargs())
+        for plan in (res.plan, res.incumbent_plan):
+            assert not plan.centers.flags.writeable and not plan.widths.flags.writeable
+
+    def test_equality_compares_values(self):
+        plan = SubchannelPlan([150e9, 160e9], [1e9, 0.0], 16e9)
+        assert plan == SubchannelPlan(np.array([150e9, 160e9]), (1e9, -0.0), 16e9)
+        assert plan != SubchannelPlan([150e9, 160e9], [1e9, 0.0], 8e9)
+        assert plan != SubchannelPlan([150e9, 161e9], [1e9, 0.0], 16e9)
+        assert plan != SubchannelPlan([150e9], [1e9], 16e9)
+        assert plan != (plan.centers, plan.widths, plan.total_budget)
+
+    def test_edges_width_and_channel_view(self):
+        plan = SubchannelPlan([150e9, 160e9], [1e9, 0.0], 16e9)
+        assert plan.low.tolist() == [149.5e9, 160e9]
+        assert plan.high.tolist() == [150.5e9, 160e9]
+        assert plan.total_width == 1e9
+        first, second = plan.channels
+        assert (first.center, first.width, first.low, first.high) == (150e9, 1e9, 149.5e9, 150.5e9)
+        assert second == (160e9, 0.0, 160e9, 160e9)
+        assert SubchannelPlan([], [], 16e9).channels == ()
+
+    @settings(max_examples=400, deadline=None)
+    @given(validate_cases())
+    # a channel no wider than atol that shares its low edge with a wider
+    # one listed before it (it passes: the pair is checked low-then-high)
+    @example(case=(SubchannelPlan([2.0, 0.125], [4.0, 0.25], 8.0), None, 0.25))
+    # channels that reach out of band by exactly atol pass; one past it fails
+    @example(case=(SubchannelPlan([3.0, 9.0], [4.0, 4.0], 8.0), (2.0, 10.0), 1.0))
+    @example(case=(SubchannelPlan([2.5, 9.0], [4.0, 4.0], 8.0), (2.0, 10.0), 1.0))
+    @example(case=(SubchannelPlan([3.0, 9.5], [4.0, 4.0], 8.0), (2.0, 10.0), 1.0))
+    def test_validate_matches_per_channel_oracle(self, case):
+        # the same plans pass, and the same fail with the same message
+        plan, band, atol = case
+
+        def outcome(check):
+            try:
+                check(plan, band, atol)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(SubchannelPlan.validate) == outcome(reference_validate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_cases())
+    def test_records_match_per_channel_oracle(self, case):
+        plan, grid, noise = case
+        got = json.dumps(alloc.plan_records(plan, grid, noise))
+        assert got == json.dumps(reference_records(plan, grid, noise))

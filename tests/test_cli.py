@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfthz import cli, phy, selection, sim
@@ -112,6 +112,34 @@ def spellings(entry):
     if entry.is_integer():
         texts.append(str(int(entry)))
     return texts
+
+
+def field_value(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def retyped(cfg, paths):
+    """cfg with the value at each dotted path given as the other numeric
+    type: an int as a float, an integral float as an int."""
+    for path in paths:
+        head, _, rest = path.partition(".")
+        value = getattr(cfg, head)
+        if rest:
+            value = retyped(value, [rest])
+        else:
+            value = float(value) if isinstance(value, int) else int(value)
+        cfg = dataclasses.replace(cfg, **{head: value})
+    return cfg
+
+
+# Numeric fields whose default is also a value of the other numeric type.
+RETYPABLE = sorted(
+    path for path in leaf_paths(ScenarioConfig())
+    if isinstance(value := field_value(ScenarioConfig(), path), int)
+    or (isinstance(value, float) and value.is_integer())
+)
 
 
 @st.composite
@@ -257,9 +285,12 @@ class TestConfigDigest:
         assert cli.config_digest(cli.load_config(a)) != cli.config_digest(ScenarioConfig())
 
     @settings(max_examples=60, deadline=None)
-    @given(lines=respelled_defaults(), seed=st.integers(0, 2**32), seed_in_file=st.booleans())
+    @given(lines=respelled_defaults(), seed=st.integers(0, 2**32), seed_in_file=st.booleans(),
+           retype=st.lists(st.sampled_from(RETYPABLE), unique=True))
+    @example(lines=[], seed=1234, seed_in_file=False, retype=["b_total", "n_aps"])
+    @example(lines=[], seed=1234, seed_in_file=False, retype=["ce.step"])
     def test_equal_configs_share_a_digest_however_spelled(self, tmp_path_factory, lines, seed,
-                                                          seed_in_file):
+                                                          seed_in_file, retype):
         # the digest hashes the config's values, not the text that set them,
         # and a seed from --seed hashes as one from the file
         p = tmp_path_factory.mktemp("digest") / "respelled.cfg"
@@ -268,6 +299,18 @@ class TestConfigDigest:
         want = dataclasses.replace(ScenarioConfig(), seed=seed)
         assert cfg == want
         assert cli.config_digest(cfg) == cli.config_digest(want)
+        # nor the numeric type a library caller built it with: n_aps = 20.0
+        # and b_total = 16_000_000_000 give the config, and so the digest,
+        # of n_aps = 20 and b_total = 16e9
+        same = retyped(want, retype)
+        assert same == want
+        assert cli.config_digest(same) == cli.config_digest(want)
+
+    def test_a_value_its_field_type_cannot_hold_keeps_its_own_digest(self):
+        # 20.5 in the int field n_aps is not 20, so it is not written as 20
+        odd = ScenarioConfig(n_aps=20.5)
+        assert odd != ScenarioConfig()
+        assert cli.config_digest(odd) != cli.config_digest(ScenarioConfig())
 
     def test_signed_zero_hashes_as_zero(self):
         # eps_db = -0.0 builds a config equal to eps_db = 0

@@ -6,7 +6,7 @@ import cfthz
 # has to be added to or dropped from this set as well.
 EXPORTS = {
     "AccessPoint", "AntennaConfig", "BelowCutoffError", "CEConfig", "CEResult", "GridRss",
-    "SPEED_OF_LIGHT", "ScenarioConfig", "Subchannel", "SubchannelPlan", "SweepResult",
+    "SPEED_OF_LIGHT", "ScenarioConfig", "SubchannelPlan", "SweepResult",
     "TrialResult", "antenna_gain", "ce_optimize", "generate_scenario", "integrated_rate",
     "monte_carlo", "peak_frequency", "plan_rate", "run_trial", "select_best_at",
     "select_best_nsel", "select_mrt", "select_nearest", "wavenumber",

@@ -321,7 +321,7 @@ class TestConfigValidation:
         moved = replace(cfg, antenna=replace(cfg.antenna, f_co=200e9))
         assert moved.band == (200e9, 300e9)
         aps = sim.generate_scenario(np.random.default_rng(0), moved)
-        centers = [ch.center for ch in equal_trial(aps, moved).plan.channels]
+        centers = equal_trial(aps, moved).plan.centers
         assert centers[0] == pytest.approx(200e9 + 1.25e9)
         assert np.diff(centers) == pytest.approx(np.full(cfg.ce.n_sub - 1, 2.5e9))
         assert not hasattr(cfg, "f_co")
