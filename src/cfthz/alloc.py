@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .phy import require_finite_fields
+from .phy import require_typed_fields
 
 # Search steps checked by the first pass of the grid width scan; a later
 # pass checks about _SCAN_PAIRS edge pairs in all, in chunks of at most
@@ -71,6 +71,7 @@ class SubchannelPlan:
     total_budget: float  # Hz
 
     def __post_init__(self):
+        require_typed_fields(self)
         for name in ("centers", "widths"):
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
@@ -138,19 +139,18 @@ class CEConfig:
     step: float = 10e6  # Hz, bandwidth-search grid
 
     def __post_init__(self):
-        require_finite_fields(self)
+        require_typed_fields(self)
         if not 1 <= self.elites <= self.samples:
             raise ValueError("need 1 <= elites <= samples")
-        if not 0 < self.smooth_mean <= 1:
-            raise ValueError("smooth_mean must be in (0, 1]")
-        if not 0 < self.smooth_var <= 1:
-            raise ValueError("smooth_var must be in (0, 1]")
-        if self.smooth_power <= 0:
-            raise ValueError("smooth_power must be > 0")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if self.n_sub < 1:
-            raise ValueError("n_sub must be >= 1")
+        for name in ("smooth_mean", "smooth_var"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        for name in ("smooth_power", "step"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name, low in (("n_sub", 1), ("max_iter", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass

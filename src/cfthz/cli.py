@@ -55,20 +55,14 @@ def _field_paths(obj, prefix=""):
             yield path, value
 
 
-# each field's type, as its default has it
-_FIELD_TYPES = {path: type(value) for path, value in _field_paths(ScenarioConfig())}
-
-
 def _to_entry(path, value):
-    """A field value as its config entry, of its default's type where that
-    keeps the value (20.0 is 20 for an int field); -0.0 is 0.0, as it compares."""
+    """A field value as its config entry; the config already holds it as
+    its field's type."""
     if path in _PSD_FIELDS:
         return float(w_per_hz_to_dbm_per_hz(value))
     if path == "schemes":
         return ",".join(value)
-    if _FIELD_TYPES[path](value) == value:
-        value = _FIELD_TYPES[path](value)
-    return value + 0.0 if isinstance(value, float) else value
+    return value
 
 
 def _entries(cfg):

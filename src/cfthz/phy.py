@@ -9,6 +9,7 @@ PSDs in W/Hz.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,12 +22,23 @@ class BelowCutoffError(ValueError):
     """Raised when a frequency below the waveguide cutoff is requested."""
 
 
-def require_finite_fields(obj):
-    """Reject a dataclass whose float fields hold NaN or an infinity."""
+def require_typed_fields(obj):
+    """Store each field of a frozen dataclass declared `int` or `float` as
+    that type (20.0 -> 20, np.float32(0.5) -> 0.5, -0.0 -> 0.0), or raise a
+    ValueError naming the field for a bool, NaN, an infinity, or a value of
+    an int field that is not a whole number."""
     for f in fields(obj):
+        kind = {"int": int, "float": float}.get(f.type)
+        if kind is None:
+            continue
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (number and (isinstance(value, numbers.Integral) or math.isfinite(value))):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        typed = kind(value) + 0  # -0.0 + 0 is 0.0
+        if kind is int and typed != value:
+            raise ValueError(f"{f.name} must be a whole number, got {value!r}")
+        object.__setattr__(obj, f.name, typed)
 
 
 def _check_positive(name, value):
@@ -53,7 +65,7 @@ class AntennaConfig:
     gain_exponent: int = 1
 
     def __post_init__(self):
-        require_finite_fields(self)
+        require_typed_fields(self)
         _check_positive("f_co", self.f_co)
         _check_positive("aperture", self.aperture)
         if self.atten < 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import alloc, selection
 from .alloc import CEConfig, GridRss
-from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, require_finite_fields
+from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, require_typed_fields
 from .selection import AccessPoint
 
 CE_SCHEMES = ("mrt", "best_nsel", "best_per_subchannel", "nearest")
@@ -53,31 +53,22 @@ class ScenarioConfig:
     ce: CEConfig = field(default_factory=CEConfig)
 
     def __post_init__(self):
-        require_finite_fields(self)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_aps < 1:
-            raise ValueError(f"n_aps must be >= 1, got {self.n_aps}")
-        if self.n_sel < 1:
-            raise ValueError(f"n_sel must be >= 1, got {self.n_sel}")
+        require_typed_fields(self)
+        if isinstance(self.schemes, str):
+            raise ValueError(f"schemes must be a sequence of scheme names, got {self.schemes!r}")
+        object.__setattr__(self, "schemes", tuple(self.schemes))
+        for name, low in (("trials", 1), ("n_aps", 1), ("n_sel", 1), ("seed", 0), ("eps_db", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("noise_psd", "d_min", "p_total", "b_total"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.angle_guard < np.pi / 4:
             raise ValueError(f"angle_guard must be in (0, pi/4), got {self.angle_guard}")
-        if self.eps_db < 0:
-            raise ValueError(f"eps_db must be >= 0, got {self.eps_db}")
-        if self.noise_psd <= 0:
-            raise ValueError(f"noise_psd must be > 0, got {self.noise_psd}")
-        if self.d_min <= 0:
-            raise ValueError("d_min must be > 0")
         if self.radius <= self.d_min:
             raise ValueError("radius must exceed d_min")
         if self.f_upper <= self.antenna.f_co:
             raise ValueError("f_upper must exceed antenna.f_co")
-        if self.p_total <= 0:
-            raise ValueError("p_total must be > 0")
-        if self.b_total <= 0:
-            raise ValueError("b_total must be > 0")
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -290,11 +281,7 @@ def _with_axis_value(cfg, axis, value):
     if axis not in ("n_aps", "b_total"):
         raise ValueError(f"axis must be 'n_aps' or 'b_total', got {axis!r}")
     try:
-        if axis == "b_total":
-            return replace(cfg, b_total=float(value))
-        if not float(value).is_integer():
-            raise ValueError(f"n_aps must be a whole number, got {value}")
-        return replace(cfg, n_aps=int(value))
+        return replace(cfg, **{axis: value})
     except ValueError as exc:
         raise AxisValueError(f"{axis} = {value}: {exc}") from exc
 

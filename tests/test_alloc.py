@@ -1182,6 +1182,17 @@ class TestSubchannelPlan:
         with pytest.raises(ValueError, match="centers"):
             SubchannelPlan(centers, widths, 16e9)
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, np.float32("nan")])
+    def test_rejects_a_non_finite_budget(self, budget):
+        # a NaN budget once passed validate, which compares against it
+        with pytest.raises(ValueError, match="total_budget must be a finite number"):
+            SubchannelPlan([150e9], [1e9], budget)
+
+    def test_stores_its_budget_as_a_float(self):
+        plan = SubchannelPlan([150e9], [1e9], 16_000_000_000)
+        assert type(plan.total_budget) is float
+        assert plan == SubchannelPlan([150e9], [1e9], 16e9)
+
     def test_holds_read_only_copies(self):
         centers, widths = np.array([150e9, 160e9]), np.array([1e9, 0.0])
         plan = SubchannelPlan(centers, widths, 16e9)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -120,14 +121,17 @@ def field_value(cfg, path):
     return cfg
 
 
-def retyped(cfg, paths):
-    """cfg with the value at each dotted path given as the other numeric
-    type: an int as a float, an integral float as an int."""
+def retyped(cfg, paths, kind=None):
+    """cfg with the value at each dotted path given as kind(value), by
+    default as the other numeric type: an int as a float, an integral float
+    as an int."""
     for path in paths:
         head, _, rest = path.partition(".")
         value = getattr(cfg, head)
         if rest:
-            value = retyped(value, [rest])
+            value = retyped(value, [rest], kind)
+        elif kind is not None:
+            value = kind(value)
         else:
             value = float(value) if isinstance(value, int) else int(value)
         cfg = dataclasses.replace(cfg, **{head: value})
@@ -140,6 +144,26 @@ RETYPABLE = sorted(
     if isinstance(value := field_value(ScenarioConfig(), path), int)
     or (isinstance(value, float) and value.is_integer())
 )
+
+
+# Every int and float field, and the numeric types a value can arrive as.
+NUMERIC_PATHS = sorted(
+    path for path in leaf_paths(ScenarioConfig())
+    if isinstance(field_value(ScenarioConfig(), path), (int, float))
+)
+NUMERIC_TYPES = [int, float, np.int64, np.float32, np.float64]
+PSD_PATHS = {"noise_psd", "gamma_th"}
+
+
+def refused_values(path):
+    """Values no config holds at `path`: NaN and the infinities as each float
+    type, the bools, and in an int field a fraction."""
+    values = [kind(text) for kind in (float, np.float32, np.float64)
+              for text in ("nan", "inf", "-inf")] + [True, False]
+    default = field_value(ScenarioConfig(), path)
+    if isinstance(default, int):
+        values += [default + 0.5, np.float32(default + 0.25)]
+    return values
 
 
 @st.composite
@@ -306,17 +330,19 @@ class TestConfigDigest:
         assert same == want
         assert cli.config_digest(same) == cli.config_digest(want)
 
-    def test_a_value_its_field_type_cannot_hold_keeps_its_own_digest(self):
-        # 20.5 in the int field n_aps is not 20, so it is not written as 20
-        odd = ScenarioConfig(n_aps=20.5)
-        assert odd != ScenarioConfig()
-        assert cli.config_digest(odd) != cli.config_digest(ScenarioConfig())
+    def test_a_value_its_field_type_cannot_hold_is_refused(self):
+        # 20.5 in the int field n_aps is not 20, so no config holds it and
+        # no digest is written for it
+        with pytest.raises(ValueError, match="n_aps must be a whole number, got 20.5"):
+            ScenarioConfig(n_aps=20.5)
 
     def test_signed_zero_hashes_as_zero(self):
         # eps_db = -0.0 builds a config equal to eps_db = 0
         zero, signed = (cli.load_config(None, {"eps_db": text}) for text in ("0", "-0.0"))
         assert zero == signed
         assert cli.config_digest(zero) == cli.config_digest(signed)
+        # the config stores it as 0.0, as the library builds it too
+        assert repr(signed) == repr(zero) == repr(ScenarioConfig(eps_db=-0.0))
 
     @pytest.mark.parametrize("key", sorted(EVERY_KEY_ENTRIES))
     def test_any_changed_value_changes_the_digest(self, tmp_path, key):
@@ -325,6 +351,51 @@ class TestConfigDigest:
         cfg = cli.load_config(p)
         assert cfg != ScenarioConfig()
         assert cli.config_digest(cfg) != cli.config_digest(ScenarioConfig())
+
+
+class TestFieldTypes:
+    """A config stores each int and float field as its declared type, and
+    refuses what no such field can hold, however it is built."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=st.sampled_from(sorted(EVERY_KEY_ENTRIES)), moved=st.booleans(),
+           retype=st.lists(st.tuples(st.sampled_from(NUMERIC_PATHS),
+                                     st.sampled_from(NUMERIC_TYPES)),
+                           unique_by=lambda pair: pair[0]))
+    @example(key="n_aps", moved=False, retype=[("n_aps", float), ("b_total", int),
+                                               ("ce.step", np.float32), ("seed", np.float64)])
+    def test_a_value_of_any_numeric_type_builds_the_canonical_config(self, key, moved, retype):
+        # the defaults, or the defaults with one key moved; each retyped
+        # value is the same number, so the config, its repr and its digest
+        # are the same too
+        want = cli.load_config(None, {key: EVERY_KEY_ENTRIES[key]} if moved else None)
+        same = want
+        for path, kind in retype:
+            value = field_value(want, path)
+            # np.float32 holds few floats exactly (and compares to a float in float32)
+            if float(kind(value)) == value:
+                same = retyped(same, [path], kind)
+        assert same == want
+        assert repr(same) == repr(want)
+        assert cli.config_digest(same) == cli.config_digest(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), path=st.sampled_from(NUMERIC_PATHS))
+    def test_a_value_no_field_can_hold_is_refused(self, data, path):
+        bad = data.draw(st.sampled_from(refused_values(path)))
+        name = path.rsplit(".", 1)[-1]
+        with pytest.raises(ValueError, match=name):
+            retyped(ScenarioConfig(), [path], lambda _: bad)
+        # a PSD key is in dBm/Hz, where no text gives -inf W/Hz
+        if not (path in PSD_PATHS and bad < 0):
+            key = {field: key for key, field in UNIT_KEYS.items()}.get(path, path)
+            with pytest.raises(ConfigError, match=name):
+                cli.load_config(None, {key: str(bad)})
+        if path in ("n_aps", "b_total"):
+            cfg = ScenarioConfig(n_aps=4, trials=1, schemes=("mrt",),
+                                 ce=CEConfig(n_sub=6, samples=8, elites=2, max_iter=2, step=50e6))
+            with pytest.raises(sim.AxisValueError, match=f"{path} = "):
+                sim.monte_carlo(cfg, path, [bad])
 
 
 class TestSimulateCommand:
@@ -609,7 +680,9 @@ class TestMainErrors:
     @pytest.mark.parametrize(
         "line",
         ["eps_db = nan", "radius_m = inf", "trials = 0", "eps_db = -1",
-         "n_aps = 0", "angle_guard_rad = 0.9", "noise_psd_dbm_hz = -inf"],
+         "n_aps = 0", "angle_guard_rad = 0.9", "noise_psd_dbm_hz = -inf", "n_aps = 20.5",
+         # once a numpy traceback on a negative array dimension, exit 1
+         "ce.max_iter = -1"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, line):
         p = tmp_path / "c.cfg"

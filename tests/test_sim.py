@@ -346,6 +346,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.float32("nan"), np.float64("inf"), np.float32("-inf")],
+                             ids=["float32-nan", "float64-inf", "float32-minus-inf"])
+    def test_numpy_non_finite_values_rejected(self, value):
+        # np.float32 NaN once built, and swept to a rate of 0.0 in every CE scheme
+        with pytest.raises(ValueError, match="eps_db must be a finite number"):
+            ScenarioConfig(eps_db=value)
+
     @pytest.mark.parametrize(
         "field, value",
         [("eps_db", -0.1), ("n_aps", 0), ("n_aps", -2), ("n_sel", 0),
@@ -360,6 +367,46 @@ class TestConfigValidation:
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ValueError, match="trials"):
             ScenarioConfig(trials=trials)
+
+    def test_whole_number_floats_are_stored_as_ints(self):
+        # trials = 1.0 and ce.n_sub = 2.0 once built and then failed in numpy
+        cfg = fast_cfg(trials=2.0, n_aps=np.float64(4),
+                       ce=CEConfig(n_sub=6.0, samples=8, elites=2, max_iter=np.int64(2),
+                                   step=50e6))
+        assert cfg == fast_cfg(trials=2)
+        assert type(cfg.trials) is type(cfg.n_aps) is type(cfg.ce.n_sub) is int
+        assert type(cfg.ce.max_iter) is int
+        assert type(ScenarioConfig().noise_psd) is type(ScenarioConfig().gamma_th) is float
+        assert (sim.monte_carlo(cfg, "b_total", [4e9]).rows
+                == sim.monte_carlo(fast_cfg(trials=2), "b_total", [4e9]).rows)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ScenarioConfig(n_aps=20.5), "n_aps"),
+        (lambda: ScenarioConfig(trials=np.float32(1.5)), "trials"),
+        (lambda: CEConfig(n_sub=2.5), "n_sub"),
+        (lambda: phy.AntennaConfig(gain_exponent=1.5), "gain_exponent"),
+    ])
+    def test_fraction_in_an_int_field_rejected(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            build()
+
+    def test_max_iter_below_zero_rejected(self):
+        # -1 once reached numpy as a negative array dimension; 0 stays legal
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+            CEConfig(max_iter=-1)
+        assert CEConfig(max_iter=0).max_iter == 0
+
+    def test_schemes_are_stored_as_a_tuple(self):
+        # a list once stayed a list, and the config could not be hashed
+        cfg = ScenarioConfig(schemes=["mrt", "nearest"])
+        assert cfg.schemes == ("mrt", "nearest")
+        assert cfg == ScenarioConfig(schemes=("mrt", "nearest"))
+        assert hash(cfg) == hash(ScenarioConfig(schemes=("mrt", "nearest")))
+
+    def test_schemes_as_a_bare_string_rejected(self):
+        # "mrt" once failed as the unknown schemes 'm', 'r' and 't'
+        with pytest.raises(ValueError, match="schemes must be a sequence of scheme names"):
+            ScenarioConfig(schemes="mrt")
 
     def test_non_finite_ce_and_antenna_fields_rejected(self):
         with pytest.raises(ValueError, match="step"):
