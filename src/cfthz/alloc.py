@@ -19,10 +19,12 @@ grid index, so the bandwidth search is a lookup in a per-grid width table,
 and all of an iteration's plans are built and scored as `(samples, n_sub)`
 arrays by `_plan_rows` and `_score_rows`; `ce_optimize` builds and scores
 its final plan as one more row, and `plan_rate` is the scorer's one-row
-case for plans built elsewhere. On a grid with no live point every plan
-has width 0, so `ce_optimize` then skips both. Scalar reference forms of
-the search, the overlap resolution, the trim, the rate and the CE loop live
-in the tests as their oracles.
+case for plans built elsewhere. The overlap resolution stops after the
+last rank that holds a live channel in any row, since a width-0 channel
+never claims and is never clipped; on a grid with no live point it runs
+no rank, and every plan is its snapped centers at width 0. Scalar
+reference forms of the search, the overlap resolution, the trim, the rate
+and the CE loop live in the tests as their oracles.
 
 The width table is filled lazily, for the centers the optimizer asks for.
 A flat-window certificate (`_flat_radii`), built once per table in
@@ -338,9 +340,8 @@ def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
         # column j of both blocks holds the edges at k = k0 + j
         diff = below[:, :chunk][mirror - centers + k0]
         np.subtract(diff, above[:, :chunk][_SCAN_MAX + centers + k0], out=diff)
-        np.abs(diff, out=diff)
-        # NaN (a dead or inf edge) fails both tests; a diff of 0 passes even at eps 0
-        ok = diff < eps_db if eps_db > 0 else diff == 0.0
+        # NaN (a dead or inf edge) is not flat; a diff of 0 is, even at eps 0
+        ok = _flat(np.abs(diff, out=diff), 0.0, eps_db)
         hit = ~ok.all(axis=1)
         # pairs past the cap were checked too; the cap bounds the result
         k_star[front] = np.minimum(k0 - 1 + np.where(hit, ok.argmin(axis=1), chunk), k_cap)
@@ -394,7 +395,10 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     keep = hi - lo > 0
     claim_lo = np.where(keep, lo, np.inf)
     claim_hi = np.where(keep, hi, -np.inf)
-    for r in range(1, n):
+    # a width-0 channel never claims and is never clipped: stop after the
+    # last rank that holds a live channel in any row
+    last = np.flatnonzero(keep.any(axis=1)).max(initial=0)
+    for r in range(1, last + 1):
         x = c_r[r]
         c_lo, c_hi = claim_lo[:r], claim_hi[:r]
         above, below = x <= c_lo, x >= c_hi
@@ -442,15 +446,18 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     return centers, widths
 
 
-def _score_rows(grid: GridRss, centers, widths, noise_psd):
-    """Rate objective of every row: the sum of width * log2(1 + rss/noise)
-    over its live channels [bit/s]. Each row is summed over its live
-    channels only, because numpy's pairwise sum depends on the length of
-    what it adds."""
+def _rate_terms(widths, rss, noise_psd):
+    """Per-channel rates width * log2(1 + max(rss, 0)/noise) [bit/s]."""
     if noise_psd <= 0:
         raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
-    g = grid.values[grid.index_of(centers)]
-    terms = widths * np.log2(1.0 + np.maximum(g, 0.0) / noise_psd)
+    return widths * np.log2(1.0 + np.maximum(rss, 0.0) / noise_psd)
+
+
+def _score_rows(grid: GridRss, centers, widths, noise_psd):
+    """Rate objective of every row: the sum of its live channels' rate
+    terms [bit/s]. Each row is summed over its live channels only, because
+    numpy's pairwise sum depends on the length of what it adds."""
+    terms = _rate_terms(widths, grid.values[grid.index_of(centers)], noise_psd)
     live = widths > 0
     n_live = live.sum(axis=1)
     packed = np.take_along_axis(terms, np.argsort(~live, axis=1, kind="stable"), axis=1)
@@ -485,16 +492,6 @@ def _sample_centers(means, std, cfg: CEConfig, band, rng):
     return np.clip(x, lo, hi)
 
 
-def _rated_rows(grid: GridRss, idx, live, eps_db, total_budget, noise_psd):
-    """The plans of rows of snapped center indices and their scores. On a
-    grid with no live point every plan is its snapped centers at width 0
-    and scores 0, which is what `_plan_rows` and `_score_rows` return there."""
-    if not live:
-        return grid.freqs[idx], np.zeros(idx.shape), np.zeros(len(idx))
-    centers, widths = _plan_rows(grid, idx, eps_db, total_budget)
-    return centers, widths, _score_rows(grid, centers, widths, noise_psd)
-
-
 def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, noise_psd):
     """Run the cross-entropy loop over `grid.band` and build the plan from
     the final means.
@@ -504,12 +501,8 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
     sample's plan in one batch, and refits the Gaussians to the elites with
     smoothing. The incumbent is the best sampled plan, or the final plan
     where that scores strictly higher; the objective traces come along as
-    diagnostics. A grid with no live point skips the plan kernel: its draws
-    and refits run as usual, so the means and plan centers are the same.
+    diagnostics.
     """
-    if noise_psd <= 0:
-        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
-    live = bool((grid.values > 0.0).any())
     lo, hi = grid.band
     means = lo + (np.arange(1, cfg.n_sub + 1) - 0.5) * (hi - lo) / cfg.n_sub
     variances = np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2)
@@ -519,9 +512,8 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
     inc_value = -np.inf
     for t in range(cfg.max_iter):
         samples = _sample_centers(means, np.sqrt(variances), cfg, grid.band, rng)
-        centers, widths, scores = _rated_rows(
-            grid, grid.index_of(samples), live, eps_db, total_budget, noise_psd
-        )
+        centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
+        scores = _score_rows(grid, centers, widths, noise_psd)
         best = int(np.argmax(scores))
         if scores[best] > inc_value:
             inc_centers, inc_widths, inc_value = centers[best], widths[best], scores[best]
@@ -532,10 +524,8 @@ def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, nois
         means = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means
         variances = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances
         variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
-    centers, widths, scores = _rated_rows(
-        grid, grid.index_of(means)[None, :], live, eps_db, total_budget, noise_psd
-    )
-    final_value = float(scores[0])
+    centers, widths = _plan_rows(grid, grid.index_of(means)[None, :], eps_db, total_budget)
+    final_value = float(_score_rows(grid, centers, widths, noise_psd)[0])
     if final_value > inc_value:
         inc_centers, inc_widths, inc_value = centers[0], widths[0], final_value
     return CEResult(
@@ -553,13 +543,8 @@ def plan_records(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Serialize a plan to (index, center_Hz, width_Hz, rss_W_per_Hz,
     rate_bps) records for machine-readable output, RSS read on the grid
     (0 for an unused slot)."""
-    if noise_psd <= 0:
-        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
     rss = np.where(plan.widths > 0, grid.values[grid.index_of(plan.centers)], 0.0)
-    live = rss > 0
-    rate = np.zeros(rss.size)
-    rate[live] = plan.widths[live] * np.log2(1.0 + rss[live] / noise_psd)
-    columns = (plan.centers, plan.widths, rss, rate)
+    columns = (plan.centers, plan.widths, rss, _rate_terms(plan.widths, rss, noise_psd))
     return [
         {"index": i, "center_hz": c, "width_hz": w, "rss_w_per_hz": g, "rate_bps": r}
         for i, (c, w, g, r) in enumerate(zip(*(col.tolist() for col in columns)))

@@ -98,8 +98,9 @@ def _coerce(key, value):
     path = _UNIT_KEYS.get(key, key)
     try:
         typed = type(DEFAULTS[key])(str(value))
-        if path in _PSD_FIELDS:
-            return dbm_per_hz_to_w_per_hz(typed)
+        if path in _PSD_FIELDS:  # an overflow to inf fails the config's finite check
+            with np.errstate(over="ignore"):
+                return dbm_per_hz_to_w_per_hz(typed)
         if path == "schemes":
             return tuple(s.strip() for s in typed.split(",") if s.strip())
         return typed

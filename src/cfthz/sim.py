@@ -60,7 +60,7 @@ class ScenarioConfig:
         for name, low in (("trials", 1), ("n_aps", 1), ("n_sel", 1), ("seed", 0), ("eps_db", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("noise_psd", "d_min", "p_total", "b_total"):
+        for name in ("noise_psd", "gamma_th", "d_min", "p_total", "b_total"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.angle_guard < np.pi / 4:
@@ -233,8 +233,7 @@ def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
     rss = np.zeros(row.size)
     for _ in aps:
         rss += row
-    result = run_trial(aps, "mrt", cfg, ce_rng, (selection.select_mrt(aps), rss))
-    return replace(result, scheme="colocated")
+    return run_trial(aps, "colocated", cfg, ce_rng, (selection.select_mrt(aps), rss))
 
 
 def _headline_rate(result: TrialResult) -> float:

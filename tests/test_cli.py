@@ -235,7 +235,10 @@ class TestConfigParsing:
          ("gamma_th_dbm_hz", "nan"), ("ce.smooth_var", "nan"),
          ("antenna.atten_per_m", "inf"), ("trials", "0"), ("eps_db", "-0.5"),
          ("n_aps", "0"), ("n_sel", "0"), ("angle_guard_rad", "0"),
-         ("angle_guard_rad", "0.8"), ("noise_psd_dbm_hz", "-inf")],
+         ("angle_guard_rad", "0.8"), ("noise_psd_dbm_hz", "-inf"),
+         # 5000 dBm/Hz overflows to inf; -inf and -5000 give 0 W/Hz, no link gate
+         ("noise_psd_dbm_hz", "5000"), ("gamma_th_dbm_hz", "-inf"),
+         ("gamma_th_dbm_hz", "-5000"), ("gamma_th_dbm_hz", "5000")],
     )
     def test_non_finite_or_zero_trials_rejected(self, key, value):
         with pytest.raises(ConfigError):
@@ -682,7 +685,10 @@ class TestMainErrors:
         ["eps_db = nan", "radius_m = inf", "trials = 0", "eps_db = -1",
          "n_aps = 0", "angle_guard_rad = 0.9", "noise_psd_dbm_hz = -inf", "n_aps = 20.5",
          # once a numpy traceback on a negative array dimension, exit 1
-         "ce.max_iter = -1"],
+         "ce.max_iter = -1",
+         # once an overflow warning, or a run with no link gate, exit 0
+         "noise_psd_dbm_hz = 5000", "gamma_th_dbm_hz = -inf", "gamma_th_dbm_hz = -5000",
+         "gamma_th_dbm_hz = 5000"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, line):
         p = tmp_path / "c.cfg"

@@ -5,11 +5,8 @@ import cfthz
 # The top-level API. A name added to or dropped from `cfthz/__init__.py`
 # has to be added to or dropped from this set as well.
 EXPORTS = {
-    "AccessPoint", "AntennaConfig", "BelowCutoffError", "CEConfig", "CEResult", "GridRss",
-    "SPEED_OF_LIGHT", "ScenarioConfig", "SubchannelPlan", "SweepResult",
-    "TrialResult", "antenna_gain", "ce_optimize", "generate_scenario", "integrated_rate",
-    "monte_carlo", "peak_frequency", "plan_rate", "run_trial", "select_best_at",
-    "select_best_nsel", "select_mrt", "select_nearest", "wavenumber",
+    "AntennaConfig", "GridRss", "ScenarioConfig", "antenna_gain", "ce_optimize",
+    "generate_scenario", "monte_carlo", "peak_frequency",
 }
 
 

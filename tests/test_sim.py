@@ -357,7 +357,8 @@ class TestConfigValidation:
         "field, value",
         [("eps_db", -0.1), ("n_aps", 0), ("n_aps", -2), ("n_sel", 0),
          ("angle_guard", 0.0), ("angle_guard", -0.01), ("angle_guard", np.pi / 4),
-         ("angle_guard", 1.0), ("noise_psd", 0.0), ("noise_psd", -1e-21), ("seed", -1)],
+         ("angle_guard", 1.0), ("noise_psd", 0.0), ("noise_psd", -1e-21), ("seed", -1),
+         ("gamma_th", 0.0)],
     )
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
