@@ -8,23 +8,27 @@ search, overlap resolution in favor of the stronger subchannel, and a
 budget trim that grants bandwidth to the strongest subchannels first. A
 `SubchannelPlan` holds a plan as two arrays, its centers and its widths.
 
-`ce_optimize` is the whole cross-entropy loop; there is no per-iteration
-API. It fits per-subchannel Gaussians over center frequencies to elite
-samples with smoothed MLE updates, keeps its sampler state and the
-incumbent as plain arrays, and builds `SubchannelPlan`s only when it
+`ce_batch` is the whole cross-entropy loop, for any number of runs at
+once, and `ce_optimize` is its one-run case; there is no per-iteration
+API. Each run fits per-subchannel Gaussians over center frequencies to its
+own elite samples with smoothed MLE updates, keeps its sampler state and
+its incumbent as plain arrays, and builds `SubchannelPlan`s only when it
 returns. `CEResult.means` holds the final sampler means.
 
-The allocator works on a `GridRss` only: every center is snapped to a
-grid index, so the bandwidth search is a lookup in a per-grid width table,
-and all of an iteration's plans are built and scored as `(samples, n_sub)`
-arrays by `_plan_rows` and `_score_rows`; `ce_optimize` builds and scores
-its final plan as one more row, and `plan_rate` is the scorer's one-row
-case for plans built elsewhere. The overlap resolution stops after the
-last rank that holds a live channel in any row, since a width-0 channel
-never claims and is never clipped; on a grid with no live point it runs
-no rank, and every plan is its snapped centers at width 0. Scalar
-reference forms of the search, the overlap resolution, the trim, the rate
-and the CE loop live in the tests as their oracles.
+The allocator works on `GridRss`s only: every center is snapped to a grid
+index, so the bandwidth search is a lookup in a per-grid width table. All
+of an iteration's plans, over every run of a batch, are built and scored
+as one `(runs * samples, n_sub)` array by `_plan_rows` and `_score_rows`,
+each run's block of rows read on its own grid. The kernel's per-rank
+numpy calls cost about the same whatever the row count, so a batch of
+runs costs less than its runs one at a time. The final plans are one
+more row per run, and `plan_rate` is the scorer's one-row case for plans
+built elsewhere. The overlap resolution stops after the last rank that
+holds a live channel in any row, since a width-0 channel never claims
+and is never clipped; on a grid with no live point it runs no rank, and
+every plan is its snapped centers at width 0. Scalar reference forms of
+the search, the overlap resolution, the trim, the rate and the CE loop
+live in the tests as their oracles.
 
 The width table is filled lazily, for the centers the optimizer asks for.
 A flat-window certificate (`_flat_radii`), built once per table in
@@ -194,19 +198,25 @@ class GridRss:
         if self.band[1] <= self.band[0]:
             raise ValueError(f"band upper {band[1]} must exceed lower {band[0]}")
         self.step = float(step)
-        self.freqs = grid_freqs(self.band, self.step)
         self.values = np.asarray(values, dtype=float)
-        if self.values.shape != self.freqs.shape:
-            raise ValueError(
-                f"RSS samples have shape {self.values.shape}, grid has {self.freqs.shape}"
-            )
-        with np.errstate(divide="ignore"):
-            self.db = 10.0 * np.log10(self.values)
+        shape = (grid_size(self.band, self.step),)
+        if self.values.shape != shape:
+            raise ValueError(f"RSS samples have shape {self.values.shape}, grid has {shape}")
         # coherence half-widths in steps, one table per (eps_db, cap in
         # steps), filled by `_grid_widths`; -1 marks an index not yet searched
         self.k_tables = {}
         # the flat-window certificate of each table, built by `_flat_radii`
         self.flat_radii = {}
+
+    @cached_property
+    def freqs(self):
+        return grid_freqs(self.band, self.step)
+
+    @cached_property
+    def db(self):
+        """The RSS in dB: -inf at a dead point."""
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(self.values)
 
     @cached_property
     def scan_windows(self):
@@ -223,7 +233,7 @@ class GridRss:
 
     def index_of(self, f):
         idx = np.round((np.asarray(f, dtype=float) - self.band[0]) / self.step)
-        return np.clip(idx.astype(int), 0, self.freqs.size - 1)
+        return np.clip(idx.astype(int), 0, self.values.size - 1)
 
     def __call__(self, f):
         out = self.values[self.index_of(f)]
@@ -239,7 +249,7 @@ def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width):
     cap = int(max_width / (2 * grid.step) + 1e-9)
     table = grid.k_tables.get((eps_db, cap))
     if table is None:
-        table = grid.k_tables[(eps_db, cap)] = np.full(grid.values.size, -1)
+        table = grid.k_tables[(eps_db, cap)] = np.full(grid.values.size, -1, dtype=np.int32)
     new = table[idx] < 0
     if new.any():
         pending = np.zeros(table.size, dtype=bool)
@@ -275,7 +285,7 @@ def _flat_radii(grid: GridRss, eps_db, cap):
     n = grid.values.size
     top = min(cap, (n - 1) // 2)
     if top < 1:
-        return np.zeros(n, dtype=np.intp)
+        return np.zeros(n, dtype=np.int32)
     # padding and non-finite points make every window holding them fail;
     # hi and lo hold the max and min of the h points from each position on
     pad = 2 * top
@@ -313,7 +323,7 @@ def _flat_radii(grid: GridRss, eps_db, cap):
     d = np.arange(n) % _CERT_STRIDE
     below = np.repeat(found_at[:-1], _CERT_STRIDE)[:n] - d
     above = np.repeat(found_at[1:], _CERT_STRIDE)[:n] - (_CERT_STRIDE - d)
-    return np.maximum(np.maximum(below, above), 0)
+    return np.maximum(np.maximum(below, above), 0).astype(np.int32)
 
 
 def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
@@ -323,14 +333,19 @@ def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
     radius (`_flat_radii`); chunks of k are then checked for the whole
     frontier at once, and a center leaves the frontier once it has settled.
     The first chunk is short, because most centers settle on the first pair
-    past their radius; later chunks grow as the frontier shrinks."""
+    past their radius; later chunks grow as the frontier shrinks. A dead
+    center's half-width is 0, so when every center is dead neither the
+    certificate nor the scan windows are built."""
+    live = grid.values[idx] > 0.0
+    if not live.any():
+        return np.zeros(idx.size, dtype=np.int32)
     radii = grid.flat_radii.get((eps_db, cap))
     if radii is None:
         radii = grid.flat_radii[(eps_db, cap)] = _flat_radii(grid, eps_db, cap)
     n = grid.values.size
     k_cap = np.minimum(np.minimum(idx, n - 1 - idx), cap)
     k_star = radii[idx]  # 0 at a dead center
-    front = np.flatnonzero((k_star < k_cap) & (grid.values[idx] > 0.0))
+    front = np.flatnonzero((k_star < k_cap) & live)
     k0, k_cap = k_star[front] + 1, k_cap[front]
     above, below = grid.scan_windows
     mirror = n - 1 + _SCAN_MAX
@@ -370,24 +385,33 @@ def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     return rate
 
 
-def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
+def _blocks(grids, *arrays):
+    """Each grid with its own block of rows of every array: the rows of a
+    batch come in len(grids) equal blocks, block j read on grids[j]."""
+    return zip(grids, *(np.split(a, len(grids)) for a in arrays))
+
+
+def _plan_rows(grids, idx, eps_db, total_budget):
     """Build one plan per row of snapped center indices, all rows at once:
     the coherence widths, then overlap resolution in favor of the stronger
     center RSS (a channel whose center a stronger one covers gets width
     0, and a clipped one is shrunk to a flat interval about a grid point),
     then a budget trim that grants bandwidth in descending center-RSS
-    order. Each row equals the scalar reference chain in
+    order. The rows come in len(grids) equal blocks, each read on its own
+    grid (`_blocks`). Each row equals the scalar reference chain in
     `tests/test_alloc.py` bit for bit. Returns the plans' (centers,
     widths), shaped like idx."""
     rows, n = idx.shape
-    c = grid.freqs[idx]
-    w = _grid_widths(grid, idx.ravel(), eps_db, max_width=total_budget).reshape(rows, n)
+    c = np.concatenate([grid.freqs[b] for grid, b in _blocks(grids, idx)])
+    w = np.concatenate([_grid_widths(grid, b.ravel(), eps_db, max_width=total_budget)
+                        for grid, b in _blocks(grids, idx)]).reshape(rows, n)
+    rss = np.concatenate([grid.values[b] for grid, b in _blocks(grids, idx)])
 
     # overlap resolution, one rank at a time (stronger center RSS first,
     # lower index on ties); each channel is clipped against the intervals
     # its row has already claimed. Arrays here are (rank, row); an
     # unclaimed slot holds the empty interval (inf, -inf).
-    rank = np.argsort(-grid.values[idx], axis=1, kind="stable")
+    rank = np.argsort(-rss, axis=1, kind="stable")
     c_r = np.take_along_axis(c, rank, axis=1).T.copy()
     w_r = np.take_along_axis(w, rank, axis=1).T.copy()
     lo = c_r - w_r / 2.0
@@ -413,16 +437,17 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     # about the grid point nearest its midpoint to the widest half-width
     # the width table admits there that still fits inside [lo, hi]
     clip = keep & ((lo != c_r - w_r / 2.0) | (hi != c_r + w_r / 2.0))
-    if clip.any():
-        l, h = lo[clip], hi[clip]
-        m = grid.index_of((l + h) / 2.0)
-        f_m = grid.freqs[m]
-        fit = np.floor(np.minimum(f_m - l, h - f_m) / grid.step + 1e-9)
-        half = np.minimum(
-            _grid_widths(grid, m, eps_db, max_width=total_budget) / 2.0, fit * grid.step
-        )
-        l, h = f_m - half, f_m + half
-        lo[clip], hi[clip], keep[clip] = l, h, h - l > 0
+    for grid, cut, lo_g, hi_g, keep_g in _blocks(grids, *(a.T for a in (clip, lo, hi, keep))):
+        if cut.any():
+            l, h = lo_g[cut], hi_g[cut]
+            m = grid.index_of((l + h) / 2.0)
+            f_m = grid.freqs[m]
+            fit = np.floor(np.minimum(f_m - l, h - f_m) / grid.step + 1e-9)
+            half = np.minimum(
+                _grid_widths(grid, m, eps_db, max_width=total_budget) / 2.0, fit * grid.step
+            )
+            l, h = f_m - half, f_m + half
+            lo_g[cut], hi_g[cut], keep_g[cut] = l, h, h - l > 0
     centers = np.empty_like(c)
     widths = np.empty_like(w)
     np.put_along_axis(centers, rank, np.where(keep, (lo + hi) / 2.0, c_r).T, axis=1)
@@ -437,7 +462,9 @@ def _plan_rows(grid: GridRss, idx, eps_db, total_budget):
     over = ~(total <= total_budget)
     if over.any():
         w_o = widths[over]
-        order = np.argsort(-grid.values[grid.index_of(centers[over])], axis=1, kind="stable")
+        rss_o = np.concatenate([grid.values[grid.index_of(b[o])]
+                                for grid, b, o in _blocks(grids, centers, over)])
+        order = np.argsort(-rss_o, axis=1, kind="stable")
         w_s = np.take_along_axis(w_o, order, axis=1)
         start = np.full((w_s.shape[0], 1), float(total_budget))
         left = np.subtract.accumulate(np.hstack([start, w_s[:, :-1]]), axis=1)
@@ -453,11 +480,13 @@ def _rate_terms(widths, rss, noise_psd):
     return widths * np.log2(1.0 + np.maximum(rss, 0.0) / noise_psd)
 
 
-def _score_rows(grid: GridRss, centers, widths, noise_psd):
-    """Rate objective of every row: the sum of its live channels' rate
-    terms [bit/s]. Each row is summed over its live channels only, because
-    numpy's pairwise sum depends on the length of what it adds."""
-    terms = _rate_terms(widths, grid.values[grid.index_of(centers)], noise_psd)
+def _score_rows(grids, centers, widths, noise_psd):
+    """Rate objective of every row, its centers looked up on its own grid
+    (`_blocks`): the sum of its live channels' rate terms [bit/s]. Each
+    row is summed over its live channels only, because numpy's pairwise
+    sum depends on the length of what it adds."""
+    rss = np.concatenate([grid.values[grid.index_of(b)] for grid, b in _blocks(grids, centers)])
+    terms = _rate_terms(widths, rss, noise_psd)
     live = widths > 0
     n_live = live.sum(axis=1)
     packed = np.take_along_axis(terms, np.argsort(~live, axis=1, kind="stable"), axis=1)
@@ -470,7 +499,7 @@ def _score_rows(grid: GridRss, centers, widths, noise_psd):
 
 def plan_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Rate objective of one plan, its centers looked up on the grid."""
-    return float(_score_rows(grid, plan.centers[None], plan.widths[None], noise_psd)[0])
+    return float(_score_rows([grid], plan.centers[None], plan.widths[None], noise_psd)[0])
 
 
 def variance_smoothing(beta, q, t):
@@ -492,51 +521,79 @@ def _sample_centers(means, std, cfg: CEConfig, band, rng):
     return np.clip(x, lo, hi)
 
 
+def ce_batch(grids, cfg: CEConfig, rngs, *, eps_db, total_budget, noise_psd):
+    """Run one cross-entropy loop per grid, in lockstep, and build each
+    run's plan from its final means. Returns one `CEResult` per grid.
+
+    Each run keeps its own grid, generator, Gaussians and incumbent: its
+    means start evenly spread over its grid's band with a wide common
+    variance, and each iteration draws its samples from its own generator
+    as a run on its own would. The plans of every run's samples are then
+    built and scored in one batch, one block of rows per run, and each run
+    refits its Gaussians to its own elites with smoothing. The incumbent is
+    the run's best sampled plan, or its final plan where that scores
+    strictly higher; the objective traces come along as diagnostics. The
+    plan kernel's per-rank numpy calls cost about the same whatever its
+    row count, so runs batched together cost less than run one at a time,
+    and each result equals `ce_optimize` on its grid and generator bit
+    for bit.
+    """
+    k = len(grids)
+    if not k:
+        return []
+    means, variances = [], []
+    for grid in grids:
+        lo, hi = grid.band
+        means.append(lo + (np.arange(1, cfg.n_sub + 1) - 0.5) * (hi - lo) / cfg.n_sub)
+        variances.append(np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2))
+    best_per_iter = np.empty((k, cfg.max_iter))
+    incumbent_trace = np.empty((k, cfg.max_iter))
+    incumbents = [(None, None, -np.inf)] * k  # (centers, widths, value) of each run
+    for t in range(cfg.max_iter):
+        samples = [_sample_centers(mu, np.sqrt(var), cfg, grid.band, rng)
+                   for grid, mu, var, rng in zip(grids, means, variances, rngs)]
+        idx = np.concatenate([grid.index_of(x) for grid, x in zip(grids, samples)])
+        centers, widths = _plan_rows(grids, idx, eps_db, total_budget)
+        scores = _score_rows(grids, centers, widths, noise_psd)
+        beta_t = variance_smoothing(cfg.smooth_var, cfg.smooth_power, t)
+        for j, (_, c, w, s) in enumerate(_blocks(grids, centers, widths, scores)):
+            best = int(np.argmax(s))
+            if s[best] > incumbents[j][2]:
+                # copies, so that no incumbent holds a whole batch alive
+                incumbents[j] = (c[best].copy(), w[best].copy(), s[best])
+            best_per_iter[j, t] = s[best]
+            incumbent_trace[j, t] = incumbents[j][2]
+            elites = samples[j][np.argsort(-s, kind="stable")[: cfg.elites]]
+            means[j] = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means[j]
+            variances[j] = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances[j]
+            variances[j] = np.maximum(variances[j], cfg.step**2)  # keep the sampler proper
+    idx = np.stack([grid.index_of(mu) for grid, mu in zip(grids, means)])
+    centers, widths = _plan_rows(grids, idx, eps_db, total_budget)
+    finals = _score_rows(grids, centers, widths, noise_psd)
+    results = []
+    for j in range(k):
+        final_value = float(finals[j])
+        inc_centers, inc_widths, inc_value = incumbents[j]
+        if final_value > inc_value:
+            inc_centers, inc_widths, inc_value = centers[j], widths[j], final_value
+        results.append(CEResult(
+            plan=SubchannelPlan(centers[j], widths[j], total_budget),
+            plan_value=final_value,
+            incumbent_plan=SubchannelPlan(inc_centers, inc_widths, total_budget),
+            incumbent_value=inc_value,
+            best_per_iter=best_per_iter[j],
+            incumbent_trace=incumbent_trace[j],
+            means=means[j],
+        ))
+    return results
+
+
 def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, noise_psd):
     """Run the cross-entropy loop over `grid.band` and build the plan from
-    the final means.
-
-    The means start evenly spread over the band with a wide common
-    variance. Each iteration samples center vectors, builds and scores every
-    sample's plan in one batch, and refits the Gaussians to the elites with
-    smoothing. The incumbent is the best sampled plan, or the final plan
-    where that scores strictly higher; the objective traces come along as
-    diagnostics.
-    """
-    lo, hi = grid.band
-    means = lo + (np.arange(1, cfg.n_sub + 1) - 0.5) * (hi - lo) / cfg.n_sub
-    variances = np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2)
-    best_per_iter = np.empty(cfg.max_iter)
-    incumbent_trace = np.empty(cfg.max_iter)
-    inc_centers = inc_widths = None
-    inc_value = -np.inf
-    for t in range(cfg.max_iter):
-        samples = _sample_centers(means, np.sqrt(variances), cfg, grid.band, rng)
-        centers, widths = _plan_rows(grid, grid.index_of(samples), eps_db, total_budget)
-        scores = _score_rows(grid, centers, widths, noise_psd)
-        best = int(np.argmax(scores))
-        if scores[best] > inc_value:
-            inc_centers, inc_widths, inc_value = centers[best], widths[best], scores[best]
-        best_per_iter[t] = scores[best]
-        incumbent_trace[t] = inc_value
-        elites = samples[np.argsort(-scores, kind="stable")[: cfg.elites]]
-        beta_t = variance_smoothing(cfg.smooth_var, cfg.smooth_power, t)
-        means = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means
-        variances = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances
-        variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
-    centers, widths = _plan_rows(grid, grid.index_of(means)[None, :], eps_db, total_budget)
-    final_value = float(_score_rows(grid, centers, widths, noise_psd)[0])
-    if final_value > inc_value:
-        inc_centers, inc_widths, inc_value = centers[0], widths[0], final_value
-    return CEResult(
-        plan=SubchannelPlan(centers[0], widths[0], total_budget),
-        plan_value=final_value,
-        incumbent_plan=SubchannelPlan(inc_centers, inc_widths, total_budget),
-        incumbent_value=inc_value,
-        best_per_iter=best_per_iter,
-        incumbent_trace=incumbent_trace,
-        means=means,
-    )
+    the final means: the one-grid case of `ce_batch`."""
+    (result,) = ce_batch([grid], cfg, [rng], eps_db=eps_db, total_budget=total_budget,
+                         noise_psd=noise_psd)
+    return result
 
 
 def plan_records(plan: SubchannelPlan, grid: GridRss, noise_psd):

@@ -189,6 +189,41 @@ def link_rss_rows(f, aps, p, cfg: AntennaConfig):
     return rows()
 
 
+def peak_link_psd(p, cfg: AntennaConfig, f_upper, d_min):
+    """The largest link PSD `link_rss_rows` can give at transmit PSD p,
+    frequencies in [f_co, f_upper] and distances from d_min:
+    p * (xi * L * sinh(s)/s)^e * (c / (4*pi*f_co*d_min))^2, s = atten*L/2.
+
+    The squared sinc (sin^2 x + sinh^2 s) / (x^2 + s^2) is at most
+    sinh^2(s)/s^2 (1 at s = 0), its value at x = 0, since sin^2 x <= x^2
+    and sinh^2 s >= s^2; the path gain is largest at the cutoff and the
+    shortest distance. Raises a ValueError naming the input when a value
+    `sinc_gain` squares on the way (the phase offset x, whose size stays
+    below k0(f_upper) * L/2, or sinh(s)), the gain scale (xi*L)^e or the
+    peak is not finite: such a config would give inf or NaN link rows.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.float64(cfg.atten) * cfg.aperture / 2.0
+        x_max = np.pi * np.float64(f_upper) * cfg.aperture / SPEED_OF_LIGHT
+        scale = np.float64(cfg.efficiency * cfg.aperture) ** cfg.gain_exponent
+        # twice the largest offset, a margin for its rounding
+        if not (np.isfinite((2.0 * x_max) ** 2 + s * s) and np.isfinite(scale)):
+            raise ValueError(f"antenna.aperture: {cfg.aperture:g} m overflows the leaky-wave "
+                             "gain's sinc argument or its scale (xi * L)^e")
+        sinh_s = np.sinh(s)
+        if not np.isfinite(sinh_s * sinh_s):
+            raise ValueError(f"antenna.atten: sinh(atten * aperture / 2)^2 overflows at "
+                             f"atten = {cfg.atten:g} /m; atten * aperture / 2 is {s:g}")
+        sinc = sinh_s / s if s > 0 else 1.0
+        gain = sinc**cfg.gain_exponent * scale * p
+        path = SPEED_OF_LIGHT / (4.0 * np.pi * np.float64(cfg.f_co) * d_min)
+        peak = gain * (path * path)
+        if not (np.isfinite(gain) and np.isfinite(peak)):
+            raise ValueError(f"p_total, d_min: the peak link PSD overflows at p = {p:g} W/Hz, "
+                             f"f_co = {cfg.f_co:g} Hz and d_min = {d_min:g} m")
+    return float(peak)
+
+
 def dbm_per_hz_to_w_per_hz(x_dbm_hz):
     """Convert a PSD given in dBm/Hz to linear W/Hz."""
     return 10.0 ** ((np.asarray(x_dbm_hz, dtype=float) - 30.0) / 10.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import alloc, selection
+from . import alloc, phy, selection
 from .alloc import CEConfig, GridRss
 from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, require_typed_fields
 from .selection import AccessPoint
@@ -69,6 +69,11 @@ class ScenarioConfig:
             raise ValueError("radius must exceed d_min")
         if self.f_upper <= self.antenna.f_co:
             raise ValueError("f_upper must exceed antenna.f_co")
+        # every link row, every sum of n_aps of them and its SNR stay finite
+        peak = phy.peak_link_psd(self.p, self.antenna, self.f_upper, self.d_min)
+        if not np.isfinite(peak * self.n_aps / self.noise_psd):
+            raise ValueError(f"p_total: {self.n_aps} links at the peak link PSD {peak:.3e} W/Hz "
+                             f"overflow their SNR over noise_psd {self.noise_psd:.3e} W/Hz")
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -172,18 +177,16 @@ def scheme_rss(schemes, aps, cfg: ScenarioConfig):
     return {s: (ids, row) for (s, (ids, _)), row in zip(selections.items(), rows)}
 
 
-def run_trial(aps, scheme, cfg: ScenarioConfig, rng, ids_rss) -> TrialResult:
-    """Optimize the subchannel plan with the CE allocator on the scheme's
-    combined RSS, and record both rate metrics plus the active-AP count.
+def run_trial(aps, scheme, cfg: ScenarioConfig, result: alloc.CEResult, ids_rss) -> TrialResult:
+    """Rate a CE run's plan on the scheme's combined RSS: both rate metrics
+    plus the active-AP count.
 
-    `ids_rss` is the scheme's (ids, RSS on the band grid) pair, as
-    `scheme_rss` returns it.
+    `result` is the CE run on the scheme's grid (`ce_optimize`, or its run
+    of `ce_batch`), and `ids_rss` the scheme's (ids, RSS on the band grid)
+    pair, as `scheme_rss` returns it.
     """
     ids, rss = ids_rss
     grid = GridRss(rss, cfg.band, cfg.ce.step)
-    result = alloc.ce_optimize(
-        grid, cfg.ce, rng, eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd
-    )
     return TrialResult(
         scheme=scheme,
         plan_rate=result.plan_value,
@@ -222,10 +225,11 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
     )
 
 
-def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
-    """All n_aps antennas share one random site: a single (d, theta) draw,
-    MRT combining (the site's one gated link row added N times into zeros,
-    as a link pass over N such APs adds it), then the usual CE allocation."""
+def colocated_site(draw_rng, cfg: ScenarioConfig):
+    """All n_aps antennas share one random site: a single (d, theta) draw
+    and MRT combining, the site's one gated link row added N times into
+    zeros, as a link pass over N such APs adds it. Returns the site's APs
+    and their (ids, RSS on the band grid) pair."""
     d = draw_rng.uniform(cfg.d_min, cfg.radius)
     theta = draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard)
     aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
@@ -233,7 +237,7 @@ def colocated_trial(draw_rng, ce_rng, cfg: ScenarioConfig) -> TrialResult:
     rss = np.zeros(row.size)
     for _ in aps:
         rss += row
-    return run_trial(aps, "colocated", cfg, ce_rng, (selection.select_mrt(aps), rss))
+    return aps, (selection.select_mrt(aps), rss)
 
 
 def _headline_rate(result: TrialResult) -> float:
@@ -250,7 +254,9 @@ def substream(seed, axis_idx, trial_idx, stream):
 
 
 def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
-    """All configured schemes on one shared scenario and CE stream."""
+    """All configured schemes on one shared scenario and CE stream: the CE
+    schemes and the co-located site run as one `ce_batch`, each on its own
+    grid and its own copy of the CE stream, and `run_trial` rates each."""
 
     def rng_for(stream):
         return substream(cfg.seed, axis_idx, trial_idx, stream)
@@ -261,14 +267,22 @@ def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
     shared = scheme_rss(
         ("mrt" if s == "equal_mrt" else s for s in cfg.schemes if s != "colocated"), aps, cfg
     )
+    # (APs, (ids, RSS)) of each CE run, in scheme order
+    inputs = {s: (aps, shared[s]) for s in cfg.schemes if s in CE_SCHEMES}
+    if "colocated" in cfg.schemes:
+        inputs["colocated"] = colocated_site(rng_for("colocated"), cfg)
+    results = dict(zip(inputs, alloc.ce_batch(
+        [GridRss(rss, cfg.band, cfg.ce.step) for _, (_, rss) in inputs.values()],
+        cfg.ce, [rng_for("ce") for _ in inputs],
+        eps_db=cfg.eps_db, total_budget=cfg.b_total, noise_psd=cfg.noise_psd,
+    )))
     out = {}
     for scheme in cfg.schemes:
         if scheme == "equal_mrt":
             out[scheme] = equal_allocation_trial(aps, cfg, shared["mrt"][1])
-        elif scheme == "colocated":
-            out[scheme] = colocated_trial(rng_for("colocated"), rng_for("ce"), cfg)
         else:
-            out[scheme] = run_trial(aps, scheme, cfg, rng_for("ce"), shared[scheme])
+            run_aps, ids_rss = inputs[scheme]
+            out[scheme] = run_trial(run_aps, scheme, cfg, results[scheme], ids_rss)
     return out
 
 

@@ -166,7 +166,7 @@ def build_plan(grid, centers, eps_db, total_budget):
     """The plan of one row of candidate centers, snapped to the grid: the
     one-row case of `alloc._plan_rows`."""
     idx = grid.index_of(np.asarray(centers, dtype=float)).reshape(1, -1)
-    c, w = alloc._plan_rows(grid, idx, eps_db, total_budget)
+    c, w = alloc._plan_rows([grid], idx, eps_db, total_budget)
     return SubchannelPlan(c[0], w[0], total_budget)
 
 
@@ -286,8 +286,8 @@ def assert_equals_reference_ce(res, ref):
 def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
     """The batched kernel's centers, widths and scores equal the scalar
     chain's byte for byte, row by row."""
-    centers, widths = alloc._plan_rows(grid, idx, eps_db, total_budget)
-    scores = alloc._score_rows(grid, centers, widths, NOISE)
+    centers, widths = alloc._plan_rows([grid], idx, eps_db, total_budget)
+    scores = alloc._score_rows([grid], centers, widths, NOISE)
     for s in range(idx.shape[0]):
         plan, rate = scalar_chain(grid, idx[s], eps_db, total_budget, NOISE)
         assert centers[s].tobytes() == plan.centers.tobytes()
@@ -532,7 +532,7 @@ class TestPlanKernel:
         # clipped and trimmed channels included: every live channel's
         # edges are a flat pair on the grid
         grid, idx, eps_db, budget = case
-        centers, widths = alloc._plan_rows(grid, idx, eps_db, budget)
+        centers, widths = alloc._plan_rows([grid], idx, eps_db, budget)
         for c, w in zip(centers, widths):
             assert_flat_plan(SubchannelPlan(c, w, budget), grid, eps_db)
 
@@ -556,9 +556,9 @@ class TestPlanKernel:
         values = np.repeat(rng.choice([1e-19, 1.05e-19, 2e-19], 60), rng.integers(20, 60, 60))
         grid = GridRss(values, (7.3, 7.3 + 0.1 * (values.size - 1)), 0.1)
         for row in rng.integers(0, values.size, size=(300, 12)):
-            _, untrimmed = alloc._plan_rows(grid, row[None, :], 0.5, 1e9)
+            _, untrimmed = alloc._plan_rows([grid], row[None, :], 0.5, 1e9)
             budget = np.cumsum(untrimmed[0])[-1]
-            _, widths = alloc._plan_rows(grid, row[None, :], 0.5, budget)
+            _, widths = alloc._plan_rows([grid], row[None, :], 0.5, budget)
             plan, _ = scalar_chain(grid, row, 0.5, budget, NOISE)
             assert widths[0].tobytes() == untrimmed[0].tobytes() == plan.widths.tobytes()
 
@@ -570,7 +570,7 @@ class TestPlanKernel:
         values[50], values[86] = 2e-19, 4e-19
         grid = GridRss(values, (0.0, 120.0), 1.0)
         idx = np.array([[15, 50]])
-        centers, widths = alloc._plan_rows(grid, idx, 0.5, 1e3)
+        centers, widths = alloc._plan_rows([grid], idx, 0.5, 1e3)
         assert widths.tolist() == [[14.0, 70.0]]
         assert centers.tolist() == [[8.0, 50.0]]
         plan, _ = scalar_chain(grid, idx[0], 0.5, 1e3, NOISE)
@@ -972,12 +972,101 @@ class TestAllDeadGrid:
         assert_equals_reference_ce(res, ref)
         assert res.plan_value == res.incumbent_value == 0.0
 
+    def test_skips_the_width_table_set_up(self):
+        # a dead center's width is 0, so a grid with no live point builds
+        # neither the flat-window certificate nor the scan windows
+        kwargs = dict(eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
+        cfg = CEConfig(n_sub=6, samples=12, elites=3, max_iter=2)
+        grid = GridRss(np.zeros(20001), (100e9, 300e9), 10e6)
+        res = ce_optimize(grid, cfg, np.random.default_rng(13), **kwargs)
+        assert grid.flat_radii == {}
+        assert "scan_windows" not in vars(grid)
+        ref = reference_ce(GridRss(np.zeros(20001), (100e9, 300e9), 10e6), cfg,
+                           np.random.default_rng(13), **kwargs)
+        assert_equals_reference_ce(res, ref)
+
     def test_noise_still_checked(self):
         grid = GridRss(np.zeros(11), (0.0, 10.0), 1.0)
         cfg = CEConfig(n_sub=2, samples=4, elites=1, max_iter=1, step=1.0)
         with pytest.raises(ValueError, match="noise_psd"):
             ce_optimize(grid, cfg, np.random.default_rng(0), eps_db=0.5, total_budget=4.0,
                         noise_psd=0.0)
+
+
+@st.composite
+def batch_cases(draw):
+    """Runs for `ce_batch`: one to four grids of a shared step, each on a
+    band of its own length, of few-level plateaus (exact ties), dead
+    stretches, or no live point at all; a generator seed per run, often
+    the same one, as the runs of a trial cell share theirs; n_sub from 1
+    and max_iter from 0."""
+    band0, step = draw(st.sampled_from([(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)]))
+    grids = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(3, 150))
+        if draw(st.booleans()):
+            levels = [0.0, 1e-19, 1.05e-19, 2e-19, 4e-19]
+            runs = draw(st.lists(st.tuples(st.integers(1, 40), st.sampled_from(levels)),
+                                 min_size=1, max_size=8))
+            values = np.resize(np.concatenate([np.full(m, v) for m, v in runs]), n)
+        else:
+            values = np.zeros(n)
+        grids.append(GridRss(values, (band0, band0 + step * (n - 1)), step))
+    samples = draw(st.integers(1, 8))
+    cfg = CEConfig(n_sub=draw(st.integers(1, 6)), samples=samples,
+                   elites=draw(st.integers(1, samples)), max_iter=draw(st.integers(0, 3)),
+                   step=step)
+    seeds = draw(st.lists(st.integers(0, 2), min_size=len(grids), max_size=len(grids)))
+    eps_db = draw(st.sampled_from([0.0, 0.5]))
+    budget = draw(st.floats(0.5, 100.0)) * step
+    return grids, cfg, seeds, eps_db, budget
+
+
+class TestCEBatch:
+    """The runs of a `ce_batch` equal as many solo `ce_optimize` calls bit
+    for bit: traces, both plans, both values and the final means."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=batch_cases())
+    # a trial cell's shape: live grids and an all-dead one on one CE stream
+    @example(case=([mrt_grid(3), GridRss(np.zeros(4001), BAND, 50e6), mrt_grid(11)],
+                   CEConfig(n_sub=6, samples=12, elites=3, max_iter=3, step=50e6),
+                   [7, 7, 7], 0.5, 16e9))
+    # every grid dead, one subchannel
+    @example(case=([GridRss(np.zeros(50), (0.0, 49.0), 1.0)] * 2,
+                   CEConfig(n_sub=1, samples=4, elites=2, max_iter=2, step=1.0),
+                   [0, 1], 0.5, 10.0))
+    # no iteration: the final plans alone
+    @example(case=([mrt_grid(5), mrt_grid(6)],
+                   CEConfig(n_sub=1, samples=4, elites=2, max_iter=0, step=50e6),
+                   [2, 2], 0.5, 4e9))
+    def test_runs_equal_solo_runs(self, case):
+        grids, cfg, seeds, eps_db, budget = case
+        kwargs = dict(eps_db=eps_db, total_budget=budget, noise_psd=NOISE)
+        got = alloc.ce_batch(grids, cfg, [np.random.default_rng(s) for s in seeds], **kwargs)
+        assert len(got) == len(grids)
+        for grid, seed, res in zip(grids, seeds, got):
+            # a fresh grid, so that no width table filled by the batch is read
+            fresh = GridRss(grid.values, grid.band, grid.step)
+            solo = ce_optimize(fresh, cfg, np.random.default_rng(seed), **kwargs)
+            assert_equals_reference_ce(res, vars(solo))
+
+    def test_one_kernel_call_per_iteration(self, monkeypatch):
+        calls = []
+        real = alloc._plan_rows
+
+        def recording(grids, idx, *args):
+            calls.append((len(grids), idx.shape))
+            return real(grids, idx, *args)
+
+        monkeypatch.setattr(alloc, "_plan_rows", recording)
+        cfg = CEConfig(n_sub=5, samples=7, elites=2, max_iter=3, step=50e6)
+        alloc.ce_batch([mrt_grid(s) for s in range(4)], cfg,
+                       [np.random.default_rng(0) for _ in range(4)], **ce_kwargs())
+        assert calls == [(4, (28, 5))] * 3 + [(4, (4, 5))]
+
+    def test_no_runs(self):
+        assert alloc.ce_batch([], CEConfig(), [], **ce_kwargs()) == []
 
 
 class TestCEOptimize:

@@ -720,6 +720,25 @@ class TestMainErrors:
         assert err.startswith("config error: ") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, field, command, output",
+        # each once ran to exit 0: the sweep CSV read inf and nan for
+        # equal_mrt, and trial.json held NaN
+        [("antenna.atten_per_m = 1e6", "antenna.atten", "simulate", "sweep_n_aps.csv"),
+         ("antenna.aperture_m = 1e200", "antenna.aperture", "trial", "trial.json")],
+    )
+    def test_overflowing_link_psd_exit_code(self, tmp_path, capsys, line, field, command,
+                                            output):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\nce.samples = 4\nce.elites = 2\nce.max_iter = 1\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(p), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--axis", "n_aps", "--values", "5", "--trials", "2"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not (out / output).exists()
+
     def test_zero_trials_flag_exit_code(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--axis", "n_aps", "--values", "4", "--trials", "0",
                        "--out", str(tmp_path)])

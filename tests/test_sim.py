@@ -1,8 +1,11 @@
 import threading
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfthz import alloc, phy, selection, sim
 from cfthz.alloc import CEConfig
@@ -21,9 +24,24 @@ def fast_cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def solo_trial(aps, scheme, cfg, rng, ids_rss):
+    """A solo `ce_optimize` on the scheme's grid, rated by `run_trial`."""
+    grid = alloc.GridRss(ids_rss[1], cfg.band, cfg.ce.step)
+    result = alloc.ce_optimize(grid, cfg.ce, rng, eps_db=cfg.eps_db, total_budget=cfg.b_total,
+                               noise_psd=cfg.noise_psd)
+    return sim.run_trial(aps, scheme, cfg, result, ids_rss)
+
+
 def trial(aps, scheme, cfg, rng):
-    """`run_trial` on the scheme's own link pass."""
-    return sim.run_trial(aps, scheme, cfg, rng, sim.scheme_rss([scheme], aps, cfg)[scheme])
+    """`solo_trial` on the scheme's own link pass."""
+    return solo_trial(aps, scheme, cfg, rng, sim.scheme_rss([scheme], aps, cfg)[scheme])
+
+
+def colocated_trial(draw_rng, ce_rng, cfg):
+    """The co-located baseline of one cell, solo: `colocated_site`, then
+    `solo_trial` on the site's APs."""
+    aps, ids_rss = sim.colocated_site(draw_rng, cfg)
+    return solo_trial(aps, "colocated", cfg, ce_rng, ids_rss)
 
 
 def equal_trial(aps, cfg):
@@ -178,41 +196,37 @@ class TestColocatedBaseline:
 
     def test_determinism(self):
         cfg = fast_cfg()
-        a = sim.colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
-        b = sim.colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
+        a = colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
+        b = colocated_trial(np.random.default_rng(13), np.random.default_rng(14), cfg)
         assert a == b
 
     @pytest.mark.parametrize("n_aps", [1, 6, 160])
     def test_site_costs_one_link_row(self, monkeypatch, n_aps):
-        # the site's one row, added n_aps times, gives the trial of the link
-        # pass over its n_aps co-located APs, bit for bit
+        # the site's one row, added n_aps times, gives the link pass over
+        # its n_aps co-located APs, and so their trial, bit for bit
         cfg = fast_cfg(n_aps=n_aps, radius=8.0)
         draw_rng = np.random.default_rng(21)
         site = (draw_rng.uniform(cfg.d_min, cfg.radius),
                 draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard))
         aps = [selection.AccessPoint(i, *site) for i in range(n_aps)]
         ids, rss = sim.scheme_rss(["mrt"], aps, cfg)["mrt"]
-        expected = sim.run_trial(aps, "mrt", cfg, np.random.default_rng(22), (ids, rss))
+        expected = solo_trial(aps, "mrt", cfg, np.random.default_rng(22), (ids, rss))
         assert expected.plan_rate > 0
-        rows, inputs = [], []
-        real_rows, real_trial = phy.link_rss_rows, sim.run_trial
+        rows = []
+        real_rows = phy.link_rss_rows
 
         def counting(f, aps, *args, **kwargs):
             for row in real_rows(f, aps, *args, **kwargs):
                 rows.append(row.size)
                 yield row
 
-        def recording(aps, scheme, cfg, rng, ids_rss):
-            inputs.append(ids_rss)
-            return real_trial(aps, scheme, cfg, rng, ids_rss)
-
         monkeypatch.setattr(phy, "link_rss_rows", counting)
-        monkeypatch.setattr(sim, "run_trial", recording)
-        got = sim.colocated_trial(np.random.default_rng(21), np.random.default_rng(22), cfg)
+        got_aps, (got_ids, got_rss) = sim.colocated_site(np.random.default_rng(21), cfg)
         assert rows == [rss.size]
-        ((got_ids, got_rss),) = inputs
+        assert got_aps == aps
         assert got_ids == ids
         assert got_rss.tobytes() == rss.tobytes()
+        got = solo_trial(got_aps, "colocated", cfg, np.random.default_rng(22), (got_ids, got_rss))
         assert got == replace(expected, scheme="colocated")
 
 
@@ -308,6 +322,83 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             sim.monte_carlo(fast_cfg(), "n_aps", [2], threads=threads)
         assert cells == []
+
+
+def log_uniform(low_exp, high_exp):
+    """Floats 10**u for u uniform on [low_exp, high_exp]."""
+    return st.floats(low_exp, high_exp).map(lambda u: 10.0**u)
+
+
+class TestLinkPsdBound:
+    """A config builds only if its peak link PSD (`phy.peak_link_psd`) and
+    the values the gain squares on the way are finite; then every link
+    row, combined row and rate it gives is finite."""
+
+    @pytest.mark.parametrize("antenna, field", [
+        # sinh(atten * L / 2)^2 overflowed: equal_mrt rated inf and NaN,
+        # every CE scheme 0 on a grid read as dead
+        (dict(atten=1e6), "antenna.atten"),
+        # the sinc argument overflowed when squared: NaN rates
+        (dict(aperture=1e200), "antenna.aperture"),
+    ])
+    def test_overflowing_antenna_rejected(self, antenna, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            fast_cfg(antenna=phy.AntennaConfig(**antenna))
+
+    @pytest.mark.parametrize("kw", [dict(p_total=1e308, b_total=1e-300, schemes=("equal_mrt",)),
+                                    dict(d_min=1e-200), dict(noise_psd=1e-300, p_total=1e290)])
+    def test_overflowing_link_budget_rejected(self, kw):
+        with pytest.raises(ValueError, match="^p_total"):
+            fast_cfg(**kw)
+
+    def test_peak_bounds_every_link(self):
+        # the bound at x = 0, the cutoff and d_min; the APs sit at d_min, so
+        # the largest link comes within a few percent of it
+        cfg = fast_cfg(n_aps=40, radius=0.6)
+        peak = phy.peak_link_psd(cfg.p, cfg.antenna, cfg.f_upper, cfg.d_min)
+        aps = [selection.AccessPoint(i, cfg.d_min, a)
+               for i, a in enumerate(np.linspace(0.05, 1.5, 40))]
+        f = alloc.grid_freqs(cfg.band, 10e6)
+        top = max(row.max() for row in phy.link_rss_rows(f, aps, cfg.p, cfg.antenna))
+        assert 0.9 * peak < top <= peak
+
+    # about half of these configs build; most of the rest overflow sinh
+    @settings(max_examples=100, deadline=None)
+    @given(
+        atten=st.just(0.0) | log_uniform(-3.0, 4.5),
+        aperture=log_uniform(-4.0, 2.0) | log_uniform(2.0, 160.0),
+        p_total=log_uniform(-300.0, 300.0),
+        d_min=log_uniform(-150.0, 1.0),
+        efficiency=log_uniform(-150.0, 0.0),
+        gain_exponent=st.sampled_from([1, 2]),
+    )
+    # just below sinh's overflow, and the two inputs that once built
+    @example(atten=7850.0, aperture=0.09, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=2)
+    @example(atten=1e6, aperture=0.09, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=1)
+    @example(atten=130.0, aperture=1e200, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=1)
+    @example(atten=0.0, aperture=1e150, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=2)
+    def test_every_config_that_builds_gives_finite_rows_and_rates(
+            self, atten, aperture, p_total, d_min, efficiency, gain_exponent):
+        try:
+            cfg = ScenarioConfig(
+                n_aps=3, radius=20.0, d_min=d_min, p_total=p_total, trials=1,
+                antenna=phy.AntennaConfig(atten=atten, aperture=aperture,
+                                          efficiency=efficiency, gain_exponent=gain_exponent),
+                ce=CEConfig(n_sub=3, samples=4, elites=2, max_iter=1, step=1e9),
+            )
+        except ValueError:
+            return
+        aps = [selection.AccessPoint(0, cfg.d_min, 0.7), selection.AccessPoint(1, 19.0, 0.2),
+               selection.AccessPoint(2, 1.0, 1.4)]
+        f = alloc.grid_freqs(cfg.band, cfg.ce.step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for row in phy.link_rss_rows(f, aps, cfg.p, cfg.antenna):
+                assert np.isfinite(row).all()
+            for _, row in sim.scheme_rss(sim.CE_SCHEMES, aps, cfg).values():
+                assert np.isfinite(row).all()
+            for res in sim._trial_cell(cfg, 0, 0).values():
+                assert np.isfinite([res.plan_rate, res.integrated_rate]).all(), res.scheme
 
 
 class TestConfigValidation:
@@ -441,8 +532,9 @@ class TestSharedLinkPass:
     )
     @pytest.mark.parametrize("n_aps", [1, 7])
     def test_cell_equals_standalone_trials(self, schemes, n_aps):
-        # a small radius keeps most links above gamma_th, so the schemes'
-        # rows differ
+        # the cell runs its CE schemes and the co-located site as one
+        # batch; each equals a solo `ce_optimize` rated by `run_trial`. A
+        # small radius keeps most links above gamma_th, so the rows differ
         cfg = fast_cfg(n_aps=n_aps, radius=8.0, schemes=schemes)
         cell = sim._trial_cell(cfg, 0, 2)
         aps = sim.generate_scenario(rng_for(cfg, 2, SCENARIO), cfg)
@@ -451,14 +543,26 @@ class TestSharedLinkPass:
             if scheme == "equal_mrt":
                 expected = equal_trial(aps, cfg)
             elif scheme == "colocated":
-                expected = sim.colocated_trial(
-                    rng_for(cfg, 2, COLOCATED),
-                    rng_for(cfg, 2, CE),
-                    cfg,
-                )
+                expected = colocated_trial(rng_for(cfg, 2, COLOCATED), rng_for(cfg, 2, CE), cfg)
             else:
                 expected = trial(aps, scheme, cfg, rng_for(cfg, 2, CE))
             assert got == expected, scheme
+
+    def test_cell_runs_one_ce_batch(self, monkeypatch):
+        # the four CE schemes and the co-located site share each
+        # iteration's plan-kernel call, and one more for the final plans
+        calls = []
+        real = alloc._plan_rows
+
+        def recording(grids, idx, *args):
+            calls.append((len(grids), idx.shape[0]))
+            return real(grids, idx, *args)
+
+        monkeypatch.setattr(alloc, "_plan_rows", recording)
+        cfg = fast_cfg(n_aps=4)
+        sim._trial_cell(cfg, 0, 0)
+        runs = len(sim.CE_SCHEMES) + 1
+        assert calls == [(runs, runs * cfg.ce.samples)] * cfg.ce.max_iter + [(runs, runs)]
 
     @pytest.mark.parametrize("n_aps", [1, 4, 12])
     def test_grid_sized_link_rows_per_cell(self, monkeypatch, n_aps):
