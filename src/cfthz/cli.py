@@ -192,8 +192,9 @@ def cmd_gain(cfg, thetas, f_start, f_stop, f_count, out):
     return 0
 
 
-def read_scenario_file(path):
-    """Parse 'distance_m,theta_rad' rows into AccessPoints."""
+def read_scenario_file(path, d_min):
+    """Parse 'distance_m,theta_rad' rows into AccessPoints, none of them
+    closer than d_min, the distance every link-PSD bound assumes."""
     aps = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
@@ -207,6 +208,8 @@ def read_scenario_file(path):
             aps.append(selection.AccessPoint(len(aps), d, theta))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad scenario row: {exc}") from exc
+        if d < d_min:
+            raise ConfigError(f"{path}:{lineno}: distance {d:g} m is below d_min {d_min:g} m")
     if not aps:
         raise ConfigError(f"{path}: no scenario rows")
     return aps
@@ -215,7 +218,7 @@ def read_scenario_file(path):
 def cmd_allocate(cfg, scenario_file, scheme, out_dir):
     """CE subchannel allocation for one fixed scenario; emits the final
     plan, the best-ever incumbent, and the objective trace."""
-    aps = read_scenario_file(scenario_file)
+    aps = read_scenario_file(scenario_file, cfg.d_min)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = sim.substream(cfg.seed, 0, 0, "ce")

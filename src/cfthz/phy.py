@@ -1,9 +1,10 @@
 """Leaky-wave antenna physics and free-space THz link budgets.
 
 All functions are pure and accept scalar or ndarray frequencies; outputs
-follow numpy broadcasting. Every link is evaluated by `link_rss_rows`, in
-real arithmetic. Frequencies in Hz, distances in m, angles in radians,
-PSDs in W/Hz.
+follow numpy broadcasting. Every link is evaluated by one formula, in real
+arithmetic: in full by `link_rss_rows`, or gated, and only where it can
+reach the outage threshold, by `gated_link_rows`. Frequencies in Hz,
+distances in m, angles in radians, PSDs in W/Hz.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import numpy as np
 # Round value used by the leaky-wave design formulas (f_co = c/2v pairs
 # like 1.5 mm -> 100 GHz only work out with c = 3e8 exactly).
 SPEED_OF_LIGHT = 3.0e8
+# `live_band` gates its envelope at gamma_th * (1 - GATE_MARGIN), far above
+# the rounding of a link row, and tightens it in LIVE_BAND_ROUNDS rounds
+# (more gave under 1% fewer points at the defaults); `gated_link_rows` pads
+# each window by WINDOW_PAD grid points at each end
+GATE_MARGIN = 1e-6
+LIVE_BAND_ROUNDS = 6
+WINDOW_PAD = 2
 
 class BelowCutoffError(ValueError):
     """Raised when a frequency below the waveguide cutoff is requested."""
@@ -178,15 +186,21 @@ def link_rss_rows(f, aps, p, cfg: AntennaConfig):
 
     def rows():
         for i, ap in enumerate(aps):
-            row = sinc_gain(_phase_offset(k0[i], beta[i], cos_theta[i], cfg), cfg)
-            row *= p
-            amp = np.multiply(four_pi_f[i], ap.distance)
-            np.divide(SPEED_OF_LIGHT, amp, out=amp)
-            amp *= amp
-            row *= amp
-            yield row
+            yield _link_row(k0[i], beta[i], four_pi_f[i], cos_theta[i], ap.distance, p, cfg)
 
     return rows()
+
+
+def _link_row(k0, beta, four_pi_f, cos_theta, distance, p, cfg: AntennaConfig):
+    """p * G * (c / (4*pi*f*d))^2 of one link, pointwise over the frequency
+    terms k0, beta and 4*pi*f, as a fresh array: the one link-PSD formula."""
+    row = sinc_gain(_phase_offset(k0, beta, cos_theta, cfg), cfg)
+    row *= p
+    amp = np.multiply(four_pi_f, distance)
+    np.divide(SPEED_OF_LIGHT, amp, out=amp)
+    amp *= amp
+    row *= amp
+    return row
 
 
 def peak_link_psd(p, cfg: AntennaConfig, f_upper, d_min):
@@ -222,6 +236,105 @@ def peak_link_psd(p, cfg: AntennaConfig, f_upper, d_min):
             raise ValueError(f"p_total, d_min: the peak link PSD overflows at p = {p:g} W/Hz, "
                              f"f_co = {cfg.f_co:g} Hz and d_min = {d_min:g} m")
     return float(peak)
+
+
+def live_band(p, cfg: AntennaConfig, distances, angles, gamma_th, band):
+    """Per link at (distance, angle): frequencies (f_a, f_b) in band =
+    (f_lo, f_hi) such that its link PSD at transmit PSD p is below gamma_th
+    at every f in the band outside [f_a, f_b]; f_a > f_b for a link below
+    gamma_th over the whole band. The whole band wherever the bound is not
+    finite or gamma_th <= 0.
+
+    The envelope: sin^2 x <= 1 and 1 + sinh^2 s = cosh^2 s, so each link PSD
+    is at most p * (xi*L)^e * (cosh^2 s / (x^2 + s^2))^(e/2) * (c/(4*pi*f*d))^2
+    with s = atten*L/2 (`peak_link_psd` is its largest value). The path gain
+    only falls with f, so above a frequency f_m, where it is read, the
+    envelope reaches gamma_th only where |x| <= x_max(f_m); and x(f) =
+    (pi*L/c) * (sqrt(f^2 - f_co^2) - f*cos(theta)) rises with f, so that is
+    one interval, whose ends are roots of a quadratic in f. Each round reads
+    the path gain at f_a, which moves f_a up, then at a point f_m that
+    bisects the part of [f_a, f_b] not yet shown live, which moves f_b down
+    to f_m when nothing above f_m can be live. The gate carries a relative
+    margin of `GATE_MARGIN` against rounding.
+    """
+    d = np.asarray(distances, dtype=float)
+    theta = np.asarray(angles, dtype=float)
+    f_lo, f_hi = (np.full(d.shape, np.float64(end)) for end in band)
+    e = cfg.gain_exponent
+    with np.errstate(all="ignore"):
+        s = np.float64(cfg.atten) * cfg.aperture / 2.0
+        cosh_s = np.cosh(s)
+        if not (gamma_th > 0 and np.isfinite(cosh_s * cosh_s)):
+            return f_lo, f_hi
+        # log of p * (xi*L*cosh(s))^e * (c/(4*pi*d))^2 / gate: the envelope at
+        # x = s = 0 over the gate, short of its 1/f^2
+        log_k = (np.log(p) + e * (np.log(cfg.efficiency) + np.log(cfg.aperture) + np.log(cosh_s))
+                 + 2.0 * np.log(SPEED_OF_LIGHT / (4.0 * np.pi * d))
+                 - np.log(gamma_th * (1.0 - GATE_MARGIN)))
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        f_co = cfg.f_co
+
+        def ends(f_m):
+            """The f where |x(f)| <= x_max(f_m), as (low, high); (inf, -inf)
+            where the envelope cannot reach the gate at f >= f_m."""
+            x2 = np.exp((log_k - 2.0 * np.log(f_m)) * (2.0 / e)) - s * s
+            u = np.sqrt(x2) * (SPEED_OF_LIGHT / (np.pi * cfg.aperture))  # x_max in Hz
+            root = np.sqrt(u * u + (f_co * sin_t) ** 2)
+            # x(f) = -x_max, or f_co where x(f_co) is above it already
+            low = np.where(u < f_co * cos_t, (u * u + f_co * f_co) / (root + u * cos_t), f_co)
+            high = (u * cos_t + root) / (sin_t * sin_t)
+            live = x2 >= 0.0
+            return np.where(live, low, np.inf), np.where(live, high, -np.inf)
+
+        # shown: the last f_m above which the envelope could still reach
+        # the gate, the floor of the bisection
+        f_a, f_b, shown = f_lo, f_hi, f_lo
+        for _ in range(LIVE_BAND_ROUNDS):
+            low, high = ends(f_a)
+            f_a, f_b = np.maximum(f_a, low), np.minimum(f_b, high)
+            f_m = (np.maximum(shown, f_a) + f_b) / 2.0
+            low, high = ends(f_m)
+            high = np.minimum(f_b, high)
+            dead_above = np.maximum(f_m, low) > high
+            f_b = np.where(dead_above, np.minimum(f_m, f_b), high)
+            shown = np.where(dead_above, shown, f_m)
+        bounded = np.isfinite(log_k)
+    return np.where(bounded, f_a, f_lo), np.where(bounded, f_b, f_hi)
+
+
+def gated_link_rows(f, aps, p, cfg: AntennaConfig, gamma_th):
+    """Each AP's link PSD gated by the outage indicator 1(psd >= gamma_th),
+    computed only on its live window of the ascending 1-D frequencies f, as
+    an iterator that yields one (start, row) pair per AP in turn: row is the
+    gated PSD at f[start:start + row.size], and every other point of f gates
+    to 0.
+
+    The window is `live_band`'s interval, padded by `WINDOW_PAD` points at
+    each end; inside it each point takes the full row's value bit for bit.
+    The input checks run, and the frequency-only terms are computed, once,
+    when the function is called, as for `link_rss_rows`.
+    """
+    _check_positive("p", p)
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or np.any(f[1:] < f[:-1]):
+        raise ValueError("f must be one ascending row of frequencies")
+    k0, beta = _guided(f, cfg.f_co)
+    four_pi_f = 4.0 * np.pi * f
+    cos_theta = np.cos([ap.angle for ap in aps])
+    f_a, f_b = live_band(p, cfg, [ap.distance for ap in aps], [ap.angle for ap in aps],
+                         gamma_th, (f[0], f[-1]) if f.size else (cfg.f_co, cfg.f_co))
+    start = np.maximum(np.searchsorted(f, f_a) - WINDOW_PAD, 0)
+    stop = np.minimum(np.searchsorted(f, f_b, "right") + WINDOW_PAD, f.size)
+    stop = np.where(f_a > f_b, start, stop)
+
+    def rows():
+        for i, ap in enumerate(aps):
+            a, b = start[i], stop[i]
+            row = _link_row(k0[a:b], beta[a:b], four_pi_f[a:b], cos_theta[i], ap.distance, p, cfg)
+            row[row < gamma_th] = 0.0
+            yield a, row
+
+    return rows()
 
 
 def dbm_per_hz_to_w_per_hz(x_dbm_hz):

@@ -6,7 +6,8 @@ neighbor. The best AP per subchannel max-combines every AP, and
 `select_best_at` resolves it at a frequency. The combined RSS folds the
 thresholded per-link PSDs of a selection with its combining rule (`np.add`
 or `np.maximum`); one streaming pass over the APs serves any number of
-selections, so every link row is computed once per scenario.
+selections, so every link row is computed once per scenario, and only where
+it can pass the gate.
 """
 
 from __future__ import annotations
@@ -89,20 +90,26 @@ def combined_rss_rows(selections, aps, f, p, cfg, gamma_th):
     1(gamma >= gamma_th), and folded into every selection whose ids hold it,
     in AP order, with combine(out, row, out=out): `np.add` sums the links,
     `np.maximum` keeps the strongest. The rows stream from one
-    `phy.link_rss_rows` call, so only one link row is held at a time, and
-    each output rounds as a column-wise sum (or max) over its links would.
+    `phy.gated_link_rows` call over f in ascending order, each on only the
+    window where its link can reach gamma_th; a point outside it gates to 0,
+    and adding or max-ing 0 leaves a fold unchanged, so each output rounds
+    as a column-wise sum (or max) over its gated full link rows would.
     """
     _require_aps(aps)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    outs = [np.zeros(f_arr.size) for _ in selections]
-    selected = []  # (AP, the (combine, out) pairs of the selections that hold it)
+    order = np.argsort(f_arr, kind="stable")
+    folds = [np.zeros(f_arr.size) for _ in selections]
+    selected = []  # (AP, the (combine, fold) pairs of the selections that hold it)
     for ap in aps:
-        pairs = [(rule, out) for (ids, rule), out in zip(selections, outs) if ap.id in ids]
+        pairs = [(rule, fold) for (ids, rule), fold in zip(selections, folds) if ap.id in ids]
         if pairs:
             selected.append((ap, pairs))
-    rows = phy.link_rss_rows(f_arr, [ap for ap, _ in selected], p, cfg)
-    for (_, pairs), row in zip(selected, rows):
-        row[row < gamma_th] = 0.0
-        for rule, out in pairs:
-            rule(out, row, out=out)
-    return outs
+    rows = phy.gated_link_rows(f_arr[order], [ap for ap, _ in selected], p, cfg, gamma_th)
+    for (_, pairs), (start, row) in zip(selected, rows):
+        for rule, fold in pairs:
+            window = fold[start:start + row.size]
+            rule(window, row, out=window)
+    for i, fold in enumerate(folds):
+        folds[i] = np.empty(f_arr.size)
+        folds[i][order] = fold
+    return folds

@@ -228,15 +228,19 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
 def colocated_site(draw_rng, cfg: ScenarioConfig):
     """All n_aps antennas share one random site: a single (d, theta) draw
     and MRT combining, the site's one gated link row added N times into
-    zeros, as a link pass over N such APs adds it. Returns the site's APs
-    and their (ids, RSS on the band grid) pair."""
+    zeros, as a link pass over N such APs adds it (N-fold, since row * N
+    rounds differently), over only the span where the row is not 0. Returns
+    the site's APs and their (ids, RSS on the band grid) pair."""
     d = draw_rng.uniform(cfg.d_min, cfg.radius)
     theta = draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard)
     aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
     _, row = scheme_rss(["mrt"], aps[:1], cfg)["mrt"]
     rss = np.zeros(row.size)
-    for _ in aps:
-        rss += row
+    live = np.flatnonzero(row)
+    if live.size:
+        span = slice(live[0], live[-1] + 1)
+        for _ in aps:
+            rss[span] += row[span]
     return aps, (selection.select_mrt(aps), rss)
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -539,7 +540,7 @@ class TestScenarioFile:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("distance_m,theta_rad\n20.0, 0.7\n35.5, 1.2  # far one\n")
-        aps = cli.read_scenario_file(p)
+        aps = cli.read_scenario_file(p, 0.5)
         assert aps == [
             selection.AccessPoint(0, 20.0, 0.7),
             selection.AccessPoint(1, 35.5, 1.2),
@@ -549,20 +550,20 @@ class TestScenarioFile:
         p = tmp_path / "s.csv"
         p.write_text("20.0, 0.7\n1.0\n")
         with pytest.raises(ConfigError, match="2: bad scenario row"):
-            cli.read_scenario_file(p)
+            cli.read_scenario_file(p, 0.5)
 
     @pytest.mark.parametrize("distance", ["nan", "inf", "-inf"])
     def test_non_finite_distance_rejected(self, tmp_path, distance):
         p = tmp_path / "s.csv"
         p.write_text(f"{distance}, 0.7\n")
         with pytest.raises(ConfigError, match="1: bad scenario row.*finite"):
-            cli.read_scenario_file(p)
+            cli.read_scenario_file(p, 0.5)
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("# nothing here\n")
         with pytest.raises(ConfigError, match="no scenario rows"):
-            cli.read_scenario_file(p)
+            cli.read_scenario_file(p, 0.5)
 
 
 class TestAllocateCommand:
@@ -621,6 +622,34 @@ class TestAllocateCommand:
         assert rc == 2
         assert "2: bad scenario row" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("distance", ["1e-160", "0.1"])
+    def test_ap_closer_than_d_min_exit_code(self, fast_config_path, tmp_path, capsys,
+                                            distance):
+        # 1e-160 m once overflowed the link row and wrote an all-zero plan
+        # with exit 0; 0.1 m ran silently below the d_min the link-PSD bound
+        # assumes
+        scen = tmp_path / "s.csv"
+        scen.write_text(f"20.0, 0.7\n{distance}, 0.7\n")
+        out = tmp_path / "a"
+        rc = cli.main(["allocate", "--config", fast_config_path, "--scenario", str(scen),
+                       "--out", str(out)])
+        assert rc == 2
+        assert f"{scen}:2: distance {float(distance):g} m is below d_min 0.5 m" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("distance", ["0.5", "5000.0"])
+    def test_ap_at_or_beyond_d_min_runs(self, fast_config_path, tmp_path, distance):
+        scen = tmp_path / "s.csv"
+        scen.write_text(f"{distance}, 0.7\n")
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["allocate", "--config", fast_config_path, "--scenario", str(scen),
+                           "--out", str(out)])
+        assert rc == 0
+        assert (out / "plan.json").exists()
 
     def test_plan_payload_consistent(self, fast_config_path, tmp_path):
         scen = tmp_path / "s.csv"

@@ -1,12 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cfthz import alloc, phy, selection
+from cfthz import alloc, phy, selection, sim
 from cfthz.phy import AntennaConfig
 from cfthz.selection import AccessPoint
-from oracles import link_rss
+from oracles import link_rss, log_uniform
 
 CFG = AntennaConfig(f_co=100e9)
 P = 1.0 / 16e9
@@ -196,11 +199,11 @@ class TestCombinedRss:
         np.testing.assert_allclose(vec, scal)
 
 
-def materialized_combined_rss(sel, aps, f, gamma_th):
+def materialized_combined_rss(sel, aps, f, gamma_th, p=P, cfg=CFG):
     """Reference: the (links x points) matrix of the selected APs, gated, then
     reduced at once by the selection's rule (sum or max)."""
     ids, combine = sel
-    per_link = np.array([link_rss(f, ap, P, CFG) for ap in aps if ap.id in ids])
+    per_link = np.array([link_rss(f, ap, p, cfg) for ap in aps if ap.id in ids])
     per_link[per_link < gamma_th] = 0.0
     return per_link.max(axis=0) if combine is np.maximum else per_link.sum(axis=0)
 
@@ -259,14 +262,14 @@ class TestStreamingCombinedRss:
 
     def test_one_pass_computes_each_distinct_link_once(self, monkeypatch):
         calls = []
-        real = phy.link_rss_rows
+        real = phy.gated_link_rows
 
         def counting(f, aps, *args, **kwargs):
-            for ap, row in zip(aps, real(f, aps, *args, **kwargs)):
+            for ap, window in zip(aps, real(f, aps, *args, **kwargs)):
                 calls.append(ap.id)
-                yield row
+                yield window
 
-        monkeypatch.setattr(phy, "link_rss_rows", counting)
+        monkeypatch.setattr(phy, "gated_link_rows", counting)
         aps = random_aps(np.random.default_rng(5), 6)
         sels = [
             summed(selection.select_mrt(aps)),
@@ -310,6 +313,62 @@ class TestStreamingCombinedRss:
             vec = one_row(sel, aps, self.F[::250], GAMMA_TH)
             for f, v in zip(self.F[::250], vec):
                 assert one_row(sel, aps, f, GAMMA_TH)[0] == v
+
+
+class TestLiveWindow:
+    """`phy.gated_link_rows` computes each link only on `phy.live_band`'s
+    window; every point it skips gates to 0 in the full kernel."""
+
+    F = alloc.grid_freqs((100e9, 300e9), 20e6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        atten=st.just(0.0) | log_uniform(-2.0, 3.5),
+        aperture=log_uniform(-3.0, 0.0),
+        efficiency=log_uniform(-3.0, 0.0),
+        gain_exponent=st.sampled_from([1, 2]),
+        p_total=log_uniform(-3.0, 3.0),
+        gamma_th=log_uniform(-30.0, -10.0),
+        links=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(0.01, np.pi / 2 - 0.01)),
+                       min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # atten = 0: the envelope is infinite only at x = 0
+    @example(atten=0.0, aperture=0.09, efficiency=1.0, gain_exponent=2, p_total=1.0,
+             gamma_th=3.5e-21, links=[(0.5, 0.7), (20.0, 0.01)], seed=0)
+    # the defaults, with a link that peaks above the band and one at its edge
+    @example(atten=130.0, aperture=0.09, efficiency=1.0, gain_exponent=1, p_total=1.0,
+             gamma_th=3.5e-21, links=[(14.65, 0.11), (2.0, np.pi / 2 - 0.01), (50.0, 0.35)],
+             seed=1)
+    def test_skipped_points_gate_to_zero(self, atten, aperture, efficiency, gain_exponent,
+                                         p_total, gamma_th, links, seed):
+        try:
+            cfg = sim.ScenarioConfig(
+                p_total=p_total, gamma_th=gamma_th,
+                antenna=phy.AntennaConfig(atten=atten, aperture=aperture,
+                                          efficiency=efficiency, gain_exponent=gain_exponent),
+            )
+        except ValueError:
+            return
+        ant, p = cfg.antenna, cfg.p
+        aps = [AccessPoint(i, d, theta) for i, (d, theta) in enumerate(links)]
+        sels = [summed(selection.select_mrt(aps)), best_per_subchannel(aps),
+                summed(frozenset({0}))]
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            full = list(phy.link_rss_rows(self.F, aps, p, ant))
+            for row, (start, window) in zip(full, phy.gated_link_rows(self.F, aps, p, ant,
+                                                                       gamma_th)):
+                stop = start + window.size
+                assert np.all(row[:start] < gamma_th) and np.all(row[stop:] < gamma_th)
+                gated = np.where(row < gamma_th, 0.0, row)
+                assert gated[start:stop].tobytes() == window.tobytes()
+            for f in (self.F, rng.permutation(self.F), rng.uniform(100e9, 300e9, 1)):
+                rows = selection.combined_rss_rows(sels, aps, f, p, ant, gamma_th)
+                for sel, got in zip(sels, rows):
+                    want = materialized_combined_rss(sel, aps, f, gamma_th, p, ant)
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestProperties:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cfthz import alloc, phy, selection, sim
 from cfthz.alloc import CEConfig
 from cfthz.sim import ScenarioConfig
-from oracles import link_rss
+from oracles import link_rss, log_uniform
 
 
 def fast_cfg(**kw):
@@ -212,17 +212,17 @@ class TestColocatedBaseline:
         ids, rss = sim.scheme_rss(["mrt"], aps, cfg)["mrt"]
         expected = solo_trial(aps, "mrt", cfg, np.random.default_rng(22), (ids, rss))
         assert expected.plan_rate > 0
-        rows = []
-        real_rows = phy.link_rss_rows
+        links = []
+        real_rows = phy.gated_link_rows
 
         def counting(f, aps, *args, **kwargs):
-            for row in real_rows(f, aps, *args, **kwargs):
-                rows.append(row.size)
-                yield row
+            for ap, window in zip(aps, real_rows(f, aps, *args, **kwargs)):
+                links.append((ap, f.size))
+                yield window
 
-        monkeypatch.setattr(phy, "link_rss_rows", counting)
+        monkeypatch.setattr(phy, "gated_link_rows", counting)
         got_aps, (got_ids, got_rss) = sim.colocated_site(np.random.default_rng(21), cfg)
-        assert rows == [rss.size]
+        assert links == [(aps[0], rss.size)]
         assert got_aps == aps
         assert got_ids == ids
         assert got_rss.tobytes() == rss.tobytes()
@@ -322,11 +322,6 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             sim.monte_carlo(fast_cfg(), "n_aps", [2], threads=threads)
         assert cells == []
-
-
-def log_uniform(low_exp, high_exp):
-    """Floats 10**u for u uniform on [low_exp, high_exp]."""
-    return st.floats(low_exp, high_exp).map(lambda u: 10.0**u)
 
 
 class TestLinkPsdBound:
@@ -566,20 +561,23 @@ class TestSharedLinkPass:
 
     @pytest.mark.parametrize("n_aps", [1, 4, 12])
     def test_grid_sized_link_rows_per_cell(self, monkeypatch, n_aps):
-        # every AP of the scenario once, plus the co-located site once
+        # every AP of the scenario once, plus the co-located site once, each
+        # on a window of the band grid
         cfg = fast_cfg(n_aps=n_aps)
         n_grid = alloc.grid_freqs(cfg.band, cfg.ce.step).size
         sizes = []
-        real = phy.link_rss_rows
+        real = phy.gated_link_rows
 
-        def counting(*args, **kwargs):
-            for row in real(*args, **kwargs):
+        def counting(f, *args, **kwargs):
+            assert f.size == n_grid
+            for start, row in real(f, *args, **kwargs):
                 sizes.append(row.size)
-                yield row
+                yield start, row
 
-        monkeypatch.setattr(phy, "link_rss_rows", counting)
+        monkeypatch.setattr(phy, "gated_link_rows", counting)
         sim._trial_cell(cfg, 0, 0)
-        assert sizes.count(n_grid) == n_aps + 1
+        assert len(sizes) == n_aps + 1
+        assert max(sizes) <= n_grid
 
     @pytest.mark.parametrize("n_aps", [1, 7, 40])
     def test_scheme_rows_equal_materialized_oracle(self, n_aps):
