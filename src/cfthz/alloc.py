@@ -209,10 +209,6 @@ class GridRss:
         self.flat_radii = {}
 
     @cached_property
-    def freqs(self):
-        return grid_freqs(self.band, self.step)
-
-    @cached_property
     def db(self):
         """The RSS in dB: -inf at a dead point."""
         with np.errstate(divide="ignore"):
@@ -402,7 +398,7 @@ def _plan_rows(grids, idx, eps_db, total_budget):
     `tests/test_alloc.py` bit for bit. Returns the plans' (centers,
     widths), shaped like idx."""
     rows, n = idx.shape
-    c = np.concatenate([grid.freqs[b] for grid, b in _blocks(grids, idx)])
+    c = np.concatenate([grid.band[0] + grid.step * b for grid, b in _blocks(grids, idx)])
     w = np.concatenate([_grid_widths(grid, b.ravel(), eps_db, max_width=total_budget)
                         for grid, b in _blocks(grids, idx)]).reshape(rows, n)
     rss = np.concatenate([grid.values[b] for grid, b in _blocks(grids, idx)])
@@ -441,7 +437,7 @@ def _plan_rows(grids, idx, eps_db, total_budget):
         if cut.any():
             l, h = lo_g[cut], hi_g[cut]
             m = grid.index_of((l + h) / 2.0)
-            f_m = grid.freqs[m]
+            f_m = grid.band[0] + grid.step * m
             fit = np.floor(np.minimum(f_m - l, h - f_m) / grid.step + 1e-9)
             half = np.minimum(
                 _grid_widths(grid, m, eps_db, max_width=total_budget) / 2.0, fit * grid.step

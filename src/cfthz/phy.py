@@ -2,7 +2,7 @@
 
 All functions are pure and accept scalar or ndarray frequencies; outputs
 follow numpy broadcasting. Every link is evaluated by one formula, in real
-arithmetic: in full by `link_rss_rows`, or gated, and only where it can
+arithmetic: in full by `link_psd`, or gated, and only where it can
 reach the outage threshold, by `gated_link_rows`. Frequencies in Hz,
 distances in m, angles in radians, PSDs in W/Hz.
 """
@@ -97,19 +97,13 @@ def peak_frequency(theta, f_co):
     return float(out) if out.ndim == 0 else out
 
 
-def wavenumber(f):
-    """Free-space wavenumber 2*pi*f/c."""
-    _check_positive("f", f)
-    return 2.0 * np.pi * np.asarray(f, dtype=float) / SPEED_OF_LIGHT
-
-
 def _guided(f, f_co):
-    """(k0(f), beta(f)): the free-space wavenumber and the guided phase
-    constant k0*sqrt(1 - (f_co/f)^2), which is zero at cutoff."""
+    """(k0(f), beta(f)): the free-space wavenumber 2*pi*f/c and the guided
+    phase constant k0*sqrt(1 - (f_co/f)^2), which is zero at cutoff."""
     f = np.asarray(f, dtype=float)
-    if np.any(f < f_co):
+    if not np.all(f >= f_co):
         raise BelowCutoffError(f"f = {f} below cutoff {f_co}")
-    k0 = wavenumber(f)
+    k0 = 2.0 * np.pi * f / SPEED_OF_LIGHT
     ratio = f_co / f
     return k0, k0 * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
@@ -154,7 +148,7 @@ def antenna_gain(f, theta, cfg: AntennaConfig):
 
     z = (-j*atten - k0(f)*cos(theta) + beta(f)) * L/2. The gain peaks near
     f = f_co/sin(theta), where the real part of z vanishes. This is the
-    gain factor of `link_rss_rows`, for any broadcastable f and theta.
+    gain factor of `link_psd`, for any broadcastable f and theta.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0) & (theta < np.pi / 2)):
@@ -164,36 +158,27 @@ def antenna_gain(f, theta, cfg: AntennaConfig):
     return float(g[0]) if np.broadcast(k0, theta).ndim == 0 else g
 
 
-def link_rss_rows(f, aps, p, cfg: AntennaConfig):
+def link_psd(f, aps, p, cfg: AntennaConfig):
     """The received PSD p * G(f, theta) * (c / (4*pi*f*d))^2 of each AP in
-    `aps`, as an iterator that yields one fresh row per AP in turn.
+    `aps`, one row per AP, as one array.
 
-    `f` is one row of frequencies that every AP shares (1-D), or one row
-    per AP (2-D, one row or len(aps) rows). The input checks run, and the
-    frequency-only terms k0, beta and 4*pi*f are computed, once, when the
-    function is called; each row then costs one phase offset, one
-    `sinc_gain` and its path gain.
+    `f` (1-D or 2-D) broadcasts against a (len(aps), 1) column of APs: a
+    1-D row of frequencies is shared by every AP, and a 2-D f holds one row
+    per AP, so `peaks[:, None]` gives each AP its own frequency.
     """
     _check_positive("p", p)
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2):
         raise ValueError(f"f must be 1-D or 2-D, got shape {f.shape}")
     k0, beta = _guided(f, cfg.f_co)
-    four_pi_f = 4.0 * np.pi * f
-    shape = (len(aps), f.shape[-1])
-    k0, beta, four_pi_f = (np.broadcast_to(t, shape) for t in (k0, beta, four_pi_f))
-    cos_theta = np.cos([ap.angle for ap in aps])
-
-    def rows():
-        for i, ap in enumerate(aps):
-            yield _link_row(k0[i], beta[i], four_pi_f[i], cos_theta[i], ap.distance, p, cfg)
-
-    return rows()
+    cos_theta = np.cos(np.array([ap.angle for ap in aps])[:, None])
+    distance = np.array([ap.distance for ap in aps])[:, None]
+    return _link_row(k0, beta, 4.0 * np.pi * f, cos_theta, distance, p, cfg)
 
 
 def _link_row(k0, beta, four_pi_f, cos_theta, distance, p, cfg: AntennaConfig):
-    """p * G * (c / (4*pi*f*d))^2 of one link, pointwise over the frequency
-    terms k0, beta and 4*pi*f, as a fresh array: the one link-PSD formula."""
+    """p * G * (c / (4*pi*f*d))^2 over the broadcast terms k0, beta, 4*pi*f,
+    cos(theta) and d, as a fresh array: the one link-PSD formula."""
     row = sinc_gain(_phase_offset(k0, beta, cos_theta, cfg), cfg)
     row *= p
     amp = np.multiply(four_pi_f, distance)
@@ -204,7 +189,7 @@ def _link_row(k0, beta, four_pi_f, cos_theta, distance, p, cfg: AntennaConfig):
 
 
 def peak_link_psd(p, cfg: AntennaConfig, f_upper, d_min):
-    """The largest link PSD `link_rss_rows` can give at transmit PSD p,
+    """The largest link PSD `link_psd` can give at transmit PSD p,
     frequencies in [f_co, f_upper] and distances from d_min:
     p * (xi * L * sinh(s)/s)^e * (c / (4*pi*f_co*d_min))^2, s = atten*L/2.
 
@@ -312,7 +297,7 @@ def gated_link_rows(f, aps, p, cfg: AntennaConfig, gamma_th):
     The window is `live_band`'s interval, padded by `WINDOW_PAD` points at
     each end; inside it each point takes the full row's value bit for bit.
     The input checks run, and the frequency-only terms are computed, once,
-    when the function is called, as for `link_rss_rows`.
+    when the function is called.
     """
     _check_positive("p", p)
     f = np.asarray(f, dtype=float)

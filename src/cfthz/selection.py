@@ -58,7 +58,7 @@ def select_best_nsel(aps, n_sel, p, cfg, f_upper) -> frozenset:
     if not 1 <= n_sel <= len(aps):
         raise ValueError(f"n_sel must be in [1, {len(aps)}], got {n_sel}")
     peaks = np.minimum(phy.peak_frequency(np.array([ap.angle for ap in aps]), cfg.f_co), f_upper)
-    rss = np.concatenate(list(phy.link_rss_rows(peaks[:, None], aps, p, cfg)))
+    rss = phy.link_psd(peaks[:, None], aps, p, cfg).ravel()
     chosen = sorted(zip(-rss, (ap.id for ap in aps)))[:n_sel]
     return frozenset(ap_id for _, ap_id in chosen)
 
@@ -69,7 +69,7 @@ def select_best_at(aps, f, p, cfg):
     _require_aps(aps)
     f = np.asarray(f, dtype=float)
     by_id = sorted(aps, key=lambda ap: ap.id)
-    rss = np.array(list(phy.link_rss_rows(f.ravel(), by_id, p, cfg)))
+    rss = phy.link_psd(f.ravel(), by_id, p, cfg)
     best = np.array([ap.id for ap in by_id])[rss.argmax(axis=0)]
     return int(best[0]) if f.ndim == 0 else best.reshape(f.shape)
 
@@ -90,26 +90,21 @@ def combined_rss_rows(selections, aps, f, p, cfg, gamma_th):
     1(gamma >= gamma_th), and folded into every selection whose ids hold it,
     in AP order, with combine(out, row, out=out): `np.add` sums the links,
     `np.maximum` keeps the strongest. The rows stream from one
-    `phy.gated_link_rows` call over f in ascending order, each on only the
+    `phy.gated_link_rows` call over f, which must ascend, each on only the
     window where its link can reach gamma_th; a point outside it gates to 0,
     and adding or max-ing 0 leaves a fold unchanged, so each output rounds
     as a column-wise sum (or max) over its gated full link rows would.
     """
     _require_aps(aps)
-    f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    order = np.argsort(f_arr, kind="stable")
-    folds = [np.zeros(f_arr.size) for _ in selections]
+    folds = [np.zeros(np.shape(f)) for _ in selections]
     selected = []  # (AP, the (combine, fold) pairs of the selections that hold it)
     for ap in aps:
         pairs = [(rule, fold) for (ids, rule), fold in zip(selections, folds) if ap.id in ids]
         if pairs:
             selected.append((ap, pairs))
-    rows = phy.gated_link_rows(f_arr[order], [ap for ap, _ in selected], p, cfg, gamma_th)
+    rows = phy.gated_link_rows(f, [ap for ap, _ in selected], p, cfg, gamma_th)
     for (_, pairs), (start, row) in zip(selected, rows):
         for rule, fold in pairs:
             window = fold[start:start + row.size]
             rule(window, row, out=window)
-    for i, fold in enumerate(folds):
-        folds[i] = np.empty(f_arr.size)
-        folds[i][order] = fold
     return folds

@@ -168,7 +168,12 @@ def _active_count(scheme, ids, aps, cfg, plan):
 
 def scheme_rss(schemes, aps, cfg: ScenarioConfig):
     """{scheme: (ids, combined RSS on the band grid)} of each selection
-    scheme in `schemes`, from one link pass over `aps`."""
+    scheme in `schemes`, from one link pass over `aps`; a ValueError for an
+    AP closer than cfg.d_min, which every link-PSD bound assumes none is."""
+    for ap in aps:
+        if ap.distance < cfg.d_min:
+            raise ValueError(f"AP {ap.id}: distance {ap.distance:g} m is below "
+                             f"d_min {cfg.d_min:g} m")
     selections = {s: _selection(s, aps, cfg) for s in dict.fromkeys(schemes)}
     rows = selection.combined_rss_rows(
         list(selections.values()), aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
@@ -227,20 +232,18 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
 
 def colocated_site(draw_rng, cfg: ScenarioConfig):
     """All n_aps antennas share one random site: a single (d, theta) draw
-    and MRT combining, the site's one gated link row added N times into
+    and MRT combining, the site's one gated link window added N times into
     zeros, as a link pass over N such APs adds it (N-fold, since row * N
-    rounds differently), over only the span where the row is not 0. Returns
-    the site's APs and their (ids, RSS on the band grid) pair."""
+    rounds differently). Returns the site's APs and their (ids, RSS on the
+    band grid) pair."""
     d = draw_rng.uniform(cfg.d_min, cfg.radius)
     theta = draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard)
     aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
-    _, row = scheme_rss(["mrt"], aps[:1], cfg)["mrt"]
-    rss = np.zeros(row.size)
-    live = np.flatnonzero(row)
-    if live.size:
-        span = slice(live[0], live[-1] + 1)
-        for _ in aps:
-            rss[span] += row[span]
+    f = alloc.grid_freqs(cfg.band, cfg.ce.step)
+    ((start, row),) = phy.gated_link_rows(f, aps[:1], cfg.p, cfg.antenna, cfg.gamma_th)
+    rss = np.zeros(f.size)
+    for _ in aps:
+        rss[start:start + row.size] += row
     return aps, (selection.select_mrt(aps), rss)
 
 

@@ -14,8 +14,8 @@ from cfthz import alloc, phy
 
 def link_rss(f, ap, p, cfg):
     """Received PSD of one AP-UE link at the frequencies in f (a float for
-    scalar f): the one-AP case of `phy.link_rss_rows`."""
-    (row,) = phy.link_rss_rows(np.atleast_1d(np.asarray(f, dtype=float)), [ap], p, cfg)
+    scalar f): the one-AP case of `phy.link_psd`."""
+    (row,) = phy.link_psd(np.atleast_1d(np.asarray(f, dtype=float)), [ap], p, cfg)
     return float(row[0]) if np.ndim(f) == 0 else row
 
 

@@ -49,7 +49,7 @@ def test_c02_analytic_unit_suite():
     assert phy._guided(cfg.f_co, cfg.f_co)[1] == 0.0
     # above cutoff the guided wavenumber stays below the free-space one
     for f in (100.001e9, 150e9, 299e9, 1e12):
-        assert 0.0 < phy._guided(f, cfg.f_co)[1] < phy.wavenumber(f)
+        assert 0.0 < phy._guided(f, cfg.f_co)[1] < phy._guided(f, cfg.f_co)[0]
     # the real-form sinc gain takes its limit xi*L at zero phase offset, also
     # without attenuation, and is continuous there
     for atten in (0.0, 130.0):
@@ -64,7 +64,7 @@ def test_c02_analytic_unit_suite():
     # the antenna gain
     theta, f = 0.7, np.array([150e9, 300e9])
     aps = [AccessPoint(0, 10.0, theta), AccessPoint(1, 20.0, theta)]
-    near, far = phy.link_rss_rows(f, aps, P, cfg)
+    near, far = phy.link_psd(f, aps, P, cfg)
     assert far[0] == pytest.approx(near[0] / 4, rel=1e-12)
     g = near / (P * phy.antenna_gain(f, theta, cfg))
     assert g[1] == pytest.approx(g[0] / 4, rel=1e-12)
@@ -145,7 +145,7 @@ def test_c05_plan_validity_fuzz():
             # per-channel flatness at construction: the channel around
             # snapped center i never exceeds its coherence width, and the
             # pair of symmetric edges at that width stays within eps dB
-            snapped = grid.freqs[grid.index_of(np.asarray(res.means))]
+            snapped = alloc.grid_freqs(grid.band, grid.step)[grid.index_of(np.asarray(res.means))]
             raw_w = alloc._grid_widths(grid, grid.index_of(snapped), cfg.eps_db,
                                        grid.band[1] - grid.band[0])
             plan = res.plan

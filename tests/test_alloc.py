@@ -150,7 +150,7 @@ def resolve_overlaps(raw, rss_fn, reflatten=None):
         lo, hi = interval or (ch.center, ch.center)
         if reflatten is not None and interval is not None and interval != (ch.low, ch.high):
             grid = rss_fn
-            f_m = grid.freqs[grid.index_of((lo + hi) / 2.0)]
+            f_m = alloc.grid_freqs(grid.band, grid.step)[grid.index_of((lo + hi) / 2.0)]
             fit = np.floor(min(f_m - lo, hi - f_m) / grid.step + 1e-9) * grid.step
             half = min(coherence_search(grid, f_m, reflatten[0], grid.band, grid.step,
                                         max_width=reflatten[1]) / 2.0, fit)
@@ -208,7 +208,7 @@ def scalar_chain(grid, idx_row, eps_db, total_budget, noise_psd):
     `trim_to_budget` and `scalar_plan_rate`."""
     raw = [
         Chan(c, coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=total_budget))
-        for c in grid.freqs[idx_row]
+        for c in alloc.grid_freqs(grid.band, grid.step)[idx_row]
     ]
     resolved = plan_of(resolve_overlaps(raw, grid, reflatten=(eps_db, total_budget)), total_budget)
     plan = trim_to_budget(resolved, grid)
@@ -354,7 +354,8 @@ class TestCoherenceSearch:
 
     def test_grid_path_agrees_with_generic(self):
         grid = sampled_grid(oracle_rss, BAND, STEP)
-        centers = grid.freqs[grid.index_of(np.array([120e9, 150e9, 222e9, 280e9]))]
+        idx = grid.index_of(np.array([120e9, 150e9, 222e9, 280e9]))
+        centers = alloc.grid_freqs(grid.band, grid.step)[idx]
         widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5, band_width(grid))
         widths_gen = [coherence_search(oracle_rss, c, 0.5, BAND, STEP) for c in centers]
         np.testing.assert_allclose(widths_grid, widths_gen)
@@ -402,11 +403,11 @@ class TestGridWidthTable:
         grid = make_grid()
         max_width = None if cap_steps is None else 2 * cap_steps * grid.step
         assert np.any(grid.values <= 0) and np.any(grid.values > 0)
-        got = alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db,
+        got = alloc._grid_widths(grid, np.arange(grid.values.size), eps_db,
                                  max_width or band_width(grid))
         expected = [
             coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=max_width)
-            for c in grid.freqs
+            for c in alloc.grid_freqs(grid.band, grid.step)
         ]
         assert got.tobytes() == np.array(expected).tobytes()
 
@@ -444,7 +445,7 @@ class TestGridWidthTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for eps_db in (0.0, 0.5):
-                alloc._grid_widths(grid, np.arange(grid.freqs.size), eps_db, band_width(grid))
+                alloc._grid_widths(grid, np.arange(grid.values.size), eps_db, band_width(grid))
 
     @settings(max_examples=150, deadline=None)
     @given(case=width_table_cases())
@@ -454,9 +455,9 @@ class TestGridWidthTable:
         expected = np.array([
             coherence_search(grid, c, eps_db, grid.band, grid.step,
                              max_width=None if cap is None else 2 * cap * grid.step)
-            for c in grid.freqs
+            for c in alloc.grid_freqs(grid.band, grid.step)
         ])
-        n = grid.freqs.size
+        n = alloc.grid_freqs(grid.band, grid.step).size
         if cap is None:
             cap = (n - 1) // 2  # the widest half-width in band, in steps
         with warnings.catch_warnings():
@@ -502,7 +503,7 @@ def kernel_cases(draw):
         values = np.resize(values, 3)
     n = values.size
     grid = GridRss(values, (band0, band0 + step * (n - 1)), step)
-    assert grid.freqs.size == n
+    assert alloc.grid_freqs(grid.band, grid.step).size == n
     pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
     n_sub = draw(st.integers(1, 10))
     rows = draw(st.integers(1, 6))
@@ -536,6 +537,16 @@ class TestPlanKernel:
         for c, w in zip(centers, widths):
             assert_flat_plan(SubchannelPlan(c, w, budget), grid, eps_db)
 
+    @pytest.mark.parametrize("band0, step", [(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)])
+    def test_grid_frequency_at_an_index_is_its_grid_freqs_entry(self, band0, step):
+        # `_plan_rows` reads a center's frequency as band[0] + step * idx,
+        # which must give the bits of the grid's `grid_freqs` entry
+        grid = GridRss(np.zeros(20001), (band0, band0 + step * 20000), step)
+        freqs = alloc.grid_freqs(grid.band, grid.step)
+        idx = np.random.default_rng(0).integers(0, freqs.size, (50, 40))
+        for i in (np.arange(freqs.size), idx):
+            assert (grid.band[0] + grid.step * i).tobytes() == freqs[i].tobytes()
+
     @pytest.mark.parametrize("band0, step", [(7.3, 0.1), (0.0, 1.0 / 3.0)])
     def test_rows_equal_scalar_chain_on_inexact_grids(self, band0, step):
         # grid frequencies that are not exact in binary make the midpoints
@@ -544,7 +555,7 @@ class TestPlanKernel:
         rng = np.random.default_rng(12)
         values = np.repeat(rng.choice([0.0, 1e-19, 1.05e-19, 2e-19], 40), rng.integers(1, 30, 40))
         grid = GridRss(values, (band0, band0 + step * (values.size - 1)), step)
-        assert grid.freqs.size == values.size
+        assert alloc.grid_freqs(grid.band, grid.step).size == values.size
         idx = rng.integers(0, values.size, size=(400, 8))
         for budget in (3.3, 40.0, 1e3):
             assert_rows_equal_scalar_chain(grid, idx, 0.5, budget * step)
@@ -751,7 +762,8 @@ class TestRates:
         eps = 0.5
         grid = sampled_grid(oracle_rss, BAND, STEP)
         rng = np.random.default_rng(2)
-        centers = grid.freqs[grid.index_of(rng.uniform(105e9, 295e9, 20))]
+        idx = grid.index_of(rng.uniform(105e9, 295e9, 20))
+        centers = alloc.grid_freqs(grid.band, grid.step)[idx]
         plan = build_plan(grid, centers, eps, 1e12)
         pr = plan_rate(plan, grid, NOISE)
         ir = integrated_rate(plan, grid, NOISE)
@@ -784,7 +796,7 @@ class TestPlanRate:
         plan = equal_plan(grid.band, n_sub, budget_steps * grid.step)
         centers, widths = plan.centers, plan.widths
         # off-grid centers and widths that are not a multiple of the step
-        assert np.any(grid.freqs[grid.index_of(centers)] != centers)
+        assert np.any(alloc.grid_freqs(grid.band, grid.step)[grid.index_of(centers)] != centers)
         assert np.any(widths % grid.step != 0)
         got = plan_rate(plan, grid, NOISE)
         assert type(got) is float
@@ -1255,7 +1267,8 @@ def record_cases(draw):
     band0, step = draw(st.sampled_from([(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)]))
     grid = GridRss(values, (band0, band0 + step * (values.size - 1)), step)
     n = draw(st.integers(0, 10))
-    centers = [draw(st.sampled_from(grid.freqs.tolist()) | st.floats(*grid.band))
+    freqs = alloc.grid_freqs(grid.band, grid.step).tolist()
+    centers = [draw(st.sampled_from(freqs) | st.floats(*grid.band))
                for _ in range(n)]
     widths = [draw(st.just(0.0) | st.floats(0.0, 20.0 * step)) for _ in range(n)]
     noise = draw(st.sampled_from([NOISE, 1e-19]) | st.floats(1e-22, 1e-16))

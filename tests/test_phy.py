@@ -60,16 +60,21 @@ def oracle_link_rss(f, ap, p, cfg):
     return p * gain * amp * amp
 
 
+def wavenumber(f):
+    """The free-space wavenumber k0(f) that `phy._guided` returns."""
+    return phy._guided(f, 0.0)[0]
+
+
 def phase_constant(f, f_co):
     """The guided phase constant beta(f) that `phy._guided` returns."""
     return phy._guided(f, f_co)[1]
 
 
 def path_gain(f, d, theta=0.7):
-    """The free-space factor (c / (4*pi*f*d))^2 of a `phy.link_rss_rows`
-    row: the row of an AP at (d, theta) over p times the antenna gain."""
+    """The free-space factor (c / (4*pi*f*d))^2 of a `phy.link_psd` row:
+    the row of an AP at (d, theta) over p times the antenna gain."""
     cfg, p = default_antenna(), 1e-11
-    (row,) = phy.link_rss_rows([f], [AccessPoint(0, d, theta)], p, cfg)
+    (row,) = phy.link_psd([f], [AccessPoint(0, d, theta)], p, cfg)
     return float(row[0]) / (p * phy.antenna_gain(f, theta, cfg))
 
 
@@ -91,13 +96,13 @@ class TestPeakFrequency:
 
 class TestWavenumber:
     def test_definition_point(self):
-        assert phy.wavenumber(C / (2 * np.pi)) == pytest.approx(1.0)
+        assert wavenumber(C / (2 * np.pi)) == pytest.approx(1.0)
 
     def test_100ghz(self):
-        assert phy.wavenumber(100e9) == pytest.approx(2094.3951023931953)
+        assert wavenumber(100e9) == pytest.approx(2094.3951023931953)
 
     def test_linearity(self):
-        assert phy.wavenumber(2 * 137e9) == pytest.approx(2 * phy.wavenumber(137e9))
+        assert wavenumber(2 * 137e9) == pytest.approx(2 * wavenumber(137e9))
 
 
 class TestPhaseConstant:
@@ -106,7 +111,7 @@ class TestPhaseConstant:
 
     def test_sqrt2_point(self):
         f = np.sqrt(2) * 100e9
-        assert phase_constant(f, 100e9) == pytest.approx(phy.wavenumber(f) / np.sqrt(2))
+        assert phase_constant(f, 100e9) == pytest.approx(wavenumber(f) / np.sqrt(2))
 
     def test_200ghz_value(self):
         # k0 * sqrt(3)/2, independent calculator value
@@ -120,7 +125,7 @@ class TestPhaseConstant:
         f = np.linspace(100e9, 300e9, 2001)
         beta = phase_constant(f, 100e9)
         assert np.all(np.diff(beta) > 0)
-        assert np.all(beta[1:] < phy.wavenumber(f[1:]))
+        assert np.all(beta[1:] < wavenumber(f[1:]))
 
 
 class TestComplexSinc:
@@ -224,7 +229,7 @@ class TestLinkRssRows:
         f = np.array([f_band, cfg.f_co, phy.peak_frequency(theta, cfg.f_co)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            (got,) = phy.link_rss_rows(f, [ap], self.SCENARIO.p, cfg)
+            (got,) = phy.link_psd(f, [ap], self.SCENARIO.p, cfg)
         want = oracle_link_rss(f, ap, self.SCENARIO.p, cfg)
         assert np.all(np.abs(got - want) <= 8 * EPS * want), (got - want) / want / EPS
 
@@ -232,28 +237,41 @@ class TestLinkRssRows:
         cfg = default_antenna()
         aps = [AccessPoint(i, 4.0 * (i + 1), 0.3 + 0.2 * i) for i in range(4)]
         f = np.linspace(110e9, 290e9, 12).reshape(4, 3)
-        for ap, fi, row in zip(aps, f, phy.link_rss_rows(f, aps, 1e-11, cfg)):
+        for ap, fi, row in zip(aps, f, phy.link_psd(f, aps, 1e-11, cfg)):
             assert row.tobytes() == link_rss(fi, ap, 1e-11, cfg).tobytes()
 
     def test_rows_are_independent_arrays(self):
         cfg = default_antenna()
         aps = [AccessPoint(0, 5.0, 0.5), AccessPoint(1, 5.0, 0.5)]
-        first, second = phy.link_rss_rows(np.array([150e9, 200e9]), aps, 1e-11, cfg)
+        first, second = phy.link_psd(np.array([150e9, 200e9]), aps, 1e-11, cfg)
         first[:] = 0.0
         assert np.all(second > 0)
 
+    @pytest.mark.parametrize("f", [
+        np.linspace(110e9, 290e9, 5),  # one row every AP shares
+        np.array([[120e9], [180e9], [240e9]]),  # one frequency per AP
+        np.linspace(110e9, 290e9, 15).reshape(3, 5),  # one row per AP
+    ], ids=["shared-row", "per-ap-column", "per-ap-rows"])
+    def test_f_broadcasts_against_a_column_of_aps(self, f):
+        cfg = default_antenna()
+        aps = [AccessPoint(i, 4.0 * (i + 1), 0.3 + 0.2 * i) for i in range(3)]
+        got = phy.link_psd(f, aps, 1e-11, cfg)
+        assert got.shape == (3, f.shape[-1])
+        for ap, fi, row in zip(aps, np.broadcast_to(f, got.shape), got):
+            assert row.tobytes() == link_rss(fi, ap, 1e-11, cfg).tobytes()
+
     @pytest.mark.parametrize("aps", [[AccessPoint(0, 5.0, 0.5)], []])
     def test_bad_input_rejected_when_called(self, aps):
-        # before any row is asked for, and also with no APs
+        # also with no APs; NaN is not at or above the cutoff
         cfg = default_antenna()
         with pytest.raises(phy.BelowCutoffError):
-            phy.link_rss_rows(np.array([150e9, 99e9]), aps, 1e-11, cfg)
+            phy.link_psd(np.array([150e9, 99e9]), aps, 1e-11, cfg)
         with pytest.raises(ValueError, match="p must be positive"):
-            phy.link_rss_rows(np.array([150e9]), aps, 0.0, cfg)
-        with pytest.raises(ValueError, match="f must be positive"):
-            phy.link_rss_rows(np.array([np.nan]), aps, 1e-11, cfg)
+            phy.link_psd(np.array([150e9]), aps, 0.0, cfg)
+        with pytest.raises(phy.BelowCutoffError):
+            phy.link_psd(np.array([np.nan]), aps, 1e-11, cfg)
         with pytest.raises(ValueError, match="1-D or 2-D"):
-            phy.link_rss_rows(np.ones((1, 1, 2)) * 150e9, aps, 1e-11, cfg)
+            phy.link_psd(np.ones((1, 1, 2)) * 150e9, aps, 1e-11, cfg)
 
 
 class TestAntennaGain:

@@ -284,7 +284,7 @@ class TestStreamingCombinedRss:
         aps = random_aps(np.random.default_rng(7), 3)
         for sels in ([], [summed(frozenset({99}))]):
             with pytest.raises(phy.BelowCutoffError):
-                selection.combined_rss_rows(sels, aps, [150e9, 99e9], P, CFG, GAMMA_TH)
+                selection.combined_rss_rows(sels, aps, [99e9, 150e9], P, CFG, GAMMA_TH)
 
     def test_peak_memory_stays_a_few_grid_rows(self):
         # one streaming pass over 160 APs on the allocator's 20,001-point
@@ -357,18 +357,21 @@ class TestLiveWindow:
         rng = np.random.default_rng(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            full = list(phy.link_rss_rows(self.F, aps, p, ant))
+            full = phy.link_psd(self.F, aps, p, ant)
             for row, (start, window) in zip(full, phy.gated_link_rows(self.F, aps, p, ant,
                                                                        gamma_th)):
                 stop = start + window.size
                 assert np.all(row[:start] < gamma_th) and np.all(row[stop:] < gamma_th)
                 gated = np.where(row < gamma_th, 0.0, row)
                 assert gated[start:stop].tobytes() == window.tobytes()
-            for f in (self.F, rng.permutation(self.F), rng.uniform(100e9, 300e9, 1)):
+            for f in (self.F, rng.uniform(100e9, 300e9, 1)):
                 rows = selection.combined_rss_rows(sels, aps, f, p, ant, gamma_th)
                 for sel, got in zip(sels, rows):
                     want = materialized_combined_rss(sel, aps, f, gamma_th, p, ant)
                     assert got.tobytes() == want.tobytes()
+        # the pass reads f as the ascending band grid; any other order is refused
+        with pytest.raises(ValueError, match="ascending"):
+            selection.combined_rss_rows(sels, aps, rng.permutation(self.F), p, ant, gamma_th)
 
 
 class TestProperties:
@@ -376,7 +379,7 @@ class TestProperties:
         rng = np.random.default_rng(10)
         for _ in range(20):
             aps = random_aps(rng, 6)
-            f = rng.uniform(100e9, 300e9, 16)
+            f = np.sort(rng.uniform(100e9, 300e9, 16))
             mrt = one_row(summed(selection.select_mrt(aps)), aps, f, GAMMA_TH)
             for n_sel in (1, 3):
                 sub = one_row(summed(selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER)),

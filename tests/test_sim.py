@@ -229,6 +229,20 @@ class TestColocatedBaseline:
         got = solo_trial(got_aps, "colocated", cfg, np.random.default_rng(22), (got_ids, got_rss))
         assert got == replace(expected, scheme="colocated")
 
+    @pytest.mark.parametrize("n_aps", [1, 7, 160])
+    def test_site_is_its_gated_row_added_n_times(self, n_aps):
+        # the N-fold sum of the site's full gated row, which row * N is not
+        cfg = fast_cfg(n_aps=n_aps, radius=8.0)
+        aps, (ids, rss) = sim.colocated_site(np.random.default_rng(3), cfg)
+        assert ids == set(range(n_aps))
+        row = link_rss(alloc.grid_freqs(cfg.band, cfg.ce.step), aps[0], cfg.p, cfg.antenna)
+        row[row < cfg.gamma_th] = 0.0
+        want = np.zeros(row.size)
+        for _ in range(n_aps):
+            want += row
+        assert rss.tobytes() == want.tobytes()
+        assert row.any() and (n_aps < 7 or np.any(want != row * n_aps))
+
 
 class TestMonteCarlo:
     def test_single_trial_mean_is_trial_value(self):
@@ -346,6 +360,31 @@ class TestLinkPsdBound:
         with pytest.raises(ValueError, match="^p_total"):
             fast_cfg(**kw)
 
+    def test_ap_closer_than_d_min_rejected(self):
+        # once an overflow warning and an inf row
+        with pytest.raises(ValueError, match=r"^AP 0: distance 1e-160 m is below d_min 0\.5 m"):
+            sim.scheme_rss(["mrt"], [selection.AccessPoint(0, 1e-160, 0.7)], ScenarioConfig())
+
+    @settings(max_examples=100, deadline=None)
+    @given(distance=st.floats(0.0, 50.0, exclude_min=True) | log_uniform(-320.0, 1.0),
+           angle=st.floats(0.01, np.pi / 2 - 0.01))
+    @example(distance=1e-160, angle=0.7)
+    @example(distance=np.nextafter(0.5, 0.0), angle=0.7)
+    @example(distance=0.5, angle=np.arcsin(0.5))  # at d_min, peaking at 200 GHz
+    def test_scheme_rss_refuses_an_ap_or_gives_finite_rows(self, distance, angle):
+        cfg = fast_cfg()
+        aps = [selection.AccessPoint(0, 20.0, 0.3), selection.AccessPoint(1, distance, angle)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rows = sim.scheme_rss(sim.CE_SCHEMES, aps, cfg)
+            except ValueError as exc:
+                assert distance < cfg.d_min, exc
+                assert str(exc).startswith("AP 1: distance")
+                return
+        for _, row in rows.values():
+            assert np.isfinite(row).all()
+
     def test_peak_bounds_every_link(self):
         # the bound at x = 0, the cutoff and d_min; the APs sit at d_min, so
         # the largest link comes within a few percent of it
@@ -354,7 +393,7 @@ class TestLinkPsdBound:
         aps = [selection.AccessPoint(i, cfg.d_min, a)
                for i, a in enumerate(np.linspace(0.05, 1.5, 40))]
         f = alloc.grid_freqs(cfg.band, 10e6)
-        top = max(row.max() for row in phy.link_rss_rows(f, aps, cfg.p, cfg.antenna))
+        top = phy.link_psd(f, aps, cfg.p, cfg.antenna).max()
         assert 0.9 * peak < top <= peak
 
     # about half of these configs build; most of the rest overflow sinh
@@ -383,12 +422,13 @@ class TestLinkPsdBound:
             )
         except ValueError:
             return
+        # no AP closer than d_min, which every link-PSD bound assumes
         aps = [selection.AccessPoint(0, cfg.d_min, 0.7), selection.AccessPoint(1, 19.0, 0.2),
-               selection.AccessPoint(2, 1.0, 1.4)]
+               selection.AccessPoint(2, max(1.0, cfg.d_min), 1.4)]
         f = alloc.grid_freqs(cfg.band, cfg.ce.step)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for row in phy.link_rss_rows(f, aps, cfg.p, cfg.antenna):
+            for row in phy.link_psd(f, aps, cfg.p, cfg.antenna):
                 assert np.isfinite(row).all()
             for _, row in sim.scheme_rss(sim.CE_SCHEMES, aps, cfg).values():
                 assert np.isfinite(row).all()
@@ -609,7 +649,7 @@ class TestSharedLinkPass:
         freqs = alloc.grid_freqs(cfg.band, cfg.ce.step)
         rss = np.linspace(1.0, 2.0, freqs.size)
         grid = alloc.GridRss(rss, cfg.band, cfg.ce.step)
-        assert grid.freqs.tobytes() == freqs.tobytes()
+        assert (grid.band[0] + grid.step * np.arange(rss.size)).tobytes() == freqs.tobytes()
         assert grid.values.tobytes() == rss.tobytes()
         with pytest.raises(ValueError, match="shape"):
             alloc.GridRss(rss[:-1], cfg.band, cfg.ce.step)
