@@ -11,24 +11,28 @@ budget trim that grants bandwidth to the strongest subchannels first. A
 `ce_batch` is the whole cross-entropy loop, for any number of runs at
 once, and `ce_optimize` is its one-run case; there is no per-iteration
 API. Each run fits per-subchannel Gaussians over center frequencies to its
-own elite samples with smoothed MLE updates, keeps its sampler state and
-its incumbent as plain arrays, and builds `SubchannelPlan`s only when it
-returns. `CEResult.means` holds the final sampler means.
+own elite samples with smoothed MLE updates. `CEResult.means` holds the
+final sampler means.
 
-The allocator works on `GridRss`s only: every center is snapped to a grid
-index, so the bandwidth search is a lookup in a per-grid width table. All
-of an iteration's plans, over every run of a batch, are built and scored
-as one `(runs * samples, n_sub)` array by `_plan_rows` and `_score_rows`,
-each run's block of rows read on its own grid. The kernel's per-rank
+The kernel layout. A batch's state is arrays with runs on the leading
+axis: means and variances `(runs, n_sub)`, an iteration's samples `(runs,
+samples, n_sub)`, and the incumbents `(runs, n_sub)` centers and widths
+with `(runs,)` values. Only each run's draw from its own generator and
+its own-grid lookups (snapping, widths, RSS) are made per run; one
+refit and one masked incumbent update serve every run. Every center is
+snapped to a grid index, so the bandwidth search is a lookup in a
+per-grid width table. `_plan_rows` takes the `(runs, rows, n_sub)`
+indices, block j read on grid j, and returns the plans' centers and
+widths with the RSS at each emitted center, all of that shape;
+`_score_rows` rates rows of widths and RSS along the last axis and reads
+no grid. The final plans are one row per run. The kernel's per-rank
 numpy calls cost about the same whatever the row count, so a batch of
-runs costs less than its runs one at a time. The final plans are one
-more row per run, and `plan_rate` is the scorer's one-row case for plans
-built elsewhere. The overlap resolution stops after the last rank that
-holds a live channel in any row, since a width-0 channel never claims
-and is never clipped; on a grid with no live point it runs no rank, and
-every plan is its snapped centers at width 0. Scalar reference forms of
-the search, the overlap resolution, the trim, the rate and the CE loop
-live in the tests as their oracles.
+runs costs less than its runs one at a time. The overlap resolution
+stops after the last rank that holds a live channel in any row, since a
+width-0 channel never claims and is never clipped; on a grid with no
+live point it runs no rank, and every plan is its snapped centers at
+width 0. Scalar reference forms of the search, the overlap resolution,
+the trim, the rate and the CE loop live in the tests as their oracles.
 
 The width table is filled lazily, for the centers the optimizer asks for.
 A flat-window certificate (`_flat_radii`), built once per table in
@@ -381,35 +385,28 @@ def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     return rate
 
 
-def _blocks(grids, *arrays):
-    """Each grid with its own block of rows of every array: the rows of a
-    batch come in len(grids) equal blocks, block j read on grids[j]."""
-    return zip(grids, *(np.split(a, len(grids)) for a in arrays))
-
-
 def _plan_rows(grids, idx, eps_db, total_budget):
     """Build one plan per row of snapped center indices, all rows at once:
     the coherence widths, then overlap resolution in favor of the stronger
     center RSS (a channel whose center a stronger one covers gets width
     0, and a clipped one is shrunk to a flat interval about a grid point),
     then a budget trim that grants bandwidth in descending center-RSS
-    order. The rows come in len(grids) equal blocks, each read on its own
-    grid (`_blocks`). Each row equals the scalar reference chain in
-    `tests/test_alloc.py` bit for bit. Returns the plans' (centers,
-    widths), shaped like idx."""
-    rows, n = idx.shape
-    c = np.concatenate([grid.band[0] + grid.step * b for grid, b in _blocks(grids, idx)])
+    order. idx is (runs, rows, n_sub), block idx[j] read on grids[j]. Each
+    row equals the scalar reference chain in `tests/test_alloc.py` bit for
+    bit. Returns the plans' (centers, widths) and the RSS at each center,
+    all shaped like idx."""
+    runs, rows, n = idx.shape
+    c = np.concatenate([grid.band[0] + grid.step * b for grid, b in zip(grids, idx)])
     w = np.concatenate([_grid_widths(grid, b.ravel(), eps_db, max_width=total_budget)
-                        for grid, b in _blocks(grids, idx)]).reshape(rows, n)
-    rss = np.concatenate([grid.values[b] for grid, b in _blocks(grids, idx)])
+                        for grid, b in zip(grids, idx)]).reshape(c.shape)
+    rss = np.concatenate([grid.values[b] for grid, b in zip(grids, idx)])
 
     # overlap resolution, one rank at a time (stronger center RSS first,
     # lower index on ties); each channel is clipped against the intervals
     # its row has already claimed. Arrays here are (rank, row); an
     # unclaimed slot holds the empty interval (inf, -inf).
     rank = np.argsort(-rss, axis=1, kind="stable")
-    c_r = np.take_along_axis(c, rank, axis=1).T.copy()
-    w_r = np.take_along_axis(w, rank, axis=1).T.copy()
+    c_r, w_r, rss_r = (np.take_along_axis(a, rank, axis=1).T.copy() for a in (c, w, rss))
     lo = c_r - w_r / 2.0
     hi = c_r + w_r / 2.0
     keep = hi - lo > 0
@@ -430,10 +427,12 @@ def _plan_rows(grids, idx, eps_db, total_budget):
         claim_lo[r] = np.where(keep[r], lo[r], np.inf)
         claim_hi[r] = np.where(keep[r], hi[r], -np.inf)
     # a clipped channel's edges are no longer a searched pair: shrink it
-    # about the grid point nearest its midpoint to the widest half-width
-    # the width table admits there that still fits inside [lo, hi]
+    # about the grid point m nearest its midpoint to the widest half-width
+    # the width table admits there that still fits inside [lo, hi]; a
+    # channel that keeps a width is then centered on m, whose RSS it takes
     clip = keep & ((lo != c_r - w_r / 2.0) | (hi != c_r + w_r / 2.0))
-    for grid, cut, lo_g, hi_g, keep_g in _blocks(grids, *(a.T for a in (clip, lo, hi, keep))):
+    blocks = (np.moveaxis(a.reshape(n, runs, rows), 1, 0) for a in (clip, lo, hi, keep, rss_r))
+    for grid, cut, lo_g, hi_g, keep_g, rss_g in zip(grids, *blocks):
         if cut.any():
             l, h = lo_g[cut], hi_g[cut]
             m = grid.index_of((l + h) / 2.0)
@@ -444,29 +443,29 @@ def _plan_rows(grids, idx, eps_db, total_budget):
             )
             l, h = f_m - half, f_m + half
             lo_g[cut], hi_g[cut], keep_g[cut] = l, h, h - l > 0
+            rss_g[cut] = np.where(h - l > 0, grid.values[m], rss_g[cut])
     centers = np.empty_like(c)
     widths = np.empty_like(w)
     np.put_along_axis(centers, rank, np.where(keep, (lo + hi) / 2.0, c_r).T, axis=1)
     np.put_along_axis(widths, rank, np.where(keep, hi - lo, 0.0).T, axis=1)
+    np.put_along_axis(rss, rank, rss_r.T, axis=1)
 
     # budget trim of the rows whose total (summed in index order) exceeds
     # the budget: grant in descending center-RSS order, subtracting each
     # grant from the remainder in that order. Keeping the strongest
     # channels whole makes a sample's score reflect its best channels
     # instead of diluting them, as a proportional shrink would.
-    total = np.cumsum(widths, axis=1)[:, -1] if n else np.zeros(rows)
+    total = np.cumsum(widths, axis=1)[:, -1] if n else np.zeros(len(widths))
     over = ~(total <= total_budget)
     if over.any():
         w_o = widths[over]
-        rss_o = np.concatenate([grid.values[grid.index_of(b[o])]
-                                for grid, b, o in _blocks(grids, centers, over)])
-        order = np.argsort(-rss_o, axis=1, kind="stable")
+        order = np.argsort(-rss[over], axis=1, kind="stable")
         w_s = np.take_along_axis(w_o, order, axis=1)
         start = np.full((w_s.shape[0], 1), float(total_budget))
         left = np.subtract.accumulate(np.hstack([start, w_s[:, :-1]]), axis=1)
         np.put_along_axis(w_o, order, np.minimum(w_s, np.maximum(left, 0.0)), axis=1)
         widths[over] = w_o
-    return centers, widths
+    return centers.reshape(idx.shape), widths.reshape(idx.shape), rss.reshape(idx.shape)
 
 
 def _rate_terms(widths, rss, noise_psd):
@@ -476,26 +475,26 @@ def _rate_terms(widths, rss, noise_psd):
     return widths * np.log2(1.0 + np.maximum(rss, 0.0) / noise_psd)
 
 
-def _score_rows(grids, centers, widths, noise_psd):
-    """Rate objective of every row, its centers looked up on its own grid
-    (`_blocks`): the sum of its live channels' rate terms [bit/s]. Each
+def _score_rows(widths, rss, noise_psd):
+    """Rate objective of every row of channel widths and center RSS, over
+    the last axis: the sum of its live channels' rate terms [bit/s]. Each
     row is summed over its live channels only, because numpy's pairwise
     sum depends on the length of what it adds."""
-    rss = np.concatenate([grid.values[grid.index_of(b)] for grid, b in _blocks(grids, centers)])
     terms = _rate_terms(widths, rss, noise_psd)
     live = widths > 0
-    n_live = live.sum(axis=1)
-    packed = np.take_along_axis(terms, np.argsort(~live, axis=1, kind="stable"), axis=1)
-    scores = np.zeros(len(widths))
+    n_live = live.sum(axis=-1)
+    packed = np.take_along_axis(terms, np.argsort(~live, axis=-1, kind="stable"), axis=-1)
+    scores = np.zeros(n_live.shape)
     for n in np.unique(n_live[n_live > 0]):
         rows = n_live == n
-        scores[rows] = packed[rows, :n].sum(axis=1)
+        scores[rows] = packed[rows, :n].sum(axis=-1)
     return scores
 
 
 def plan_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Rate objective of one plan, its centers looked up on the grid."""
-    return float(_score_rows([grid], plan.centers[None], plan.widths[None], noise_psd)[0])
+    rss = grid.values[grid.index_of(plan.centers)]
+    return float(_score_rows(plan.widths[None], rss[None], noise_psd)[0])
 
 
 def variance_smoothing(beta, q, t):
@@ -524,64 +523,56 @@ def ce_batch(grids, cfg: CEConfig, rngs, *, eps_db, total_budget, noise_psd):
     Each run keeps its own grid, generator, Gaussians and incumbent: its
     means start evenly spread over its grid's band with a wide common
     variance, and each iteration draws its samples from its own generator
-    as a run on its own would. The plans of every run's samples are then
-    built and scored in one batch, one block of rows per run, and each run
-    refits its Gaussians to its own elites with smoothing. The incumbent is
-    the run's best sampled plan, or its final plan where that scores
-    strictly higher; the objective traces come along as diagnostics. The
-    plan kernel's per-rank numpy calls cost about the same whatever its
-    row count, so runs batched together cost less than run one at a time,
-    and each result equals `ce_optimize` on its grid and generator bit
-    for bit.
+    as a run on its own would. The state is a set of arrays with runs on
+    the leading axis, so the plans of every run's samples are built and
+    scored in one batch, and one smoothed refit and one masked incumbent
+    update serve every run. The incumbent is the run's best sampled plan,
+    or its final plan where that scores strictly higher; the objective
+    traces come along as diagnostics. The plan kernel's per-rank numpy
+    calls cost about the same whatever its row count, so runs batched
+    together cost less than run one at a time, and each result equals
+    `ce_optimize` on its grid and generator bit for bit.
     """
-    k = len(grids)
+    k, n = len(grids), cfg.n_sub
     if not k:
         return []
-    means, variances = [], []
-    for grid in grids:
-        lo, hi = grid.band
-        means.append(lo + (np.arange(1, cfg.n_sub + 1) - 0.5) * (hi - lo) / cfg.n_sub)
-        variances.append(np.full(cfg.n_sub, 16.0 * (hi - lo) ** 2 / cfg.n_sub**2))
+    bands = [grid.band for grid in grids]
+    means = np.array([lo + (np.arange(1, n + 1) - 0.5) * (hi - lo) / n for lo, hi in bands])
+    variances = np.array([np.full(n, 16.0 * (hi - lo) ** 2 / n**2) for lo, hi in bands])
     best_per_iter = np.empty((k, cfg.max_iter))
     incumbent_trace = np.empty((k, cfg.max_iter))
-    incumbents = [(None, None, -np.inf)] * k  # (centers, widths, value) of each run
+    inc_centers, inc_widths, inc_value = np.zeros((k, n)), np.zeros((k, n)), np.full(k, -np.inf)
     for t in range(cfg.max_iter):
-        samples = [_sample_centers(mu, np.sqrt(var), cfg, grid.band, rng)
-                   for grid, mu, var, rng in zip(grids, means, variances, rngs)]
-        idx = np.concatenate([grid.index_of(x) for grid, x in zip(grids, samples)])
-        centers, widths = _plan_rows(grids, idx, eps_db, total_budget)
-        scores = _score_rows(grids, centers, widths, noise_psd)
+        samples = np.stack([_sample_centers(mu, np.sqrt(var), cfg, grid.band, rng)
+                            for grid, mu, var, rng in zip(grids, means, variances, rngs)])
+        idx = np.stack([grid.index_of(x) for grid, x in zip(grids, samples)])
+        centers, widths, rss = _plan_rows(grids, idx, eps_db, total_budget)
+        scores = _score_rows(widths, rss, noise_psd)  # (runs, samples)
+        best = np.argmax(scores, axis=1)
+        best_per_iter[:, t] = scores.max(axis=1)
+        won = best_per_iter[:, t] > inc_value
+        inc_centers[won], inc_widths[won] = centers[won, best[won]], widths[won, best[won]]
+        inc_value = incumbent_trace[:, t] = np.where(won, best_per_iter[:, t], inc_value)
+        order = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.elites]
+        elites = np.take_along_axis(samples, order[:, :, None], axis=1)
         beta_t = variance_smoothing(cfg.smooth_var, cfg.smooth_power, t)
-        for j, (_, c, w, s) in enumerate(_blocks(grids, centers, widths, scores)):
-            best = int(np.argmax(s))
-            if s[best] > incumbents[j][2]:
-                # copies, so that no incumbent holds a whole batch alive
-                incumbents[j] = (c[best].copy(), w[best].copy(), s[best])
-            best_per_iter[j, t] = s[best]
-            incumbent_trace[j, t] = incumbents[j][2]
-            elites = samples[j][np.argsort(-s, kind="stable")[: cfg.elites]]
-            means[j] = cfg.smooth_mean * elites.mean(axis=0) + (1.0 - cfg.smooth_mean) * means[j]
-            variances[j] = beta_t * elites.var(axis=0) + (1.0 - beta_t) * variances[j]
-            variances[j] = np.maximum(variances[j], cfg.step**2)  # keep the sampler proper
-    idx = np.stack([grid.index_of(mu) for grid, mu in zip(grids, means)])
-    centers, widths = _plan_rows(grids, idx, eps_db, total_budget)
-    finals = _score_rows(grids, centers, widths, noise_psd)
-    results = []
-    for j in range(k):
-        final_value = float(finals[j])
-        inc_centers, inc_widths, inc_value = incumbents[j]
-        if final_value > inc_value:
-            inc_centers, inc_widths, inc_value = centers[j], widths[j], final_value
-        results.append(CEResult(
-            plan=SubchannelPlan(centers[j], widths[j], total_budget),
-            plan_value=final_value,
-            incumbent_plan=SubchannelPlan(inc_centers, inc_widths, total_budget),
-            incumbent_value=inc_value,
-            best_per_iter=best_per_iter[j],
-            incumbent_trace=incumbent_trace[j],
-            means=means[j],
-        ))
-    return results
+        means = cfg.smooth_mean * elites.mean(axis=1) + (1.0 - cfg.smooth_mean) * means
+        variances = beta_t * elites.var(axis=1) + (1.0 - beta_t) * variances
+        variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
+    idx = np.stack([grid.index_of(mu) for grid, mu in zip(grids, means)])[:, None]
+    centers, widths, rss = (a[:, 0] for a in _plan_rows(grids, idx, eps_db, total_budget))
+    finals = _score_rows(widths, rss, noise_psd)
+    won = finals > inc_value
+    inc_centers[won], inc_widths[won], inc_value[won] = centers[won], widths[won], finals[won]
+    return [CEResult(
+        plan=SubchannelPlan(centers[j], widths[j], total_budget),
+        plan_value=float(finals[j]),
+        incumbent_plan=SubchannelPlan(inc_centers[j], inc_widths[j], total_budget),
+        incumbent_value=float(inc_value[j]),
+        best_per_iter=best_per_iter[j],
+        incumbent_trace=incumbent_trace[j],
+        means=means[j],
+    ) for j in range(k)]
 
 
 def ce_optimize(grid: GridRss, cfg: CEConfig, rng, *, eps_db, total_budget, noise_psd):

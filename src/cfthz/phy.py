@@ -164,7 +164,9 @@ def link_psd(f, aps, p, cfg: AntennaConfig):
 
     `f` (1-D or 2-D) broadcasts against a (len(aps), 1) column of APs: a
     1-D row of frequencies is shared by every AP, and a 2-D f holds one row
-    per AP, so `peaks[:, None]` gives each AP its own frequency.
+    per AP, so `peaks[:, None]` gives each AP its own frequency. Raises a
+    ValueError naming the first AP whose row is not finite (one far closer
+    than any config's d_min overflows the path gain).
     """
     _check_positive("p", p)
     f = np.asarray(f, dtype=float)
@@ -173,7 +175,13 @@ def link_psd(f, aps, p, cfg: AntennaConfig):
     k0, beta = _guided(f, cfg.f_co)
     cos_theta = np.cos(np.array([ap.angle for ap in aps])[:, None])
     distance = np.array([ap.distance for ap in aps])[:, None]
-    return _link_row(k0, beta, 4.0 * np.pi * f, cos_theta, distance, p, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _link_row(k0, beta, 4.0 * np.pi * f, cos_theta, distance, p, cfg)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        ap = aps[bad[0]]
+        raise ValueError(f"AP {ap.id}: link PSD at distance {ap.distance} m is not finite")
+    return rows
 
 
 def _link_row(k0, beta, four_pi_f, cos_theta, distance, p, cfg: AntennaConfig):

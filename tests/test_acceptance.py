@@ -90,8 +90,8 @@ def test_c03_ce_matches_two_channel_grid_oracle():
     # every (c1, c2) pair of 64 centers, each built and rated as one plan row
     idx = grid.index_of(np.linspace(BAND[0] + 5e8, BAND[1] - 5e8, 64))
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
-    centers, widths = alloc._plan_rows([grid], pairs, 0.5, 16e9)
-    oracle = alloc._score_rows([grid], centers, widths, NOISE).max()
+    _, widths, rss = alloc._plan_rows([grid], pairs[None], 0.5, 16e9)
+    oracle = alloc._score_rows(widths, rss, NOISE).max()
     assert oracle > 0
 
     hits = 0

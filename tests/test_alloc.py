@@ -165,9 +165,9 @@ def resolve_overlaps(raw, rss_fn, reflatten=None):
 def build_plan(grid, centers, eps_db, total_budget):
     """The plan of one row of candidate centers, snapped to the grid: the
     one-row case of `alloc._plan_rows`."""
-    idx = grid.index_of(np.asarray(centers, dtype=float)).reshape(1, -1)
-    c, w = alloc._plan_rows([grid], idx, eps_db, total_budget)
-    return SubchannelPlan(c[0], w[0], total_budget)
+    idx = grid.index_of(np.asarray(centers, dtype=float)).reshape(1, 1, -1)
+    c, w, _ = alloc._plan_rows([grid], idx, eps_db, total_budget)
+    return SubchannelPlan(c[0, 0], w[0, 0], total_budget)
 
 
 def trim_to_budget(plan, rss_fn):
@@ -285,9 +285,10 @@ def assert_equals_reference_ce(res, ref):
 
 def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
     """The batched kernel's centers, widths and scores equal the scalar
-    chain's byte for byte, row by row."""
-    centers, widths = alloc._plan_rows([grid], idx, eps_db, total_budget)
-    scores = alloc._score_rows([grid], centers, widths, NOISE)
+    chain's byte for byte, row by row, on one run of rows idx."""
+    centers, widths, rss = (a[0] for a in alloc._plan_rows([grid], idx[None], eps_db,
+                                                          total_budget))
+    scores = alloc._score_rows(widths, rss, NOISE)
     for s in range(idx.shape[0]):
         plan, rate = scalar_chain(grid, idx[s], eps_db, total_budget, NOISE)
         assert centers[s].tobytes() == plan.centers.tobytes()
@@ -533,8 +534,8 @@ class TestPlanKernel:
         # clipped and trimmed channels included: every live channel's
         # edges are a flat pair on the grid
         grid, idx, eps_db, budget = case
-        centers, widths = alloc._plan_rows([grid], idx, eps_db, budget)
-        for c, w in zip(centers, widths):
+        centers, widths, _ = alloc._plan_rows([grid], idx[None], eps_db, budget)
+        for c, w in zip(centers[0], widths[0]):
             assert_flat_plan(SubchannelPlan(c, w, budget), grid, eps_db)
 
     @pytest.mark.parametrize("band0, step", [(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)])
@@ -567,11 +568,11 @@ class TestPlanKernel:
         values = np.repeat(rng.choice([1e-19, 1.05e-19, 2e-19], 60), rng.integers(20, 60, 60))
         grid = GridRss(values, (7.3, 7.3 + 0.1 * (values.size - 1)), 0.1)
         for row in rng.integers(0, values.size, size=(300, 12)):
-            _, untrimmed = alloc._plan_rows([grid], row[None, :], 0.5, 1e9)
-            budget = np.cumsum(untrimmed[0])[-1]
-            _, widths = alloc._plan_rows([grid], row[None, :], 0.5, budget)
+            _, untrimmed, _ = alloc._plan_rows([grid], row[None, None], 0.5, 1e9)
+            budget = np.cumsum(untrimmed[0, 0])[-1]
+            _, widths, _ = alloc._plan_rows([grid], row[None, None], 0.5, budget)
             plan, _ = scalar_chain(grid, row, 0.5, budget, NOISE)
-            assert widths[0].tobytes() == untrimmed[0].tobytes() == plan.widths.tobytes()
+            assert widths[0, 0].tobytes() == untrimmed[0, 0].tobytes() == plan.widths.tobytes()
 
     def test_center_on_a_claimed_edge_keeps_its_outer_side(self):
         # the strong channel at 50 spans [15, 85]; the weaker one centered
@@ -580,11 +581,11 @@ class TestPlanKernel:
         values = np.full(121, 1e-19)
         values[50], values[86] = 2e-19, 4e-19
         grid = GridRss(values, (0.0, 120.0), 1.0)
-        idx = np.array([[15, 50]])
-        centers, widths = alloc._plan_rows([grid], idx, 0.5, 1e3)
-        assert widths.tolist() == [[14.0, 70.0]]
-        assert centers.tolist() == [[8.0, 50.0]]
-        plan, _ = scalar_chain(grid, idx[0], 0.5, 1e3, NOISE)
+        idx = np.array([[[15, 50]]])
+        centers, widths, _ = alloc._plan_rows([grid], idx, 0.5, 1e3)
+        assert widths.tolist() == [[[14.0, 70.0]]]
+        assert centers.tolist() == [[[8.0, 50.0]]]
+        plan, _ = scalar_chain(grid, idx[0, 0], 0.5, 1e3, NOISE)
         assert plan.widths.tolist() == [14.0, 70.0]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1075,10 +1076,57 @@ class TestCEBatch:
         cfg = CEConfig(n_sub=5, samples=7, elites=2, max_iter=3, step=50e6)
         alloc.ce_batch([mrt_grid(s) for s in range(4)], cfg,
                        [np.random.default_rng(0) for _ in range(4)], **ce_kwargs())
-        assert calls == [(4, (28, 5))] * 3 + [(4, (4, 5))]
+        assert calls == [(4, (4, 7, 5))] * 3 + [(4, (4, 1, 5))]
 
     def test_no_runs(self):
         assert alloc.ce_batch([], CEConfig(), [], **ce_kwargs()) == []
+
+    def test_values_are_python_floats(self):
+        # in some runs a sampled plan is the incumbent, in others the final
+        # plan; either way both values are plain floats
+        cfg = CEConfig(n_sub=5, samples=7, elites=2, max_iter=1, step=50e6)
+        results = alloc.ce_batch([mrt_grid(s) for s in range(6)], cfg,
+                                 [np.random.default_rng(s) for s in range(6)], **ce_kwargs())
+        assert any(res.incumbent_value > res.plan_value for res in results)
+        assert any(res.incumbent_value == res.plan_value for res in results)
+        for res in results:
+            assert type(res.plan_value) is float
+            assert type(res.incumbent_value) is float
+
+
+def assert_rss_is_grid_value_at_centers(grids, idx, eps_db, budget):
+    """The kernel's RSS column is each emitted center's grid value, which
+    the budget trim and the scorer read instead of looking it up."""
+    centers, _, rss = alloc._plan_rows(grids, idx, eps_db, budget)
+    assert centers.shape == rss.shape == idx.shape
+    for grid, c, r in zip(grids, centers, rss):
+        assert r.tobytes() == grid.values[grid.index_of(c)].tobytes()
+
+
+class TestPlanKernelRss:
+    @settings(max_examples=200, deadline=None)
+    @given(case=batch_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_rss_is_grid_value_at_each_center(self, case, seed):
+        # clipped channels, trimmed rows, all-dead grids and inexact steps
+        grids, cfg, _, eps_db, budget = case
+        rng = np.random.default_rng(seed)
+        idx = np.stack([rng.integers(0, grid.values.size, (cfg.samples, cfg.n_sub))
+                        for grid in grids])
+        assert_rss_is_grid_value_at_centers(grids, idx, eps_db, budget)
+
+    def test_clipped_center_takes_its_new_grid_point_rss(self):
+        # the stronger channel at 62 claims [59, 65]; the one at 33 (RSS
+        # 1.05e-19) is clipped to [1, 59] and centered on 30, whose RSS is
+        # 1e-19
+        values = np.r_[np.full(31, 1e-19), np.full(29, 1.05e-19), np.full(6, 1.1e-19), np.zeros(10)]
+        grid = GridRss(values, (0.0, values.size - 1.0), 1.0)
+        idx = np.array([[[33, 62]]])
+        centers, widths, rss = alloc._plan_rows([grid], idx, 0.5, 1e3)
+        assert centers.tolist() == [[[30.0, 62.0]]]
+        assert widths.tolist() == [[[58.0, 6.0]]]
+        assert rss.tolist() == [[[1e-19, 1.1e-19]]]
+        plan, _ = scalar_chain(grid, idx[0, 0], 0.5, 1e3, NOISE)
+        assert (plan.centers.tolist(), plan.widths.tolist()) == ([30.0, 62.0], [58.0, 6.0])
 
 
 class TestCEOptimize:

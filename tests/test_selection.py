@@ -436,3 +436,14 @@ class TestAccessPoint:
     def test_bad_angle_rejected(self, angle):
         with pytest.raises(ValueError, match="angle must be in"):
             AccessPoint(0, 5.0, angle)
+
+    @pytest.mark.parametrize("select", [
+        lambda aps, p, cfg: selection.select_best_at(aps, [150e9], p, cfg),
+        lambda aps, p, cfg: selection.select_best_nsel(aps, 1, p, cfg, 300e9),
+    ], ids=["best_at", "best_nsel"])
+    def test_ap_whose_link_overflows_rejected(self, select):
+        # 1e-160 m overflows the path gain (c / (4*pi*f*d))^2: once a
+        # RuntimeWarning and an inf row, now a ValueError naming the AP
+        aps = [AccessPoint(0, 1e-160, 0.7), AccessPoint(1, 20.0, 0.3)]
+        with pytest.raises(ValueError, match=r"^AP 0: link PSD at distance 1e-160 m is not finite"):
+            select(aps, sim.ScenarioConfig().p, AntennaConfig())

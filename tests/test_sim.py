@@ -590,14 +590,14 @@ class TestSharedLinkPass:
         real = alloc._plan_rows
 
         def recording(grids, idx, *args):
-            calls.append((len(grids), idx.shape[0]))
+            calls.append((len(grids), idx.shape[:2]))
             return real(grids, idx, *args)
 
         monkeypatch.setattr(alloc, "_plan_rows", recording)
         cfg = fast_cfg(n_aps=4)
         sim._trial_cell(cfg, 0, 0)
         runs = len(sim.CE_SCHEMES) + 1
-        assert calls == [(runs, runs * cfg.ce.samples)] * cfg.ce.max_iter + [(runs, runs)]
+        assert calls == [(runs, (runs, cfg.ce.samples))] * cfg.ce.max_iter + [(runs, (runs, 1))]
 
     @pytest.mark.parametrize("n_aps", [1, 4, 12])
     def test_grid_sized_link_rows_per_cell(self, monkeypatch, n_aps):
