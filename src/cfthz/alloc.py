@@ -15,41 +15,36 @@ own elite samples with smoothed MLE updates. `CEResult.means` holds the
 final sampler means.
 
 The kernel layout. A batch's state is arrays with runs on the leading
-axis: means and variances `(runs, n_sub)`, an iteration's samples `(runs,
-samples, n_sub)`, and the incumbents `(runs, n_sub)` centers and widths
-with `(runs,)` values. Only each run's draw from its own generator and
-its own-grid lookups (snapping, widths, RSS) are made per run; one
-refit and one masked incumbent update serve every run. Every center is
-snapped to a grid index, so the bandwidth search is a lookup in a
-per-grid width table. `_plan_rows` takes the `(runs, rows, n_sub)`
-indices, block j read on grid j, and returns the plans' centers and
-widths with the RSS at each emitted center, all of that shape;
-`_score_rows` rates rows of widths and RSS along the last axis and reads
-no grid. The final plans are one row per run. The kernel's per-rank
-numpy calls cost about the same whatever the row count, so a batch of
-runs costs less than its runs one at a time. The overlap resolution
-stops after the last rank that holds a live channel in any row, since a
-width-0 channel never claims and is never clipped; on a grid with no
-live point it runs no rank, and every plan is its snapped centers at
-width 0. Scalar reference forms of the search, the overlap resolution,
-the trim, the rate and the CE loop live in the tests as their oracles.
+axis: means and variances `(runs, n_sub)`, samples `(runs, samples,
+n_sub)`, and incumbent centers and widths `(runs, n_sub)` with `(runs,)`
+values. The runs share one band and step, so one snap serves every
+sample; only each run's draw from its own generator is made per run.
+`_plan_rows` takes `(runs, rows, n_sub)` indices, run j read on grid j,
+and returns the plans' centers and widths and the RSS at each emitted
+center, all of that shape; `_score_rows` rates them along the last axis.
+The kernel's per-rank numpy calls cost about the same whatever the row
+count, so a batch costs less than its runs one at a time. The overlap
+resolution stops after the last rank that holds a live channel in any row
+(a width-0 channel never claims and is never clipped), so on a grid with
+no live point every plan is its snapped centers at width 0. Scalar
+reference forms of the search, the overlap resolution, the trim, the rate
+and the CE loop live in the tests as their oracles.
 
-The width table is filled lazily, for the centers the optimizer asks for.
-A flat-window certificate (`_flat_radii`), built once per table in
-O(points log points), gives each grid index a half-width whose window of
-dB values spans less than eps_db, so every edge pair inside it passes;
-the scan (`_scan_half_widths`) checks only the pairs past it. Most centers
-settle on the first pair or two; those near an RSS peak, whose mirrored
-edges stay matched after the window spans more, run on in chunks that
-grow as the frontier shrinks. The widths equal the pair-by-pair search bit
-for bit.
+The width table. Each `ce_batch` call builds one `_WidthTable`: the RSS
+of all its grids on one axis, grid j's point i at `start[j] + i` with
+`_SCAN_MAX` dead points before, between and after the grids, and a
+half-width per point, filled lazily for the centers the optimizer asks
+for. A flat-window certificate (`_flat_radii`, one call per grid) gives
+each point a half-width whose window of dB values spans less than eps_db,
+so every edge pair inside it passes; the scan checks only the pairs past
+it, in chunks that grow as the frontier shrinks. The widths equal the
+pair-by-pair search bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -184,17 +179,22 @@ def grid_freqs(band, step):
     return float(band[0]) + float(step) * np.arange(grid_size(band, step))
 
 
+def _snap(f, band0, step, n):
+    """Nearest index of each frequency on the n-point grid band0 + step * i,
+    clipped to the grid before the cast, so any frequency maps into it."""
+    x = np.round((np.asarray(f, dtype=float) - band0) / step)
+    if np.isnan(x).any():
+        raise ValueError("cannot snap a NaN frequency to the grid")
+    return np.clip(x, 0, n - 1).astype(int)
+
+
 class GridRss:
     """RSS samples on a uniform frequency grid over the band.
 
-    `values` is the PSD sampled at `grid_freqs(band, step)`. Calling the
-    grid looks frequencies up by nearest grid index, so the allocator snaps
-    candidate centers to this grid before searching bandwidths.
-
-    The grid carries the allocator's width tables, one per (eps_db, cap in
-    steps), and beside each the flat-window certificate its scan starts
-    from: one O(points) array of half-widths per table, no per-level
-    tables.
+    `values` is the PSD sampled at `grid_freqs(band, step)`, finite and
+    >= 0. Calling the grid looks frequencies up by nearest grid index, so
+    the allocator snaps candidate centers to this grid before searching
+    bandwidths.
     """
 
     def __init__(self, values, band, step):
@@ -206,57 +206,15 @@ class GridRss:
         shape = (grid_size(self.band, self.step),)
         if self.values.shape != shape:
             raise ValueError(f"RSS samples have shape {self.values.shape}, grid has {shape}")
-        # coherence half-widths in steps, one table per (eps_db, cap in
-        # steps), filled by `_grid_widths`; -1 marks an index not yet searched
-        self.k_tables = {}
-        # the flat-window certificate of each table, built by `_flat_radii`
-        self.flat_radii = {}
-
-    @cached_property
-    def db(self):
-        """The RSS in dB: -inf at a dead point."""
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.values)
-
-    @cached_property
-    def scan_windows(self):
-        """Windows of `_SCAN_MAX` points over the dB values, upward and from
-        the top down, for `_scan_half_widths`. Dead and infinite points (and
-        `_SCAN_MAX` points of padding each side) are NaN, so one comparison
-        rejects every pair they are in (an inf edge fails either way) and
-        non-flat pairs alike; edges below a center are read from the
-        reversed array so that both sides of a chunk are contiguous runs."""
-        pad = np.full(_SCAN_MAX, np.nan)
-        db = np.concatenate([pad, np.where(np.isfinite(self.db), self.db, np.nan), pad])
-        window = np.lib.stride_tricks.sliding_window_view
-        return window(db, _SCAN_MAX), window(db[::-1].copy(), _SCAN_MAX)
+        if not (np.isfinite(self.values).all() and (self.values >= 0).all()):
+            raise ValueError("RSS samples must be finite and >= 0")
 
     def index_of(self, f):
-        idx = np.round((np.asarray(f, dtype=float) - self.band[0]) / self.step)
-        return np.clip(idx.astype(int), 0, self.values.size - 1)
+        return _snap(f, self.band[0], self.step, self.values.size)
 
     def __call__(self, f):
         out = self.values[self.index_of(f)]
         return float(out) if np.ndim(f) == 0 else out
-
-
-def _grid_widths(grid: GridRss, centers_idx, eps_db, max_width):
-    """Coherence widths of grid-aligned centers: the largest width 2k*step
-    whose edges stay in band, under the cap and within eps_db of each other
-    (0 for a dead center). Read from the grid's width table; indices no
-    earlier call has searched are scanned first."""
-    idx = np.atleast_1d(centers_idx)
-    cap = int(max_width / (2 * grid.step) + 1e-9)
-    table = grid.k_tables.get((eps_db, cap))
-    if table is None:
-        table = grid.k_tables[(eps_db, cap)] = np.full(grid.values.size, -1, dtype=np.int32)
-    new = table[idx] < 0
-    if new.any():
-        pending = np.zeros(table.size, dtype=bool)
-        pending[idx[new]] = True
-        todo = np.flatnonzero(pending)  # sorted, each index once
-        table[todo] = _scan_half_widths(grid, todo, eps_db, cap)
-    return 2.0 * table[idx] * grid.step
 
 
 def _flat(hi, lo, eps_db):
@@ -266,13 +224,14 @@ def _flat(hi, lo, eps_db):
     return span < eps_db if eps_db > 0 else span == 0.0
 
 
-def _flat_radii(grid: GridRss, eps_db, cap):
-    """Flat-window certificate: for each grid index i a half-width r, at
-    most the band limit and the cap, such that the dB values on
-    [i - r, i + r] are finite and span less than eps_db (exactly 0 at eps
-    0). For k <= r both edges i - k and i + k lie in that window, so their
-    difference is at most the span, and float subtraction rounds
-    monotonically: every such pair passes the scan's test.
+def _flat_radii(db, eps_db, cap):
+    """Flat-window certificate of one grid's dB values (NaN at a dead
+    point): for each grid index i a half-width r, at most the band limit
+    and the cap, such that the dB values on [i - r, i + r] are finite and
+    span less than eps_db (exactly 0 at eps 0). For k <= r both edges i - k
+    and i + k lie in that window, so their difference is at most the span,
+    and float subtraction rounds monotonically: every such pair passes the
+    scan's test.
 
     Every `_CERT_STRIDE`-th index is certified from running max/min over
     power-of-two windows (sparse-table doubling), a radius r being the
@@ -282,18 +241,18 @@ def _flat_radii(grid: GridRss, eps_db, cap):
     the widest flat one. A window certified at j holds [i - r, i + r] for
     r = r_j - |i - j|, so each index takes the better of its two nearest
     certified ones."""
-    n = grid.values.size
+    n = db.size
     top = min(cap, (n - 1) // 2)
     if top < 1:
         return np.zeros(n, dtype=np.int32)
     # padding and non-finite points make every window holding them fail;
     # hi and lo hold the max and min of the h points from each position on
     pad = 2 * top
-    finite = np.isfinite(grid.db)
+    finite = np.isfinite(db)
     hi = np.full(n + 2 * pad, np.inf)
     lo = np.full(n + 2 * pad, -np.inf)
-    hi[pad : pad + n] = np.where(finite, grid.db, np.inf)
-    lo[pad : pad + n] = np.where(finite, grid.db, -np.inf)
+    hi[pad : pad + n] = np.where(finite, db, np.inf)
+    lo[pad : pad + n] = np.where(finite, db, -np.inf)
     sampled = np.arange(0, n, _CERT_STRIDE)
     found_at = np.zeros(sampled.size + 1, dtype=np.intp)  # 0 past the last one
     active = sampled[finite[sampled]] + pad
@@ -326,46 +285,85 @@ def _flat_radii(grid: GridRss, eps_db, cap):
     return np.maximum(np.maximum(below, above), 0).astype(np.int32)
 
 
-def _scan_half_widths(grid: GridRss, idx, eps_db, cap):
-    """Widest admissible half-width k (in steps) of each center: the last k
-    before the first edge pair (idx - k, idx + k) that is dead or not flat,
-    limited by the band and the cap. Each center starts past its certified
-    radius (`_flat_radii`); chunks of k are then checked for the whole
-    frontier at once, and a center leaves the frontier once it has settled.
-    The first chunk is short, because most centers settle on the first pair
-    past their radius; later chunks grow as the frontier shrinks. A dead
-    center's half-width is 0, so when every center is dead neither the
-    certificate nor the scan windows are built."""
-    live = grid.values[idx] > 0.0
-    if not live.any():
-        return np.zeros(idx.size, dtype=np.int32)
-    radii = grid.flat_radii.get((eps_db, cap))
-    if radii is None:
-        radii = grid.flat_radii[(eps_db, cap)] = _flat_radii(grid, eps_db, cap)
-    n = grid.values.size
-    k_cap = np.minimum(np.minimum(idx, n - 1 - idx), cap)
-    k_star = radii[idx]  # 0 at a dead center
-    front = np.flatnonzero((k_star < k_cap) & live)
-    k0, k_cap = k_star[front] + 1, k_cap[front]
-    above, below = grid.scan_windows
-    mirror = n - 1 + _SCAN_MAX
-    chunk = _SCAN_CHUNK
-    while front.size:
-        centers = idx[front]
-        # column j of both blocks holds the edges at k = k0 + j
-        diff = below[:, :chunk][mirror - centers + k0]
-        np.subtract(diff, above[:, :chunk][_SCAN_MAX + centers + k0], out=diff)
-        # NaN (a dead or inf edge) is not flat; a diff of 0 is, even at eps 0
-        ok = _flat(np.abs(diff, out=diff), 0.0, eps_db)
-        hit = ~ok.all(axis=1)
-        # pairs past the cap were checked too; the cap bounds the result
-        k_star[front] = np.minimum(k0 - 1 + np.where(hit, ok.argmin(axis=1), chunk), k_cap)
-        more = ~hit & (k_cap >= k0 + chunk)
-        front, k0, k_cap = front[more], k0[more] + chunk, k_cap[more]
-        if front.size:
-            chunk = min(_SCAN_MAX, max(chunk, _SCAN_PAIRS // front.size),
-                        int((k_cap - k0).max()) + 1)
-    return k_star
+class _WidthTable:
+    """The coherence half-widths, in steps, of the grids of one `ce_batch`
+    call on one axis (see the module docstring); -1 marks a point not yet
+    searched, and a batch with no live center builds no certificate."""
+
+    def __init__(self, grids, eps_db, total_budget):
+        band, step = grids[0].band, grids[0].step
+        if any(grid.band != band or grid.step != step for grid in grids):
+            raise ValueError("the grids of a CE batch need one band and step")
+        self.band0, self.step, self.n = band[0], step, grids[0].values.size
+        self.eps_db, self.cap = eps_db, int(total_budget / (2 * step) + 1e-9)
+        self.start = _SCAN_MAX + (self.n + _SCAN_MAX) * np.arange(len(grids))
+        rows = np.zeros((len(grids), _SCAN_MAX + self.n))
+        rows[:, _SCAN_MAX:] = [grid.values for grid in grids]
+        self.values = np.concatenate([rows.ravel(), np.zeros(_SCAN_MAX)])
+        self.half = np.full(self.values.size, -1, dtype=np.int32)
+        self.radii = self.windows = None
+
+    def snap(self, f):
+        """Grid indices of the frequencies in f."""
+        return _snap(f, self.band0, self.step, self.n)
+
+    def widths(self, t):
+        """Coherence widths of the points at table indices t: the largest
+        width 2k*step whose edges stay in band, under the cap and within
+        eps_db of each other (0 for a dead center). Points no earlier call
+        has searched are scanned first."""
+        new = self.half[t] < 0
+        if new.any():
+            pending = np.zeros(self.half.size, dtype=bool)
+            pending[t[new]] = True
+            todo = np.flatnonzero(pending)  # sorted, each index once
+            self.half[todo] = self._scan(todo)
+        return 2.0 * self.half[t] * self.step
+
+    def _scan(self, idx):
+        """Widest admissible half-width k (in steps) of each point: the last
+        k before the first edge pair (idx - k, idx + k) that is dead or not
+        flat, limited by the band and the cap. Each center starts past its
+        certified radius, and chunks of k are checked for the whole
+        frontier at once: a short first chunk, as most centers settle on
+        the first pair past their radius, then longer ones."""
+        live = self.values[idx] > 0.0
+        if not live.any():
+            return np.zeros(idx.size, dtype=np.int32)
+        if self.radii is None:
+            # dead points are NaN, so one comparison rejects every pair they
+            # are in; edges below a center are read from the reversed array
+            # so that both sides of a chunk are contiguous runs
+            db = 10.0 * np.log10(np.where(self.values > 0.0, self.values, np.nan))
+            self.radii = np.zeros(db.size, dtype=np.int32)
+            for s in self.start:
+                self.radii[s : s + self.n] = _flat_radii(db[s : s + self.n], self.eps_db, self.cap)
+            window = np.lib.stride_tricks.sliding_window_view
+            self.windows = window(db, _SCAN_MAX), window(db[::-1].copy(), _SCAN_MAX)
+        i = (idx - _SCAN_MAX) % (self.n + _SCAN_MAX)  # the index on its grid
+        k_cap = np.minimum(np.minimum(i, self.n - 1 - i), self.cap)
+        k_star = self.radii[idx]  # 0 at a dead center
+        front = np.flatnonzero((k_star < k_cap) & live)
+        k0, k_cap = k_star[front] + 1, k_cap[front]
+        above, below = self.windows
+        mirror = self.values.size - 1
+        chunk = _SCAN_CHUNK
+        while front.size:
+            centers = idx[front]
+            # column j of both blocks holds the edges at k = k0 + j
+            diff = below[:, :chunk][mirror - centers + k0]
+            np.subtract(diff, above[:, :chunk][centers + k0], out=diff)
+            # NaN (a dead edge) is not flat; a diff of 0 is, even at eps 0
+            ok = _flat(np.abs(diff, out=diff), 0.0, self.eps_db)
+            hit = ~ok.all(axis=1)
+            # pairs past the cap were checked too; the cap bounds the result
+            k_star[front] = np.minimum(k0 - 1 + np.where(hit, ok.argmin(axis=1), chunk), k_cap)
+            more = ~hit & (k_cap >= k0 + chunk)
+            front, k0, k_cap = front[more], k0[more] + chunk, k_cap[more]
+            if front.size:
+                chunk = min(_SCAN_MAX, max(chunk, _SCAN_PAIRS // front.size),
+                            int((k_cap - k0).max()) + 1)
+        return k_star
 
 
 def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
@@ -385,21 +383,22 @@ def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     return rate
 
 
-def _plan_rows(grids, idx, eps_db, total_budget):
+def _plan_rows(table: _WidthTable, idx, total_budget):
     """Build one plan per row of snapped center indices, all rows at once:
     the coherence widths, then overlap resolution in favor of the stronger
     center RSS (a channel whose center a stronger one covers gets width
     0, and a clipped one is shrunk to a flat interval about a grid point),
     then a budget trim that grants bandwidth in descending center-RSS
-    order. idx is (runs, rows, n_sub), block idx[j] read on grids[j]. Each
-    row equals the scalar reference chain in `tests/test_alloc.py` bit for
-    bit. Returns the plans' (centers, widths) and the RSS at each center,
-    all shaped like idx."""
+    order. idx is (runs, rows, n_sub), run j read on the table's grid j.
+    Each row equals the scalar reference chain in `tests/test_alloc.py` bit
+    for bit. Returns the plans' (centers, widths) and the RSS at each
+    center, all shaped like idx."""
     runs, rows, n = idx.shape
-    c = np.concatenate([grid.band[0] + grid.step * b for grid, b in zip(grids, idx)])
-    w = np.concatenate([_grid_widths(grid, b.ravel(), eps_db, max_width=total_budget)
-                        for grid, b in zip(grids, idx)]).reshape(c.shape)
-    rss = np.concatenate([grid.values[b] for grid, b in zip(grids, idx)])
+    base = np.repeat(table.start, rows)  # table index of each row's grid point 0
+    t = idx.reshape(runs * rows, n) + base[:, None]
+    c = table.band0 + table.step * idx.reshape(t.shape)
+    w = table.widths(t)
+    rss = table.values[t]
 
     # overlap resolution, one rank at a time (stronger center RSS first,
     # lower index on ties); each channel is clipped against the intervals
@@ -431,19 +430,15 @@ def _plan_rows(grids, idx, eps_db, total_budget):
     # the width table admits there that still fits inside [lo, hi]; a
     # channel that keeps a width is then centered on m, whose RSS it takes
     clip = keep & ((lo != c_r - w_r / 2.0) | (hi != c_r + w_r / 2.0))
-    blocks = (np.moveaxis(a.reshape(n, runs, rows), 1, 0) for a in (clip, lo, hi, keep, rss_r))
-    for grid, cut, lo_g, hi_g, keep_g, rss_g in zip(grids, *blocks):
-        if cut.any():
-            l, h = lo_g[cut], hi_g[cut]
-            m = grid.index_of((l + h) / 2.0)
-            f_m = grid.band[0] + grid.step * m
-            fit = np.floor(np.minimum(f_m - l, h - f_m) / grid.step + 1e-9)
-            half = np.minimum(
-                _grid_widths(grid, m, eps_db, max_width=total_budget) / 2.0, fit * grid.step
-            )
-            l, h = f_m - half, f_m + half
-            lo_g[cut], hi_g[cut], keep_g[cut] = l, h, h - l > 0
-            rss_g[cut] = np.where(h - l > 0, grid.values[m], rss_g[cut])
+    l, h = lo[clip], hi[clip]
+    m = table.snap((l + h) / 2.0)
+    f_m = table.band0 + table.step * m
+    fit = np.floor(np.minimum(f_m - l, h - f_m) / table.step + 1e-9)
+    m = m + np.broadcast_to(base, clip.shape)[clip]  # as a table index
+    half = np.minimum(table.widths(m) / 2.0, fit * table.step)
+    l, h = f_m - half, f_m + half
+    lo[clip], hi[clip], keep[clip] = l, h, h - l > 0
+    rss_r[clip] = np.where(h - l > 0, table.values[m], rss_r[clip])
     centers = np.empty_like(c)
     widths = np.empty_like(w)
     np.put_along_axis(centers, rank, np.where(keep, (lo + hi) / 2.0, c_r).T, axis=1)
@@ -520,33 +515,32 @@ def ce_batch(grids, cfg: CEConfig, rngs, *, eps_db, total_budget, noise_psd):
     """Run one cross-entropy loop per grid, in lockstep, and build each
     run's plan from its final means. Returns one `CEResult` per grid.
 
-    Each run keeps its own grid, generator, Gaussians and incumbent: its
-    means start evenly spread over its grid's band with a wide common
-    variance, and each iteration draws its samples from its own generator
-    as a run on its own would. The state is a set of arrays with runs on
-    the leading axis, so the plans of every run's samples are built and
-    scored in one batch, and one smoothed refit and one masked incumbent
+    The grids share one band and step (a `ValueError` otherwise). Each run
+    keeps its own grid, generator, Gaussians and incumbent: its means start
+    evenly spread over the band with a wide common variance, and each
+    iteration draws its samples from its own generator as a run on its own
+    would. The state is a set of arrays with runs on the leading axis, so
+    the plans of every run's samples are built and scored in one batch on
+    one width table, and one smoothed refit and one masked incumbent
     update serve every run. The incumbent is the run's best sampled plan,
     or its final plan where that scores strictly higher; the objective
-    traces come along as diagnostics. The plan kernel's per-rank numpy
-    calls cost about the same whatever its row count, so runs batched
-    together cost less than run one at a time, and each result equals
-    `ce_optimize` on its grid and generator bit for bit.
+    traces come along as diagnostics. Each result equals `ce_optimize` on
+    its grid and generator bit for bit.
     """
     k, n = len(grids), cfg.n_sub
     if not k:
         return []
-    bands = [grid.band for grid in grids]
-    means = np.array([lo + (np.arange(1, n + 1) - 0.5) * (hi - lo) / n for lo, hi in bands])
-    variances = np.array([np.full(n, 16.0 * (hi - lo) ** 2 / n**2) for lo, hi in bands])
+    table = _WidthTable(grids, eps_db, total_budget)
+    lo, hi = band = grids[0].band
+    means = np.tile(lo + (np.arange(1, n + 1) - 0.5) * (hi - lo) / n, (k, 1))
+    variances = np.full((k, n), 16.0 * (hi - lo) ** 2 / n**2)
     best_per_iter = np.empty((k, cfg.max_iter))
     incumbent_trace = np.empty((k, cfg.max_iter))
     inc_centers, inc_widths, inc_value = np.zeros((k, n)), np.zeros((k, n)), np.full(k, -np.inf)
     for t in range(cfg.max_iter):
-        samples = np.stack([_sample_centers(mu, np.sqrt(var), cfg, grid.band, rng)
-                            for grid, mu, var, rng in zip(grids, means, variances, rngs)])
-        idx = np.stack([grid.index_of(x) for grid, x in zip(grids, samples)])
-        centers, widths, rss = _plan_rows(grids, idx, eps_db, total_budget)
+        samples = np.stack([_sample_centers(mu, std, cfg, band, rng)
+                            for mu, std, rng in zip(means, np.sqrt(variances), rngs)])
+        centers, widths, rss = _plan_rows(table, table.snap(samples), total_budget)
         scores = _score_rows(widths, rss, noise_psd)  # (runs, samples)
         best = np.argmax(scores, axis=1)
         best_per_iter[:, t] = scores.max(axis=1)
@@ -559,8 +553,8 @@ def ce_batch(grids, cfg: CEConfig, rngs, *, eps_db, total_budget, noise_psd):
         means = cfg.smooth_mean * elites.mean(axis=1) + (1.0 - cfg.smooth_mean) * means
         variances = beta_t * elites.var(axis=1) + (1.0 - beta_t) * variances
         variances = np.maximum(variances, cfg.step**2)  # keep the sampler proper
-    idx = np.stack([grid.index_of(mu) for grid, mu in zip(grids, means)])[:, None]
-    centers, widths, rss = (a[:, 0] for a in _plan_rows(grids, idx, eps_db, total_budget))
+    idx = table.snap(means)[:, None]
+    centers, widths, rss = (a[:, 0] for a in _plan_rows(table, idx, total_budget))
     finals = _score_rows(widths, rss, noise_psd)
     won = finals > inc_value
     inc_centers[won], inc_widths[won], inc_value[won] = centers[won], widths[won], finals[won]

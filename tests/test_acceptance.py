@@ -90,7 +90,7 @@ def test_c03_ce_matches_two_channel_grid_oracle():
     # every (c1, c2) pair of 64 centers, each built and rated as one plan row
     idx = grid.index_of(np.linspace(BAND[0] + 5e8, BAND[1] - 5e8, 64))
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
-    _, widths, rss = alloc._plan_rows([grid], pairs[None], 0.5, 16e9)
+    _, widths, rss = alloc._plan_rows(alloc._WidthTable([grid], 0.5, 16e9), pairs[None], 16e9)
     oracle = alloc._score_rows(widths, rss, NOISE).max()
     assert oracle > 0
 
@@ -146,8 +146,8 @@ def test_c05_plan_validity_fuzz():
             # snapped center i never exceeds its coherence width, and the
             # pair of symmetric edges at that width stays within eps dB
             snapped = alloc.grid_freqs(grid.band, grid.step)[grid.index_of(np.asarray(res.means))]
-            raw_w = alloc._grid_widths(grid, grid.index_of(snapped), cfg.eps_db,
-                                       grid.band[1] - grid.band[0])
+            table = alloc._WidthTable([grid], cfg.eps_db, grid.band[1] - grid.band[0])
+            raw_w = table.widths(table.start[0] + grid.index_of(snapped))
             plan = res.plan
             for i in np.flatnonzero(plan.widths > 0):
                 lo_raw = snapped[i] - raw_w[i] / 2

@@ -87,7 +87,7 @@ def coherence_search(rss_fn, center, eps_db, band, step, max_width=None):
     width 2k*step whose edges stay in band and satisfy the edge-to-edge dB
     flatness bound, i.e. the value preceding the first violation. A zero
     RSS at the center marks a dead subchannel (width 0). The width table
-    behind `alloc._grid_widths` must match it at every grid index.
+    of `alloc._WidthTable` must match it at every grid index.
     """
     lo_b, hi_b = band
     if not lo_b <= center <= hi_b:
@@ -162,11 +162,23 @@ def resolve_overlaps(raw, rss_fn, reflatten=None):
     return resolved
 
 
+def plan_rows(grids, idx, eps_db, total_budget):
+    """`alloc._plan_rows` of (runs, rows, n_sub) indices on a fresh width
+    table over the grids, one per run."""
+    table = alloc._WidthTable(grids, eps_db, total_budget)
+    return alloc._plan_rows(table, idx, total_budget)
+
+
+def table_widths(table, idx, j=0):
+    """The widths a width table holds at grid j's indices idx."""
+    return table.widths(table.start[j] + np.asarray(idx))
+
+
 def build_plan(grid, centers, eps_db, total_budget):
     """The plan of one row of candidate centers, snapped to the grid: the
     one-row case of `alloc._plan_rows`."""
     idx = grid.index_of(np.asarray(centers, dtype=float)).reshape(1, 1, -1)
-    c, w, _ = alloc._plan_rows([grid], idx, eps_db, total_budget)
+    c, w, _ = plan_rows([grid], idx, eps_db, total_budget)
     return SubchannelPlan(c[0, 0], w[0, 0], total_budget)
 
 
@@ -286,8 +298,7 @@ def assert_equals_reference_ce(res, ref):
 def assert_rows_equal_scalar_chain(grid, idx, eps_db, total_budget):
     """The batched kernel's centers, widths and scores equal the scalar
     chain's byte for byte, row by row, on one run of rows idx."""
-    centers, widths, rss = (a[0] for a in alloc._plan_rows([grid], idx[None], eps_db,
-                                                          total_budget))
+    centers, widths, rss = (a[0] for a in plan_rows([grid], idx[None], eps_db, total_budget))
     scores = alloc._score_rows(widths, rss, NOISE)
     for s in range(idx.shape[0]):
         plan, rate = scalar_chain(grid, idx[s], eps_db, total_budget, NOISE)
@@ -326,6 +337,28 @@ def plateau_grid():
     return GridRss(values, (0.0, 120.0), 1.0 / 3.0)
 
 
+class TestGridRss:
+    def test_far_and_infinite_frequencies_snap_to_the_band_edges(self):
+        # the index is clipped before the cast: 1e19 steps once wrapped to
+        # the lowest grid point
+        grid = GridRss([1.0, 2.0, 3.0], (0.0, 2.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert [grid(f) for f in (1e18, 1e19, 1e300, np.inf)] == [3.0] * 4
+            assert [grid(f) for f in (-1e19, -1e300, -np.inf)] == [1.0] * 3
+            assert grid(np.array([1e19, -np.inf, 1.2])).tolist() == [3.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("f", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
+    def test_nan_frequency_rejected(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            GridRss([1.0, 2.0, 3.0], (0.0, 2.0), 1.0)(f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-30])
+    def test_rejects_non_finite_or_negative_values(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            GridRss([1.0, bad, 3.0], (0.0, 2.0), 1.0)
+
+
 class TestCoherenceSearch:
     def test_flat_function_is_band_limited(self):
         w = coherence_search(flat_rss(), 150e9, 0.5, BAND, STEP)
@@ -357,7 +390,8 @@ class TestCoherenceSearch:
         grid = sampled_grid(oracle_rss, BAND, STEP)
         idx = grid.index_of(np.array([120e9, 150e9, 222e9, 280e9]))
         centers = alloc.grid_freqs(grid.band, grid.step)[idx]
-        widths_grid = alloc._grid_widths(grid, grid.index_of(centers), 0.5, band_width(grid))
+        table = alloc._WidthTable([grid], 0.5, band_width(grid))
+        widths_grid = table_widths(table, grid.index_of(centers))
         widths_gen = [coherence_search(oracle_rss, c, 0.5, BAND, STEP) for c in centers]
         np.testing.assert_allclose(widths_grid, widths_gen)
 
@@ -368,8 +402,9 @@ def width_table_cases(draw):
     is filled in (repeats included): smooth single and double peaks, whose
     mirrored edges stay within eps_db long after the window about a center
     spans more (the scan's long residuals); exact plateaus from a dB
-    quantum; dead stretches and runs of inf; eps_db 0, 0.5 or random; a
-    cap of a few steps, or None for none (the band's width)."""
+    quantum; dead stretches and runs of the largest float (a `GridRss`
+    refuses inf); eps_db 0, 0.5 or random; a cap of a few steps, or None
+    for none (the band's width)."""
     n = draw(st.integers(3, 400))
     x = np.arange(n, dtype=float)
     db = np.zeros(n)
@@ -385,7 +420,7 @@ def width_table_cases(draw):
         values[start : start + draw(st.integers(1, 30))] = 0.0
     for _ in range(draw(st.integers(0, 2))):
         start = draw(st.integers(0, n - 1))
-        values[start : start + draw(st.integers(1, 4))] = np.inf
+        values[start : start + draw(st.integers(1, 4))] = np.finfo(float).max
     eps_db = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 3.0))
     cap = draw(st.none() | st.integers(1, 12))
     order = np.array(draw(st.permutations(range(n))))
@@ -404,8 +439,8 @@ class TestGridWidthTable:
         grid = make_grid()
         max_width = None if cap_steps is None else 2 * cap_steps * grid.step
         assert np.any(grid.values <= 0) and np.any(grid.values > 0)
-        got = alloc._grid_widths(grid, np.arange(grid.values.size), eps_db,
-                                 max_width or band_width(grid))
+        table = alloc._WidthTable([grid], eps_db, max_width or band_width(grid))
+        got = table_widths(table, np.arange(grid.values.size))
         expected = [
             coherence_search(grid, c, eps_db, grid.band, grid.step, max_width=max_width)
             for c in alloc.grid_freqs(grid.band, grid.step)
@@ -415,38 +450,46 @@ class TestGridWidthTable:
     def test_repeated_and_overlapping_calls_scan_only_new_indices(self, monkeypatch):
         grid = gated_link_grid()
         scanned = []
-        scan = alloc._scan_half_widths
+        scan = alloc._WidthTable._scan
 
-        def recording_scan(grid, idx, eps_db, cap):
-            scanned.append(idx.tolist())
-            return scan(grid, idx, eps_db, cap)
+        def recording_scan(table, idx):
+            scanned.append((idx - table.start[0]).tolist())
+            return scan(table, idx)
 
-        monkeypatch.setattr(alloc, "_scan_half_widths", recording_scan)
-        first = alloc._grid_widths(grid, np.array([700, 5, 300, 5]), 0.5, 16e9)
-        second = alloc._grid_widths(grid, np.array([300, 900, 700, 5]), 0.5, 16e9)
-        third = alloc._grid_widths(grid, np.array([900, 300]), 0.5, 16e9)
+        monkeypatch.setattr(alloc._WidthTable, "_scan", recording_scan)
+        table = alloc._WidthTable([grid], 0.5, 16e9)
+        first = table_widths(table, [700, 5, 300, 5])
+        second = table_widths(table, [300, 900, 700, 5])
+        third = table_widths(table, [900, 300])
         assert scanned == [[5, 300, 700], [900]]
         assert second.tolist() == [first[2], third[0], first[0], first[1]]
         assert third.tolist() == [second[1], second[0]]
 
     def test_two_caps_keep_separate_tables(self):
+        # the cap is the batch's budget, so each table holds one; the grid
+        # itself carries no table
         grid = sampled_grid(flat_rss(), BAND, STEP)
         idx = grid.index_of(np.array([150e9, 200e9]))
-        capped = alloc._grid_widths(grid, idx, 0.5, max_width=1e9)
-        free = alloc._grid_widths(grid, idx, 0.5, max_width=band_width(grid))
+        capped_table = alloc._WidthTable([grid], 0.5, 1e9)
+        capped = table_widths(capped_table, idx)
+        free = table_widths(alloc._WidthTable([grid], 0.5, band_width(grid)), idx)
         assert capped.tolist() == [1e9, 1e9]
         assert free.tolist() == [100e9, 200e9]
-        assert sorted(grid.k_tables) == [(0.5, 50), (0.5, 10_000)]
-        np.testing.assert_array_equal(alloc._grid_widths(grid, idx, 0.5, max_width=1e9), capped)
+        assert (capped_table.cap, sorted(vars(grid))) == (50, ["band", "step", "values"])
+        np.testing.assert_array_equal(table_widths(capped_table, idx), capped)
 
     def test_no_runtime_warning(self):
-        grid = plateau_grid()
-        grid.values[[3, 200]] = np.inf  # edges with inf - inf in dB
-        grid.db[[3, 200]] = np.inf
+        # dead points (NaN in dB), the dead padding about the grid and
+        # edges at the largest float, whose dB is finite
+        plateau = plateau_grid()
+        values = plateau.values.copy()
+        values[[3, 200]] = np.finfo(float).max
+        grid = GridRss(values, plateau.band, plateau.step)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for eps_db in (0.0, 0.5):
-                alloc._grid_widths(grid, np.arange(grid.values.size), eps_db, band_width(grid))
+                table = alloc._WidthTable([grid], eps_db, band_width(grid))
+                table_widths(table, np.arange(grid.values.size))
 
     @settings(max_examples=150, deadline=None)
     @given(case=width_table_cases())
@@ -461,19 +504,21 @@ class TestGridWidthTable:
         n = alloc.grid_freqs(grid.band, grid.step).size
         if cap is None:
             cap = (n - 1) // 2  # the widest half-width in band, in steps
+        db = 10.0 * np.log10(np.where(grid.values > 0, grid.values, np.nan))
+        table = alloc._WidthTable([grid], eps_db, 2 * cap * grid.step)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for chunk in chunks:
-                got = alloc._grid_widths(grid, chunk, eps_db, 2 * cap * grid.step)
+                got = table_widths(table, chunk)
                 assert got.tobytes() == expected[chunk].tobytes()
-            got = alloc._grid_widths(grid, np.arange(n), eps_db, 2 * cap * grid.step)
-            radii = alloc._flat_radii(grid, eps_db, cap)
+            got = table_widths(table, np.arange(n))
+            radii = alloc._flat_radii(db, eps_db, cap)
         assert got.tobytes() == expected.tobytes()
         # the certificate itself: each certified window is live and flat
         assert np.all(radii <= np.minimum(np.arange(n), n - 1 - np.arange(n)))
         assert np.all(radii <= cap)
         for i in np.flatnonzero(radii):
-            window = grid.db[i - radii[i] : i + radii[i] + 1]
+            window = db[i - radii[i] : i + radii[i] + 1]
             assert np.all(grid.values[i - radii[i] : i + radii[i] + 1] > 0)
             span = window.max() - window.min()
             assert span < eps_db or span == 0.0, (i, radii[i], span)
@@ -483,7 +528,7 @@ class TestGridWidthTable:
         for i in range(0, n, alloc._CERT_STRIDE):
             r = radii[i] + 4
             if r <= min(i, n - 1 - i) and r <= cap:
-                window = grid.db[i - r : i + r + 1]
+                window = db[i - r : i + r + 1]
                 if np.isfinite(window).all():
                     span = window.max() - window.min()
                     assert not (span < eps_db or span == 0.0), (i, radii[i], span)
@@ -534,7 +579,7 @@ class TestPlanKernel:
         # clipped and trimmed channels included: every live channel's
         # edges are a flat pair on the grid
         grid, idx, eps_db, budget = case
-        centers, widths, _ = alloc._plan_rows([grid], idx[None], eps_db, budget)
+        centers, widths, _ = plan_rows([grid], idx[None], eps_db, budget)
         for c, w in zip(centers[0], widths[0]):
             assert_flat_plan(SubchannelPlan(c, w, budget), grid, eps_db)
 
@@ -568,9 +613,9 @@ class TestPlanKernel:
         values = np.repeat(rng.choice([1e-19, 1.05e-19, 2e-19], 60), rng.integers(20, 60, 60))
         grid = GridRss(values, (7.3, 7.3 + 0.1 * (values.size - 1)), 0.1)
         for row in rng.integers(0, values.size, size=(300, 12)):
-            _, untrimmed, _ = alloc._plan_rows([grid], row[None, None], 0.5, 1e9)
+            _, untrimmed, _ = plan_rows([grid], row[None, None], 0.5, 1e9)
             budget = np.cumsum(untrimmed[0, 0])[-1]
-            _, widths, _ = alloc._plan_rows([grid], row[None, None], 0.5, budget)
+            _, widths, _ = plan_rows([grid], row[None, None], 0.5, budget)
             plan, _ = scalar_chain(grid, row, 0.5, budget, NOISE)
             assert widths[0, 0].tobytes() == untrimmed[0, 0].tobytes() == plan.widths.tobytes()
 
@@ -582,7 +627,7 @@ class TestPlanKernel:
         values[50], values[86] = 2e-19, 4e-19
         grid = GridRss(values, (0.0, 120.0), 1.0)
         idx = np.array([[[15, 50]]])
-        centers, widths, _ = alloc._plan_rows([grid], idx, 0.5, 1e3)
+        centers, widths, _ = plan_rows([grid], idx, 0.5, 1e3)
         assert widths.tolist() == [[[14.0, 70.0]]]
         assert centers.tolist() == [[[8.0, 50.0]]]
         plan, _ = scalar_chain(grid, idx[0, 0], 0.5, 1e3, NOISE)
@@ -985,18 +1030,25 @@ class TestAllDeadGrid:
         assert_equals_reference_ce(res, ref)
         assert res.plan_value == res.incumbent_value == 0.0
 
-    def test_skips_the_width_table_set_up(self):
-        # a dead center's width is 0, so a grid with no live point builds
+    def test_skips_the_width_table_set_up(self, monkeypatch):
+        # a dead center's width is 0, so a batch with no live point builds
         # neither the flat-window certificate nor the scan windows
+        tables = []
+
+        class RecordingTable(alloc._WidthTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(alloc, "_WidthTable", RecordingTable)
         kwargs = dict(eps_db=0.5, total_budget=16e9, noise_psd=NOISE)
         cfg = CEConfig(n_sub=6, samples=12, elites=3, max_iter=2)
         grid = GridRss(np.zeros(20001), (100e9, 300e9), 10e6)
-        res = ce_optimize(grid, cfg, np.random.default_rng(13), **kwargs)
-        assert grid.flat_radii == {}
-        assert "scan_windows" not in vars(grid)
-        ref = reference_ce(GridRss(np.zeros(20001), (100e9, 300e9), 10e6), cfg,
-                           np.random.default_rng(13), **kwargs)
-        assert_equals_reference_ce(res, ref)
+        results = alloc.ce_batch([grid, grid], cfg,
+                                  [np.random.default_rng(13) for _ in range(2)], **kwargs)
+        assert [(t.radii, t.windows) for t in tables] == [(None, None)]
+        ref = reference_ce(grid, cfg, np.random.default_rng(13), **kwargs)
+        assert_equals_reference_ce(results[0], ref)
 
     def test_noise_still_checked(self):
         grid = GridRss(np.zeros(11), (0.0, 10.0), 1.0)
@@ -1008,20 +1060,22 @@ class TestAllDeadGrid:
 
 @st.composite
 def batch_cases(draw):
-    """Runs for `ce_batch`: one to four grids of a shared step, each on a
-    band of its own length, of few-level plateaus (exact ties), dead
+    """Runs for `ce_batch`: one to four grids on one band and step, of
+    few-level plateaus (exact ties, often live at both band edges), dead
     stretches, or no live point at all; a generator seed per run, often
     the same one, as the runs of a trial cell share theirs; n_sub from 1
     and max_iter from 0."""
     band0, step = draw(st.sampled_from([(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)]))
+    n = draw(st.integers(3, 150))
     grids = []
     for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(3, 150))
         if draw(st.booleans()):
             levels = [0.0, 1e-19, 1.05e-19, 2e-19, 4e-19]
             runs = draw(st.lists(st.tuples(st.integers(1, 40), st.sampled_from(levels)),
                                  min_size=1, max_size=8))
             values = np.resize(np.concatenate([np.full(m, v) for m, v in runs]), n)
+            if draw(st.booleans()):
+                values[[0, -1]] = draw(st.sampled_from(levels[1:]))
         else:
             values = np.zeros(n)
         grids.append(GridRss(values, (band0, band0 + step * (n - 1)), step))
@@ -1059,27 +1113,35 @@ class TestCEBatch:
         got = alloc.ce_batch(grids, cfg, [np.random.default_rng(s) for s in seeds], **kwargs)
         assert len(got) == len(grids)
         for grid, seed, res in zip(grids, seeds, got):
-            # a fresh grid, so that no width table filled by the batch is read
-            fresh = GridRss(grid.values, grid.band, grid.step)
-            solo = ce_optimize(fresh, cfg, np.random.default_rng(seed), **kwargs)
+            solo = ce_optimize(grid, cfg, np.random.default_rng(seed), **kwargs)
             assert_equals_reference_ce(res, vars(solo))
 
     def test_one_kernel_call_per_iteration(self, monkeypatch):
         calls = []
         real = alloc._plan_rows
 
-        def recording(grids, idx, *args):
-            calls.append((len(grids), idx.shape))
-            return real(grids, idx, *args)
+        def recording(table, idx, *args):
+            calls.append((id(table), table.start.size, idx.shape))
+            return real(table, idx, *args)
 
         monkeypatch.setattr(alloc, "_plan_rows", recording)
         cfg = CEConfig(n_sub=5, samples=7, elites=2, max_iter=3, step=50e6)
         alloc.ce_batch([mrt_grid(s) for s in range(4)], cfg,
                        [np.random.default_rng(0) for _ in range(4)], **ce_kwargs())
-        assert calls == [(4, (4, 7, 5))] * 3 + [(4, (4, 1, 5))]
+        assert [call[1:] for call in calls] == [(4, (4, 7, 5))] * 3 + [(4, (4, 1, 5))]
+        assert len({call[0] for call in calls}) == 1  # one width table serves them all
 
     def test_no_runs(self):
         assert alloc.ce_batch([], CEConfig(), [], **ce_kwargs()) == []
+
+    @pytest.mark.parametrize("band, step", [((100e9, 200e9), 50e6), (BAND, 100e6)],
+                             ids=["band", "step"])
+    def test_refuses_grids_of_different_bands_or_steps(self, band, step):
+        other = GridRss(np.ones(alloc.grid_size(band, step)), band, step)
+        cfg = CEConfig(n_sub=2, samples=4, elites=2, max_iter=1, step=50e6)
+        with pytest.raises(ValueError, match="one band and step"):
+            alloc.ce_batch([mrt_grid(1), other], cfg,
+                           [np.random.default_rng(0) for _ in range(2)], **ce_kwargs())
 
     def test_values_are_python_floats(self):
         # in some runs a sampled plan is the incumbent, in others the final
@@ -1094,10 +1156,28 @@ class TestCEBatch:
             assert type(res.incumbent_value) is float
 
 
+class TestBatchWidthTable:
+    @settings(max_examples=150, deadline=None)
+    @given(case=batch_cases())
+    def test_each_grid_reads_as_alone_and_as_the_oracle(self, case):
+        # one scan over every grid of the batch at once: the dead points
+        # between the grids keep each one's scan windows off its neighbours
+        grids, _, _, eps_db, budget = case
+        n = grids[0].values.size
+        table = alloc._WidthTable(grids, eps_db, budget)
+        got = table.widths(table.start[:, None] + np.arange(n))
+        freqs = alloc.grid_freqs(grids[0].band, grids[0].step)
+        for grid, row in zip(grids, got):
+            solo = table_widths(alloc._WidthTable([grid], eps_db, budget), np.arange(n))
+            expected = np.array([coherence_search(grid, f, eps_db, grid.band, grid.step,
+                                                  max_width=budget) for f in freqs])
+            assert row.tobytes() == solo.tobytes() == expected.tobytes()
+
+
 def assert_rss_is_grid_value_at_centers(grids, idx, eps_db, budget):
     """The kernel's RSS column is each emitted center's grid value, which
     the budget trim and the scorer read instead of looking it up."""
-    centers, _, rss = alloc._plan_rows(grids, idx, eps_db, budget)
+    centers, _, rss = plan_rows(grids, idx, eps_db, budget)
     assert centers.shape == rss.shape == idx.shape
     for grid, c, r in zip(grids, centers, rss):
         assert r.tobytes() == grid.values[grid.index_of(c)].tobytes()
@@ -1121,7 +1201,7 @@ class TestPlanKernelRss:
         values = np.r_[np.full(31, 1e-19), np.full(29, 1.05e-19), np.full(6, 1.1e-19), np.zeros(10)]
         grid = GridRss(values, (0.0, values.size - 1.0), 1.0)
         idx = np.array([[[33, 62]]])
-        centers, widths, rss = alloc._plan_rows([grid], idx, 0.5, 1e3)
+        centers, widths, rss = plan_rows([grid], idx, 0.5, 1e3)
         assert centers.tolist() == [[[30.0, 62.0]]]
         assert widths.tolist() == [[[58.0, 6.0]]]
         assert rss.tolist() == [[[1e-19, 1.1e-19]]]

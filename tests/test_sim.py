@@ -589,9 +589,9 @@ class TestSharedLinkPass:
         calls = []
         real = alloc._plan_rows
 
-        def recording(grids, idx, *args):
-            calls.append((len(grids), idx.shape[:2]))
-            return real(grids, idx, *args)
+        def recording(table, idx, *args):
+            calls.append((table.start.size, idx.shape[:2]))
+            return real(table, idx, *args)
 
         monkeypatch.setattr(alloc, "_plan_rows", recording)
         cfg = fast_cfg(n_aps=4)
