@@ -191,10 +191,10 @@ def _snap(f, band0, step, n):
 class GridRss:
     """RSS samples on a uniform frequency grid over the band.
 
-    `values` is the PSD sampled at `grid_freqs(band, step)`, finite and
-    >= 0. Calling the grid looks frequencies up by nearest grid index, so
-    the allocator snaps candidate centers to this grid before searching
-    bandwidths.
+    `values` is a read-only copy of the PSD sampled at
+    `grid_freqs(band, step)`, finite and >= 0. Calling the grid looks
+    frequencies up by nearest grid index, so the allocator snaps candidate
+    centers to this grid before searching bandwidths.
     """
 
     def __init__(self, values, band, step):
@@ -202,7 +202,8 @@ class GridRss:
         if self.band[1] <= self.band[0]:
             raise ValueError(f"band upper {band[1]} must exceed lower {band[0]}")
         self.step = float(step)
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)
+        self.values.flags.writeable = False
         shape = (grid_size(self.band, self.step),)
         if self.values.shape != shape:
             raise ValueError(f"RSS samples have shape {self.values.shape}, grid has {shape}")

@@ -62,15 +62,12 @@ class AntennaConfig:
     atten        attenuation coefficient along the aperture [1/m]
     aperture     aperture length L [m]
     efficiency   radiation efficiency factor, 0 < xi <= 1
-    gain_exponent 1 = magnitude of the complex gain (as printed in the
-                 source model), 2 = power-style |.|^2
     """
 
     f_co: float = 100e9
     atten: float = 130.0
     aperture: float = 0.09
     efficiency: float = 1.0
-    gain_exponent: int = 1
 
     def __post_init__(self):
         require_typed_fields(self)
@@ -80,8 +77,6 @@ class AntennaConfig:
             raise ValueError(f"atten must be >= 0, got {self.atten}")
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.gain_exponent not in (1, 2):
-            raise ValueError(f"gain_exponent must be 1 or 2, got {self.gain_exponent}")
 
 
 def peak_frequency(theta, f_co):
@@ -118,8 +113,9 @@ def _phase_offset(k0, beta, cos_theta, cfg: AntennaConfig):
 
 
 def sinc_gain(x, cfg: AntennaConfig):
-    """Leaky-wave gain |xi * L * sinc(z)|^gain_exponent at real phase offsets
-    x, where z = x - j*atten*L/2, as an array of x's shape.
+    """Leaky-wave gain |xi * L * sinc(z)|, the magnitude of the complex gain
+    as the source model prints it, at real phase offsets x, where
+    z = x - j*atten*L/2, as an array of x's shape.
 
     Real arithmetic only: |sin z|^2 = sin^2 x + sinh^2(atten*L/2) and
     |z|^2 = x^2 + (atten*L/2)^2. Where both vanish (x = 0 with atten = 0)
@@ -137,14 +133,13 @@ def sinc_gain(x, cfg: AntennaConfig):
         at_zero = den == 0.0
         g[at_zero] = den[at_zero] = 1.0
     g /= den
-    if cfg.gain_exponent == 1:
-        np.sqrt(g, out=g)
-    g *= (cfg.efficiency * cfg.aperture) ** cfg.gain_exponent
+    np.sqrt(g, out=g)
+    g *= cfg.efficiency * cfg.aperture
     return g.reshape(shape)
 
 
 def antenna_gain(f, theta, cfg: AntennaConfig):
-    """Effective leaky-wave gain |xi * L * sinc(z)|^gain_exponent.
+    """Effective leaky-wave gain |xi * L * sinc(z)|.
 
     z = (-j*atten - k0(f)*cos(theta) + beta(f)) * L/2. The gain peaks near
     f = f_co/sin(theta), where the real part of z vanishes. This is the
@@ -199,30 +194,29 @@ def _link_row(k0, beta, four_pi_f, cos_theta, distance, p, cfg: AntennaConfig):
 def peak_link_psd(p, cfg: AntennaConfig, f_upper, d_min):
     """The largest link PSD `link_psd` can give at transmit PSD p,
     frequencies in [f_co, f_upper] and distances from d_min:
-    p * (xi * L * sinh(s)/s)^e * (c / (4*pi*f_co*d_min))^2, s = atten*L/2.
+    p * xi * L * sinh(s)/s * (c / (4*pi*f_co*d_min))^2, s = atten*L/2.
 
     The squared sinc (sin^2 x + sinh^2 s) / (x^2 + s^2) is at most
     sinh^2(s)/s^2 (1 at s = 0), its value at x = 0, since sin^2 x <= x^2
     and sinh^2 s >= s^2; the path gain is largest at the cutoff and the
     shortest distance. Raises a ValueError naming the input when a value
     `sinc_gain` squares on the way (the phase offset x, whose size stays
-    below k0(f_upper) * L/2, or sinh(s)), the gain scale (xi*L)^e or the
-    peak is not finite: such a config would give inf or NaN link rows.
+    below k0(f_upper) * L/2, or sinh(s)) or the peak is not finite: such a
+    config would give inf or NaN link rows.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.float64(cfg.atten) * cfg.aperture / 2.0
         x_max = np.pi * np.float64(f_upper) * cfg.aperture / SPEED_OF_LIGHT
-        scale = np.float64(cfg.efficiency * cfg.aperture) ** cfg.gain_exponent
         # twice the largest offset, a margin for its rounding
-        if not (np.isfinite((2.0 * x_max) ** 2 + s * s) and np.isfinite(scale)):
+        if not np.isfinite((2.0 * x_max) ** 2 + s * s):
             raise ValueError(f"antenna.aperture: {cfg.aperture:g} m overflows the leaky-wave "
-                             "gain's sinc argument or its scale (xi * L)^e")
+                             "gain's sinc argument")
         sinh_s = np.sinh(s)
         if not np.isfinite(sinh_s * sinh_s):
             raise ValueError(f"antenna.atten: sinh(atten * aperture / 2)^2 overflows at "
                              f"atten = {cfg.atten:g} /m; atten * aperture / 2 is {s:g}")
         sinc = sinh_s / s if s > 0 else 1.0
-        gain = sinc**cfg.gain_exponent * scale * p
+        gain = sinc * np.float64(cfg.efficiency * cfg.aperture) * p
         path = SPEED_OF_LIGHT / (4.0 * np.pi * np.float64(cfg.f_co) * d_min)
         peak = gain * (path * path)
         if not (np.isfinite(gain) and np.isfinite(peak)):
@@ -239,7 +233,7 @@ def live_band(p, cfg: AntennaConfig, distances, angles, gamma_th, band):
     finite or gamma_th <= 0.
 
     The envelope: sin^2 x <= 1 and 1 + sinh^2 s = cosh^2 s, so each link PSD
-    is at most p * (xi*L)^e * (cosh^2 s / (x^2 + s^2))^(e/2) * (c/(4*pi*f*d))^2
+    is at most p * xi*L * cosh s / sqrt(x^2 + s^2) * (c/(4*pi*f*d))^2
     with s = atten*L/2 (`peak_link_psd` is its largest value). The path gain
     only falls with f, so above a frequency f_m, where it is read, the
     envelope reaches gamma_th only where |x| <= x_max(f_m); and x(f) =
@@ -253,15 +247,14 @@ def live_band(p, cfg: AntennaConfig, distances, angles, gamma_th, band):
     d = np.asarray(distances, dtype=float)
     theta = np.asarray(angles, dtype=float)
     f_lo, f_hi = (np.full(d.shape, np.float64(end)) for end in band)
-    e = cfg.gain_exponent
     with np.errstate(all="ignore"):
         s = np.float64(cfg.atten) * cfg.aperture / 2.0
         cosh_s = np.cosh(s)
         if not (gamma_th > 0 and np.isfinite(cosh_s * cosh_s)):
             return f_lo, f_hi
-        # log of p * (xi*L*cosh(s))^e * (c/(4*pi*d))^2 / gate: the envelope at
+        # log of p * xi*L*cosh(s) * (c/(4*pi*d))^2 / gate: the envelope at
         # x = s = 0 over the gate, short of its 1/f^2
-        log_k = (np.log(p) + e * (np.log(cfg.efficiency) + np.log(cfg.aperture) + np.log(cosh_s))
+        log_k = (np.log(p) + (np.log(cfg.efficiency) + np.log(cfg.aperture) + np.log(cosh_s))
                  + 2.0 * np.log(SPEED_OF_LIGHT / (4.0 * np.pi * d))
                  - np.log(gamma_th * (1.0 - GATE_MARGIN)))
         cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -270,7 +263,7 @@ def live_band(p, cfg: AntennaConfig, distances, angles, gamma_th, band):
         def ends(f_m):
             """The f where |x(f)| <= x_max(f_m), as (low, high); (inf, -inf)
             where the envelope cannot reach the gate at f >= f_m."""
-            x2 = np.exp((log_k - 2.0 * np.log(f_m)) * (2.0 / e)) - s * s
+            x2 = np.exp(2.0 * (log_k - 2.0 * np.log(f_m))) - s * s
             u = np.sqrt(x2) * (SPEED_OF_LIGHT / (np.pi * cfg.aperture))  # x_max in Hz
             root = np.sqrt(u * u + (f_co * sin_t) ** 2)
             # x(f) = -x_max, or f_co where x(f_co) is above it already

@@ -358,6 +358,16 @@ class TestGridRss:
         with pytest.raises(ValueError, match="finite and >= 0"):
             GridRss([1.0, bad, 3.0], (0.0, 2.0), 1.0)
 
+    def test_owns_its_samples(self):
+        # the grid once kept the caller's array: a NaN written into it after
+        # the check read back as the RSS
+        v = np.ones(3)
+        grid = GridRss(v, (0.0, 2.0), 1.0)
+        v[1] = np.nan
+        assert grid(1.0) == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0] = 1.0
+
 
 class TestCoherenceSearch:
     def test_flat_function_is_band_limited(self):
@@ -396,16 +406,9 @@ class TestCoherenceSearch:
         np.testing.assert_allclose(widths_grid, widths_gen)
 
 
-@st.composite
-def width_table_cases(draw):
-    """Random grids for the width table, and the lazy chunks of indices it
-    is filled in (repeats included): smooth single and double peaks, whose
-    mirrored edges stay within eps_db long after the window about a center
-    spans more (the scan's long residuals); exact plateaus from a dB
-    quantum; dead stretches and runs of the largest float (a `GridRss`
-    refuses inf); eps_db 0, 0.5 or random; a cap of a few steps, or None
-    for none (the band's width)."""
-    n = draw(st.integers(3, 400))
+def draw_rss_values(draw, n, max_dead):
+    """n RSS samples: smooth single and double peaks in dB, quantized to
+    exact plateaus or not, with dead stretches of up to max_dead points."""
     x = np.arange(n, dtype=float)
     db = np.zeros(n)
     for _ in range(draw(st.integers(1, 2))):
@@ -417,7 +420,21 @@ def width_table_cases(draw):
     values = 1e-19 * 10.0 ** (db / 10.0)
     for _ in range(draw(st.integers(0, 3))):
         start = draw(st.integers(0, n - 1))
-        values[start : start + draw(st.integers(1, 30))] = 0.0
+        values[start : start + draw(st.integers(1, max_dead))] = 0.0
+    return values
+
+
+@st.composite
+def width_table_cases(draw):
+    """Random grids for the width table, and the lazy chunks of indices it
+    is filled in (repeats included): smooth single and double peaks, whose
+    mirrored edges stay within eps_db long after the window about a center
+    spans more (the scan's long residuals); exact plateaus from a dB
+    quantum; dead stretches and runs of the largest float (a `GridRss`
+    refuses inf); eps_db 0, 0.5 or random; a cap of a few steps, or None
+    for none (the band's width)."""
+    n = draw(st.integers(3, 400))
+    values = draw_rss_values(draw, n, 30)
     for _ in range(draw(st.integers(0, 2))):
         start = draw(st.integers(0, n - 1))
         values[start : start + draw(st.integers(1, 4))] = np.finfo(float).max
@@ -1286,6 +1303,25 @@ def assert_flat_plan(plan, grid, eps_db):
             assert d < eps_db or d == 0.0, (lo, hi, d)
 
 
+@st.composite
+def emitted_cases(draw):
+    """A `ce_batch` at a small CE budget on one to three drawn grids of one
+    band and step: smooth peaks (quantized to exact plateaus or not), dead
+    stretches and all-dead grids; eps_db 0, 0.5 or random; a budget of a
+    whole or a fractional number of steps."""
+    band0, step = draw(st.sampled_from([(100e9, 10e6), (7.3, 0.1), (0.0, 1.0 / 3.0)]))
+    n = draw(st.integers(3, 200))
+    grids = [GridRss(draw_rss_values(draw, n, n), (band0, band0 + step * (n - 1)), step)
+             for _ in range(draw(st.integers(1, 3)))]
+    samples = draw(st.integers(1, 10))
+    cfg = CEConfig(n_sub=draw(st.integers(1, 12)), samples=samples,
+                   elites=draw(st.integers(1, samples)), max_iter=draw(st.integers(0, 4)),
+                   step=step)
+    eps_db = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 3.0))
+    budget = draw(st.integers(2, 2 * n) | st.floats(2.0, 2.0 * n)) * step
+    return grids, cfg, draw(st.integers(0, 2**32 - 1)), eps_db, budget
+
+
 class TestEmittedPlansAreFlat:
     # the seed-1234001, 64 GHz cell whose mrt plan once held a clipped
     # channel [156.69, 170.61] GHz with edges 0.507 dB apart
@@ -1306,6 +1342,23 @@ class TestEmittedPlansAreFlat:
             grid = GridRss(row, cfg.band, cfg.ce.step)
             res = ce_optimize(grid, cfg.ce, sim.substream(seed, 0, 0, "ce"), eps_db=eps_db,
                               total_budget=b_total, noise_psd=cfg.noise_psd)
+            for plan in (res.plan, res.incumbent_plan):
+                assert_flat_plan(plan, grid, eps_db)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=emitted_cases())
+    # overlapping channels on plateaus: clipped channels in both plans
+    @example(case=([plateau_grid()], CEConfig(n_sub=20, samples=10, elites=3, max_iter=3,
+                                               step=1.0 / 3.0), 0, 0.5, 120.0))
+    def test_every_batch_run_on_drawn_grids(self, case):
+        # clipped and budget-trimmed channels included: a budget that is
+        # not an even number of steps trims a channel to edges off its
+        # searched pairs
+        grids, cfg, seed, eps_db, budget = case
+        rngs = [np.random.default_rng(seed + j) for j in range(len(grids))]
+        results = alloc.ce_batch(grids, cfg, rngs, eps_db=eps_db, total_budget=budget,
+                                 noise_psd=NOISE)
+        for grid, res in zip(grids, results):
             for plan in (res.plan, res.incumbent_plan):
                 assert_flat_plan(plan, grid, eps_db)
 

@@ -59,7 +59,6 @@ schemes = mrt, nearest
 antenna.atten_per_m = 120.0
 antenna.aperture_m = 0.08
 antenna.efficiency = 0.9
-antenna.gain_exponent = 2
 ce.n_sub = 12
 ce.samples = 30
 ce.elites = 5
@@ -254,7 +253,7 @@ class TestConfigParsing:
 class TestConfigSchema:
     def test_defaults_digest_pinned(self):
         assert cli.config_digest(ScenarioConfig()) == (
-            "f51c249dab8ac4711c77c8e9b9e7f4fed75c8343dce15145176bef691991d127"
+            "e42bb9557819a73c35f0c88830d459ed6d912ad024baad0c5d6455d55edf0624"
         )
 
     def test_keys_are_field_paths_with_unit_names(self):
@@ -277,8 +276,7 @@ class TestConfigSchema:
             noise_psd=phy.dbm_per_hz_to_w_per_hz(-170.0),
             gamma_th=phy.dbm_per_hz_to_w_per_hz(-176.0),
             eps_db=0.25, trials=11, seed=99, schemes=("mrt", "nearest"),
-            antenna=AntennaConfig(f_co=150e9, atten=120.0, aperture=0.08, efficiency=0.9,
-                                  gain_exponent=2),
+            antenna=AntennaConfig(f_co=150e9, atten=120.0, aperture=0.08, efficiency=0.9),
             ce=CEConfig(n_sub=12, samples=30, elites=5, smooth_mean=0.7, smooth_var=0.6,
                         smooth_power=4.0, max_iter=7, step=20e6),
         )
@@ -287,8 +285,7 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_aps", "2.5"), ("ce.max_iter", "2.5"), ("antenna.gain_exponent", "2.5"),
-         ("antenna.aperture_m", "wide")],
+        [("n_aps", "2.5"), ("ce.max_iter", "2.5"), ("antenna.aperture_m", "wide")],
     )
     def test_unparseable_entry_named(self, key, value):
         with pytest.raises(ConfigError, match=f"key '{key}': cannot parse"):

@@ -47,7 +47,7 @@ def complex_sinc(z):
 
 
 def oracle_link_rss(f, ap, p, cfg):
-    """p * |xi * L * sinc(z)|^e * (c / (4*pi*f*d))^2 in complex arithmetic,
+    """p * |xi * L * sinc(z)| * (c / (4*pi*f*d))^2 in complex arithmetic,
     z = (-j*atten - k0*cos(theta) + beta) * L/2, with the guided phase
     constant beta = k0 * sqrt(1 - (f_co/f)^2)."""
     f = np.asarray(f, dtype=float)
@@ -55,7 +55,7 @@ def oracle_link_rss(f, ap, p, cfg):
     ratio = cfg.f_co / f
     beta = k0 * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
     z = (-1j * cfg.atten - k0 * np.cos(ap.angle) + beta) * (cfg.aperture / 2.0)
-    gain = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z)) ** cfg.gain_exponent
+    gain = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z))
     amp = C / (4.0 * np.pi * f * ap.distance)
     return p * gain * amp * amp
 
@@ -175,11 +175,11 @@ class TestComplexSinc:
 class TestSincGain:
     """The real-form gain against the complex sinc it replaces."""
 
-    @pytest.mark.parametrize("exponent", [1, 2])
-    def test_limit_at_zero_offset_without_attenuation(self, exponent):
-        cfg = default_antenna(atten=0.0, efficiency=0.8, gain_exponent=exponent)
+    @pytest.mark.parametrize("efficiency", [1, 0.8])
+    def test_limit_at_zero_offset_without_attenuation(self, efficiency):
+        cfg = default_antenna(atten=0.0, efficiency=efficiency)
         g = phy.sinc_gain(np.array([0.0, -0.0, 0.0]), cfg)
-        assert g.tolist() == [(0.8 * 0.09) ** exponent] * 3
+        assert g.tolist() == [efficiency * 0.09] * 3
         assert phy.sinc_gain(0.0, cfg).shape == ()
 
     @pytest.mark.parametrize("atten", [0.0, 130.0])
@@ -190,14 +190,14 @@ class TestSincGain:
             assert abs(float(phy.sinc_gain(x, cfg)) - at_zero) < 1e-6 * at_zero
 
     @pytest.mark.parametrize("atten", [0.0, 1e-170, 13.0, 130.0])
-    @pytest.mark.parametrize("exponent", [1, 2])
-    def test_matches_complex_sinc(self, atten, exponent):
-        cfg = default_antenna(atten=atten, gain_exponent=exponent)
+    @pytest.mark.parametrize("efficiency", [1, 0.8])
+    def test_matches_complex_sinc(self, atten, efficiency):
+        cfg = default_antenna(atten=atten, efficiency=efficiency)
         rng = np.random.default_rng(3)
         x = np.concatenate([[0.0, 1e-12, -3e-5, 1e-4], rng.uniform(-300, 300, 2000),
                             np.pi * np.arange(1, 50) + 1e-3])
         z = x - 1j * atten * cfg.aperture / 2
-        want = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z)) ** exponent
+        want = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z))
         got = phy.sinc_gain(x, cfg)
         assert np.all(np.abs(got - want) <= 8 * EPS * want)
 
@@ -218,13 +218,11 @@ class TestLinkRssRows:
         distance=st.floats(SCENARIO.d_min, SCENARIO.radius),
         f_band=st.floats(*SCENARIO.band),
         atten=st.one_of(st.just(0.0), st.just(130.0), st.floats(0.0, 500.0)),
-        exponent=st.sampled_from([1, 2]),
     )
-    @example(theta=np.pi / 6, distance=10.0, f_band=200e9, atten=0.0, exponent=1)
-    @example(theta=np.pi / 6, distance=10.0, f_band=200e9, atten=0.0, exponent=2)
-    def test_each_link_matches_complex_oracle(self, theta, distance, f_band, atten, exponent):
+    @example(theta=np.pi / 6, distance=10.0, f_band=200e9, atten=0.0)
+    def test_each_link_matches_complex_oracle(self, theta, distance, f_band, atten):
         # a band frequency, the cutoff, and the exact peak f_co/sin(theta)
-        cfg = default_antenna(f_co=self.SCENARIO.antenna.f_co, atten=atten, gain_exponent=exponent)
+        cfg = default_antenna(f_co=self.SCENARIO.antenna.f_co, atten=atten)
         ap = AccessPoint(0, distance, theta)
         f = np.array([f_band, cfg.f_co, phy.peak_frequency(theta, cfg.f_co)])
         with warnings.catch_warnings():
@@ -293,13 +291,6 @@ class TestAntennaGain:
         cfg = default_antenna()
         g = phy.antenna_gain(150e9, np.pi / 4, cfg)
         assert g == pytest.approx(GAIN_REGRESSION, rel=1e-12)
-
-    def test_power_exponent_squares(self):
-        cfg1 = default_antenna(gain_exponent=1)
-        cfg2 = default_antenna(gain_exponent=2)
-        g1 = phy.antenna_gain(170e9, 0.9, cfg1)
-        g2 = phy.antenna_gain(170e9, 0.9, cfg2)
-        assert g2 == pytest.approx(g1**2)
 
     def test_below_cutoff_raises(self):
         with pytest.raises(phy.BelowCutoffError):

@@ -326,7 +326,6 @@ class TestLiveWindow:
         atten=st.just(0.0) | log_uniform(-2.0, 3.5),
         aperture=log_uniform(-3.0, 0.0),
         efficiency=log_uniform(-3.0, 0.0),
-        gain_exponent=st.sampled_from([1, 2]),
         p_total=log_uniform(-3.0, 3.0),
         gamma_th=log_uniform(-30.0, -10.0),
         links=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(0.01, np.pi / 2 - 0.01)),
@@ -334,19 +333,18 @@ class TestLiveWindow:
         seed=st.integers(0, 2**32 - 1),
     )
     # atten = 0: the envelope is infinite only at x = 0
-    @example(atten=0.0, aperture=0.09, efficiency=1.0, gain_exponent=2, p_total=1.0,
+    @example(atten=0.0, aperture=0.09, efficiency=1.0, p_total=1.0,
              gamma_th=3.5e-21, links=[(0.5, 0.7), (20.0, 0.01)], seed=0)
     # the defaults, with a link that peaks above the band and one at its edge
-    @example(atten=130.0, aperture=0.09, efficiency=1.0, gain_exponent=1, p_total=1.0,
+    @example(atten=130.0, aperture=0.09, efficiency=1.0, p_total=1.0,
              gamma_th=3.5e-21, links=[(14.65, 0.11), (2.0, np.pi / 2 - 0.01), (50.0, 0.35)],
              seed=1)
-    def test_skipped_points_gate_to_zero(self, atten, aperture, efficiency, gain_exponent,
-                                         p_total, gamma_th, links, seed):
+    def test_skipped_points_gate_to_zero(self, atten, aperture, efficiency, p_total, gamma_th,
+                                         links, seed):
         try:
             cfg = sim.ScenarioConfig(
                 p_total=p_total, gamma_th=gamma_th,
-                antenna=phy.AntennaConfig(atten=atten, aperture=aperture,
-                                          efficiency=efficiency, gain_exponent=gain_exponent),
+                antenna=phy.AntennaConfig(atten=atten, aperture=aperture, efficiency=efficiency),
             )
         except ValueError:
             return

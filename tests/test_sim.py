@@ -404,20 +404,20 @@ class TestLinkPsdBound:
         p_total=log_uniform(-300.0, 300.0),
         d_min=log_uniform(-150.0, 1.0),
         efficiency=log_uniform(-150.0, 0.0),
-        gain_exponent=st.sampled_from([1, 2]),
     )
-    # just below sinh's overflow, and the two inputs that once built
-    @example(atten=7850.0, aperture=0.09, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=2)
-    @example(atten=1e6, aperture=0.09, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=1)
-    @example(atten=130.0, aperture=1e200, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=1)
-    @example(atten=0.0, aperture=1e150, p_total=1.0, d_min=0.5, efficiency=1.0, gain_exponent=2)
+    # just below the overflow of sinh(s)^2 (refused from atten 7901.88) and
+    # of the squared sinc argument (refused from aperture 2.134e150), and
+    # the two inputs that once built
+    @example(atten=7900.0, aperture=0.09, p_total=1.0, d_min=0.5, efficiency=1.0)
+    @example(atten=1e6, aperture=0.09, p_total=1.0, d_min=0.5, efficiency=1.0)
+    @example(atten=130.0, aperture=1e200, p_total=1.0, d_min=0.5, efficiency=1.0)
+    @example(atten=0.0, aperture=2.1e150, p_total=1.0, d_min=0.5, efficiency=1.0)
     def test_every_config_that_builds_gives_finite_rows_and_rates(
-            self, atten, aperture, p_total, d_min, efficiency, gain_exponent):
+            self, atten, aperture, p_total, d_min, efficiency):
         try:
             cfg = ScenarioConfig(
                 n_aps=3, radius=20.0, d_min=d_min, p_total=p_total, trials=1,
-                antenna=phy.AntennaConfig(atten=atten, aperture=aperture,
-                                          efficiency=efficiency, gain_exponent=gain_exponent),
+                antenna=phy.AntennaConfig(atten=atten, aperture=aperture, efficiency=efficiency),
                 ce=CEConfig(n_sub=3, samples=4, elites=2, max_iter=1, step=1e9),
             )
         except ValueError:
@@ -511,7 +511,6 @@ class TestConfigValidation:
         (lambda: ScenarioConfig(n_aps=20.5), "n_aps"),
         (lambda: ScenarioConfig(trials=np.float32(1.5)), "trials"),
         (lambda: CEConfig(n_sub=2.5), "n_sub"),
-        (lambda: phy.AntennaConfig(gain_exponent=1.5), "gain_exponent"),
     ])
     def test_fraction_in_an_int_field_rejected(self, build, field):
         with pytest.raises(ValueError, match=f"{field} must be a whole number"):
