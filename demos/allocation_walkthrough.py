@@ -17,13 +17,13 @@ from cfthz.sim import scheme_rss
 cfg = ScenarioConfig(n_aps=6, ce=CEConfig(n_sub=10, samples=60, elites=8, max_iter=15))
 rng = np.random.default_rng(2026)
 
-aps = generate_scenario(rng, cfg)
+drop = generate_scenario(rng, cfg)
 print("scenario:")
-for ap in aps:
-    print(f"  AP {ap.id}: d = {ap.distance:5.1f} m, theta = {np.degrees(ap.angle):5.1f} deg,"
-          f" peak near {cfg.antenna.f_co / np.sin(ap.angle) / 1e9:6.1f} GHz")
+for i, (d, theta) in enumerate(zip(drop.distance, drop.angle)):
+    print(f"  AP {i}: d = {d:5.1f} m, theta = {np.degrees(theta):5.1f} deg,"
+          f" peak near {cfg.antenna.f_co / np.sin(theta) / 1e9:6.1f} GHz")
 
-_, mrt_row = scheme_rss(["mrt"], aps, cfg)["mrt"]
+_, mrt_row = scheme_rss(["mrt"], drop, cfg)["mrt"]
 rss = GridRss(mrt_row, cfg.band, cfg.ce.step)
 result = ce_optimize(
     rss, cfg.ce, rng,

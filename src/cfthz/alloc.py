@@ -199,9 +199,11 @@ class GridRss:
 
     def __init__(self, values, band, step):
         self.band = (float(band[0]), float(band[1]))
-        if self.band[1] <= self.band[0]:
-            raise ValueError(f"band upper {band[1]} must exceed lower {band[0]}")
+        if not -np.inf < self.band[0] < self.band[1] < np.inf:
+            raise ValueError(f"band upper {band[1]} must exceed lower {band[0]}, both finite")
         self.step = float(step)
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be finite and > 0, got {step}")
         self.values = np.array(values, dtype=float)
         self.values.flags.writeable = False
         shape = (grid_size(self.band, self.step),)
@@ -371,8 +373,8 @@ def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
     """Trapezoidal integral of log2(1 + rss(f)/noise) over each channel, at
     the grid's step; fair for wide channels where the center-RSS objective
     overstates."""
-    if noise_psd <= 0:
-        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
+    if not 0 < noise_psd < np.inf:
+        raise ValueError(f"noise_psd must be finite and > 0, got {noise_psd}")
     rate = 0.0
     for low, high, width in zip(plan.low.tolist(), plan.high.tolist(), plan.widths.tolist()):
         if width <= 0:
@@ -466,8 +468,8 @@ def _plan_rows(table: _WidthTable, idx, total_budget):
 
 def _rate_terms(widths, rss, noise_psd):
     """Per-channel rates width * log2(1 + max(rss, 0)/noise) [bit/s]."""
-    if noise_psd <= 0:
-        raise ValueError(f"noise_psd must be > 0, got {noise_psd}")
+    if not 0 < noise_psd < np.inf:
+        raise ValueError(f"noise_psd must be finite and > 0, got {noise_psd}")
     return widths * np.log2(1.0 + np.maximum(rss, 0.0) / noise_psd)
 
 
@@ -526,8 +528,13 @@ def ce_batch(grids, cfg: CEConfig, rngs, *, eps_db, total_budget, noise_psd):
     update serve every run. The incumbent is the run's best sampled plan,
     or its final plan where that scores strictly higher; the objective
     traces come along as diagnostics. Each result equals `ce_optimize` on
-    its grid and generator bit for bit.
+    its grid and generator bit for bit. A bad keyword value raises a
+    `ValueError` naming it.
     """
+    if not 0 <= eps_db < np.inf:
+        raise ValueError(f"eps_db must be finite and >= 0, got {eps_db}")
+    if not 0 < total_budget < np.inf:
+        raise ValueError(f"total_budget must be finite and > 0, got {total_budget}")
     k, n = len(grids), cfg.n_sub
     if not k:
         return []

@@ -193,9 +193,9 @@ def cmd_gain(cfg, thetas, f_start, f_stop, f_count, out):
 
 
 def read_scenario_file(path, d_min):
-    """Parse 'distance_m,theta_rad' rows into AccessPoints, none of them
-    closer than d_min, the distance every link-PSD bound assumes."""
-    aps = []
+    """Parse 'distance_m,theta_rad' rows into a `selection.Drop` with no AP
+    closer than d_min; each row is checked alone, so its error names its line."""
+    rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body or body.lower().startswith("distance"):
@@ -205,24 +205,25 @@ def read_scenario_file(path, d_min):
             if len(parts) != 2:
                 raise ValueError("expected two comma-separated fields")
             d, theta = float(parts[0]), float(parts[1])
-            aps.append(selection.AccessPoint(len(aps), d, theta))
+            selection.Drop([d], [theta])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad scenario row: {exc}") from exc
         if d < d_min:
             raise ConfigError(f"{path}:{lineno}: distance {d:g} m is below d_min {d_min:g} m")
-    if not aps:
+        rows.append((d, theta))
+    if not rows:
         raise ConfigError(f"{path}: no scenario rows")
-    return aps
+    return selection.Drop(*zip(*rows))
 
 
 def cmd_allocate(cfg, scenario_file, scheme, out_dir):
     """CE subchannel allocation for one fixed scenario; emits the final
     plan, the best-ever incumbent, and the objective trace."""
-    aps = read_scenario_file(scenario_file, cfg.d_min)
+    drop = read_scenario_file(scenario_file, cfg.d_min)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = sim.substream(cfg.seed, 0, 0, "ce")
-    _, rss = sim.scheme_rss([scheme], aps, cfg)[scheme]
+    _, rss = sim.scheme_rss([scheme], drop, cfg)[scheme]
     grid = alloc.GridRss(rss, cfg.band, cfg.ce.step)
     result = alloc.ce_optimize(
         grid, cfg.ce, rng,

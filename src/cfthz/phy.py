@@ -153,29 +153,29 @@ def antenna_gain(f, theta, cfg: AntennaConfig):
     return float(g[0]) if np.broadcast(k0, theta).ndim == 0 else g
 
 
-def link_psd(f, aps, p, cfg: AntennaConfig):
-    """The received PSD p * G(f, theta) * (c / (4*pi*f*d))^2 of each AP in
-    `aps`, one row per AP, as one array.
+def link_psd(f, distance, angle, p, cfg: AntennaConfig):
+    """The received PSD p * G(f, theta) * (c / (4*pi*f*d))^2 of each link
+    i at (distance[i], angle[i]), one row per link, as one array.
 
-    `f` (1-D or 2-D) broadcasts against a (len(aps), 1) column of APs: a
-    1-D row of frequencies is shared by every AP, and a 2-D f holds one row
-    per AP, so `peaks[:, None]` gives each AP its own frequency. Raises a
-    ValueError naming the first AP whose row is not finite (one far closer
-    than any config's d_min overflows the path gain).
+    `f` (1-D or 2-D) broadcasts against a column of links: a 1-D row of
+    frequencies is shared by every link, and a 2-D f holds one row per
+    link, so `peaks[:, None]` gives each link its own frequency. Raises a
+    ValueError naming the first link i, as AP i, whose row is not finite
+    (one far closer than any config's d_min overflows the path gain).
     """
     _check_positive("p", p)
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2):
         raise ValueError(f"f must be 1-D or 2-D, got shape {f.shape}")
     k0, beta = _guided(f, cfg.f_co)
-    cos_theta = np.cos(np.array([ap.angle for ap in aps])[:, None])
-    distance = np.array([ap.distance for ap in aps])[:, None]
+    distance = np.asarray(distance, dtype=float)[:, None]
+    cos_theta = np.cos(np.asarray(angle, dtype=float)[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _link_row(k0, beta, 4.0 * np.pi * f, cos_theta, distance, p, cfg)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        ap = aps[bad[0]]
-        raise ValueError(f"AP {ap.id}: link PSD at distance {ap.distance} m is not finite")
+        raise ValueError(f"AP {bad[0]}: link PSD at distance {distance[bad[0], 0]} m "
+                         "is not finite")
     return rows
 
 
@@ -288,12 +288,12 @@ def live_band(p, cfg: AntennaConfig, distances, angles, gamma_th, band):
     return np.where(bounded, f_a, f_lo), np.where(bounded, f_b, f_hi)
 
 
-def gated_link_rows(f, aps, p, cfg: AntennaConfig, gamma_th):
-    """Each AP's link PSD gated by the outage indicator 1(psd >= gamma_th),
+def gated_link_rows(f, distance, angle, p, cfg: AntennaConfig, gamma_th):
+    """Each link's PSD gated by the outage indicator 1(psd >= gamma_th),
     computed only on its live window of the ascending 1-D frequencies f, as
-    an iterator that yields one (start, row) pair per AP in turn: row is the
-    gated PSD at f[start:start + row.size], and every other point of f gates
-    to 0.
+    an iterator that yields one (start, row) pair per link (distance[i],
+    angle[i]) in turn: row is the gated PSD at f[start:start + row.size],
+    and every other point of f gates to 0.
 
     The window is `live_band`'s interval, padded by `WINDOW_PAD` points at
     each end; inside it each point takes the full row's value bit for bit.
@@ -306,17 +306,16 @@ def gated_link_rows(f, aps, p, cfg: AntennaConfig, gamma_th):
         raise ValueError("f must be one ascending row of frequencies")
     k0, beta = _guided(f, cfg.f_co)
     four_pi_f = 4.0 * np.pi * f
-    cos_theta = np.cos([ap.angle for ap in aps])
-    f_a, f_b = live_band(p, cfg, [ap.distance for ap in aps], [ap.angle for ap in aps],
-                         gamma_th, (f[0], f[-1]) if f.size else (cfg.f_co, cfg.f_co))
+    cos_theta = np.cos(angle)
+    f_a, f_b = live_band(p, cfg, distance, angle, gamma_th,
+                         (f[0], f[-1]) if f.size else (cfg.f_co, cfg.f_co))
     start = np.maximum(np.searchsorted(f, f_a) - WINDOW_PAD, 0)
     stop = np.minimum(np.searchsorted(f, f_b, "right") + WINDOW_PAD, f.size)
     stop = np.where(f_a > f_b, start, stop)
 
     def rows():
-        for i, ap in enumerate(aps):
-            a, b = start[i], stop[i]
-            row = _link_row(k0[a:b], beta[a:b], four_pi_f[a:b], cos_theta[i], ap.distance, p, cfg)
+        for a, b, cos_t, d in zip(start, stop, cos_theta, distance):
+            row = _link_row(k0[a:b], beta[a:b], four_pi_f[a:b], cos_t, d, p, cfg)
             row[row < gamma_th] = 0.0
             yield a, row
 

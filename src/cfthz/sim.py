@@ -17,7 +17,6 @@ import numpy as np
 from . import alloc, phy, selection
 from .alloc import CEConfig, GridRss
 from .phy import AntennaConfig, dbm_per_hz_to_w_per_hz, require_typed_fields
-from .selection import AccessPoint
 
 CE_SCHEMES = ("mrt", "best_nsel", "best_per_subchannel", "nearest")
 BASELINE_SCHEMES = ("equal_mrt", "colocated")
@@ -136,53 +135,53 @@ def generate_scenario(rng, cfg: ScenarioConfig):
     """Drop n_aps APs: d ~ U(d_min, radius), theta ~ U(guard, pi/2-guard)."""
     d = rng.uniform(cfg.d_min, cfg.radius, cfg.n_aps)
     theta = rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard, cfg.n_aps)
-    return [AccessPoint(i, d[i], theta[i]) for i in range(cfg.n_aps)]
+    return selection.Drop(d, theta)
 
 
-def scenario_digest(aps):
-    geom = np.array([[ap.distance, ap.angle] for ap in aps])
+def scenario_digest(drop):
+    geom = np.column_stack((drop.distance, drop.angle))
     return hashlib.sha256(geom.tobytes()).hexdigest()[:16]
 
 
-def _selection(scheme, aps, cfg):
+def _selection(scheme, drop, cfg):
     """The selection of a scheme: (ids of the APs that transmit, combining
     rule); the best AP per subchannel is every AP, max-combined."""
     if scheme == "mrt":
-        return selection.select_mrt(aps), np.add
+        return selection.select_mrt(drop), np.add
     if scheme == "best_nsel":
-        n_sel = min(cfg.n_sel, len(aps))
-        return selection.select_best_nsel(aps, n_sel, cfg.p, cfg.antenna, cfg.f_upper), np.add
+        n_sel = min(cfg.n_sel, drop.distance.size)
+        return selection.select_best_nsel(drop, n_sel, cfg.p, cfg.antenna, cfg.f_upper), np.add
     if scheme == "best_per_subchannel":
-        return selection.select_mrt(aps), np.maximum
+        return selection.select_mrt(drop), np.maximum
     if scheme == "nearest":
-        return selection.select_nearest(aps), np.add
+        return selection.select_nearest(drop), np.add
     raise ValueError(f"not a selection scheme: {scheme}")
 
 
-def _active_count(scheme, ids, aps, cfg, plan):
+def _active_count(scheme, ids, drop, cfg, plan):
     if scheme != "best_per_subchannel":
         return len(ids)
     live = plan.centers[plan.widths > 0]
-    return np.unique(selection.select_best_at(aps, live, cfg.p, cfg.antenna)).size
+    return np.unique(selection.select_best_at(drop, live, cfg.p, cfg.antenna)).size
 
 
-def scheme_rss(schemes, aps, cfg: ScenarioConfig):
+def scheme_rss(schemes, drop, cfg: ScenarioConfig):
     """{scheme: (ids, combined RSS on the band grid)} of each selection
-    scheme in `schemes`, from one link pass over `aps`; a ValueError for an
+    scheme in `schemes`, from one link pass over `drop`; a ValueError for an
     AP closer than cfg.d_min, which every link-PSD bound assumes none is."""
-    for ap in aps:
-        if ap.distance < cfg.d_min:
-            raise ValueError(f"AP {ap.id}: distance {ap.distance:g} m is below "
-                             f"d_min {cfg.d_min:g} m")
-    selections = {s: _selection(s, aps, cfg) for s in dict.fromkeys(schemes)}
+    near = np.flatnonzero(drop.distance < cfg.d_min)
+    if near.size:
+        raise ValueError(f"AP {near[0]}: distance {drop.distance[near[0]]:g} m is below "
+                         f"d_min {cfg.d_min:g} m")
+    selections = {s: _selection(s, drop, cfg) for s in dict.fromkeys(schemes)}
     rows = selection.combined_rss_rows(
-        list(selections.values()), aps, alloc.grid_freqs(cfg.band, cfg.ce.step),
+        list(selections.values()), drop, alloc.grid_freqs(cfg.band, cfg.ce.step),
         cfg.p, cfg.antenna, cfg.gamma_th,
     )
     return {s: (ids, row) for (s, (ids, _)), row in zip(selections.items(), rows)}
 
 
-def run_trial(aps, scheme, cfg: ScenarioConfig, result: alloc.CEResult, ids_rss) -> TrialResult:
+def run_trial(drop, scheme, cfg: ScenarioConfig, result: alloc.CEResult, ids_rss) -> TrialResult:
     """Rate a CE run's plan on the scheme's combined RSS: both rate metrics
     plus the active-AP count.
 
@@ -196,14 +195,14 @@ def run_trial(aps, scheme, cfg: ScenarioConfig, result: alloc.CEResult, ids_rss)
         scheme=scheme,
         plan_rate=result.plan_value,
         integrated_rate=alloc.integrated_rate(result.plan, grid, cfg.noise_psd),
-        active_aps=_active_count(scheme, ids, aps, cfg, result.plan),
+        active_aps=_active_count(scheme, ids, drop, cfg, result.plan),
         plan=result.plan,
         incumbent_value=result.incumbent_value,
-        scenario_digest=scenario_digest(aps),
+        scenario_digest=scenario_digest(drop),
     )
 
 
-def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
+def equal_allocation_trial(drop, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
     """MRT over all APs with n_sub equal-width, evenly spaced subchannels.
 
     Rated by the integrated metric: the equal plan ignores the flatness
@@ -223,10 +222,10 @@ def equal_allocation_trial(aps, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
         scheme="equal_mrt",
         plan_rate=alloc.plan_rate(plan, grid, cfg.noise_psd),
         integrated_rate=irate,
-        active_aps=len(aps),
+        active_aps=drop.distance.size,
         plan=plan,
         incumbent_value=irate,
-        scenario_digest=scenario_digest(aps),
+        scenario_digest=scenario_digest(drop),
     )
 
 
@@ -234,17 +233,17 @@ def colocated_site(draw_rng, cfg: ScenarioConfig):
     """All n_aps antennas share one random site: a single (d, theta) draw
     and MRT combining, the site's one gated link window added N times into
     zeros, as a link pass over N such APs adds it (N-fold, since row * N
-    rounds differently). Returns the site's APs and their (ids, RSS on the
+    rounds differently). Returns the site's drop and its (ids, RSS on the
     band grid) pair."""
     d = draw_rng.uniform(cfg.d_min, cfg.radius)
     theta = draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard)
-    aps = [AccessPoint(i, d, theta) for i in range(cfg.n_aps)]
+    drop = selection.Drop(np.full(cfg.n_aps, d), np.full(cfg.n_aps, theta))
     f = alloc.grid_freqs(cfg.band, cfg.ce.step)
-    ((start, row),) = phy.gated_link_rows(f, aps[:1], cfg.p, cfg.antenna, cfg.gamma_th)
+    ((start, row),) = phy.gated_link_rows(f, [d], [theta], cfg.p, cfg.antenna, cfg.gamma_th)
     rss = np.zeros(f.size)
-    for _ in aps:
+    for _ in range(cfg.n_aps):
         rss[start:start + row.size] += row
-    return aps, (selection.select_mrt(aps), rss)
+    return drop, (selection.select_mrt(drop), rss)
 
 
 def _headline_rate(result: TrialResult) -> float:
@@ -268,14 +267,14 @@ def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
     def rng_for(stream):
         return substream(cfg.seed, axis_idx, trial_idx, stream)
 
-    aps = generate_scenario(rng_for("scenario"), cfg)
+    drop = generate_scenario(rng_for("scenario"), cfg)
     # one link pass serves every scheme on this scenario; equal_mrt reuses
     # the mrt row, and colocated draws its own site
     shared = scheme_rss(
-        ("mrt" if s == "equal_mrt" else s for s in cfg.schemes if s != "colocated"), aps, cfg
+        ("mrt" if s == "equal_mrt" else s for s in cfg.schemes if s != "colocated"), drop, cfg
     )
-    # (APs, (ids, RSS)) of each CE run, in scheme order
-    inputs = {s: (aps, shared[s]) for s in cfg.schemes if s in CE_SCHEMES}
+    # (drop, (ids, RSS)) of each CE run, in scheme order
+    inputs = {s: (drop, shared[s]) for s in cfg.schemes if s in CE_SCHEMES}
     if "colocated" in cfg.schemes:
         inputs["colocated"] = colocated_site(rng_for("colocated"), cfg)
     results = dict(zip(inputs, alloc.ce_batch(
@@ -286,10 +285,10 @@ def _trial_cell(cfg: ScenarioConfig, axis_idx: int, trial_idx: int):
     out = {}
     for scheme in cfg.schemes:
         if scheme == "equal_mrt":
-            out[scheme] = equal_allocation_trial(aps, cfg, shared["mrt"][1])
+            out[scheme] = equal_allocation_trial(drop, cfg, shared["mrt"][1])
         else:
-            run_aps, ids_rss = inputs[scheme]
-            out[scheme] = run_trial(run_aps, scheme, cfg, results[scheme], ids_rss)
+            run_drop, ids_rss = inputs[scheme]
+            out[scheme] = run_trial(run_drop, scheme, cfg, results[scheme], ids_rss)
     return out
 
 

@@ -15,7 +15,7 @@ import pytest
 from cfthz import alloc, cli, phy, selection, sim
 from cfthz.alloc import CEConfig, GridRss
 from cfthz.phy import AntennaConfig
-from cfthz.selection import AccessPoint
+from cfthz.selection import Drop
 from cfthz.sim import ScenarioConfig
 from oracles import sampled_grid
 
@@ -63,15 +63,14 @@ def test_c02_analytic_unit_suite():
     # free-space gain falls off as 1/d^2 and 1/f^2: a link row over p times
     # the antenna gain
     theta, f = 0.7, np.array([150e9, 300e9])
-    aps = [AccessPoint(0, 10.0, theta), AccessPoint(1, 20.0, theta)]
-    near, far = phy.link_psd(f, aps, P, cfg)
+    near, far = phy.link_psd(f, [10.0, 20.0], [theta, theta], P, cfg)
     assert far[0] == pytest.approx(near[0] / 4, rel=1e-12)
     g = near / (P * phy.antenna_gain(f, theta, cfg))
     assert g[1] == pytest.approx(g[0] / 4, rel=1e-12)
 
 
 def _fixed_scenario_grid():
-    aps = [AccessPoint(0, 20.0, 0.7), AccessPoint(1, 35.0, 1.1), AccessPoint(2, 10.0, 0.4)]
+    aps = Drop([20.0, 35.0, 10.0], [0.7, 1.1, 0.4])
     mrt = (selection.select_mrt(aps), np.add)
     cfg = AntennaConfig(f_co=100e9)
     return sampled_grid(

@@ -18,7 +18,7 @@ from cfthz.alloc import (
     variance_smoothing,
 )
 from cfthz.phy import AntennaConfig
-from cfthz.selection import AccessPoint
+from cfthz.selection import Drop
 from oracles import link_rss, sampled_grid
 
 BAND = (100e9, 300e9)
@@ -30,12 +30,12 @@ CFG = AntennaConfig(f_co=100e9)
 
 # single-AP reference scenario (theta = 40 deg, d = 20 m); the coherence
 # width at 150 GHz was frozen from an exhaustive 1 MHz scan (5056 MHz)
-ORACLE_AP = AccessPoint(0, 20.0, np.radians(40.0))
+ORACLE_AP = (20.0, np.radians(40.0))
 ORACLE_FINE_WIDTH = 5056e6
 
 
 def oracle_rss(f):
-    return link_rss(f, ORACLE_AP, P, CFG)
+    return link_rss(f, *ORACLE_AP, P, CFG)
 
 
 def flat_rss(level=1e-19):
@@ -314,11 +314,11 @@ def band_width(grid):
 
 def gated_link_grid(step=200e6):
     """One link gated at its median RSS: about half the band is dead."""
-    ap = AccessPoint(0, 12.0, np.radians(55.0))
+    drop = Drop([12.0], [np.radians(55.0)])
     freqs = np.arange(BAND[0], BAND[1] + step / 2, step)
-    gamma = float(np.median(link_rss(freqs, ap, P, CFG)))
-    link = (selection.select_nearest([ap]), np.add)
-    return sampled_grid(lambda f: selection.combined_rss_rows([link], [ap], f, P, CFG, gamma)[0],
+    gamma = float(np.median(link_rss(freqs, 12.0, np.radians(55.0), P, CFG)))
+    link = (selection.select_nearest(drop), np.add)
+    return sampled_grid(lambda f: selection.combined_rss_rows([link], drop, f, P, CFG, gamma)[0],
                         BAND, step)
 
 
@@ -357,6 +357,18 @@ class TestGridRss:
     def test_rejects_non_finite_or_negative_values(self, bad):
         with pytest.raises(ValueError, match="finite and >= 0"):
             GridRss([1.0, bad, 3.0], (0.0, 2.0), 1.0)
+
+    @pytest.mark.parametrize("band, step, name", [
+        ((0.0, 2.0), 0.0, "step"), ((0.0, 2.0), -1.0, "step"), ((0.0, 2.0), np.nan, "step"),
+        ((0.0, 2.0), np.inf, "step"), ((0.0, np.inf), 1.0, "band"), ((-np.inf, 2.0), 1.0, "band"),
+        ((np.nan, 2.0), 1.0, "band"), ((0.0, np.nan), 1.0, "band"),
+    ])
+    def test_bad_band_or_step_rejected(self, band, step, name):
+        # a step of 0 once raised ZeroDivisionError, a band of (0, inf)
+        # OverflowError, and a NaN band or step "cannot convert float NaN to
+        # integer"
+        with pytest.raises(ValueError, match=f"^{name} "):
+            GridRss([1.0, 2.0, 3.0], band, step)
 
     def test_owns_its_samples(self):
         # the grid once kept the caller's array: a NaN written into it after
@@ -797,6 +809,13 @@ class TestRates:
         with pytest.raises(ValueError):
             integrated_rate(SubchannelPlan([], [], 1e9), sampled_grid(flat_rss(), BAND, STEP), -1.0)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_integrated_rate_refuses_nan_or_infinite_noise(self, noise):
+        # a NaN noise_psd once passed the `<= 0` check
+        plan = SubchannelPlan([150e9], [1e9], 16e9)
+        with pytest.raises(ValueError, match="^noise_psd must be finite and > 0"):
+            integrated_rate(plan, sampled_grid(flat_rss(), BAND, STEP), noise)
+
     def test_integrated_equals_plan_rate_when_flat(self):
         plan = SubchannelPlan([150e9, 200e9], [3e9, 5e9], 16e9)
         pr = scalar_plan_rate(plan, flat_rss(), NOISE)
@@ -887,7 +906,7 @@ class TestPlanRate:
         zeros = SubchannelPlan([150e9, 151e9], [0.0, 0.0], 16e9)
         assert plan_rate(zeros, grid, NOISE) == 0.0
 
-    @pytest.mark.parametrize("noise", [0.0, -1.0])
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf])
     def test_noise_must_be_positive(self, noise):
         grid = sampled_grid(oracle_rss, BAND, STEP)
         for plan in (SubchannelPlan([], [], 1e9), equal_plan(BAND, 4, 1e9)):
@@ -1151,6 +1170,20 @@ class TestCEBatch:
     def test_no_runs(self):
         assert alloc.ce_batch([], CEConfig(), [], **ce_kwargs()) == []
 
+    @pytest.mark.parametrize("name, value", [
+        ("eps_db", np.nan), ("eps_db", -1.0), ("eps_db", np.inf), ("total_budget", -5.0),
+        ("total_budget", 0.0), ("total_budget", np.nan), ("total_budget", np.inf),
+        ("noise_psd", np.nan), ("noise_psd", np.inf), ("noise_psd", 0.0),
+    ])
+    def test_bad_keyword_value_rejected(self, name, value):
+        # on this flat grid a NaN or negative eps_db once ran as exact
+        # flatness, a budget of -5 gave all-zero plans, a NaN noise_psd NaN
+        # plan values, and a NaN or infinite budget failed inside int()
+        grid = sampled_grid(flat_rss(), BAND, 50e6)
+        cfg = CEConfig(n_sub=2, samples=4, elites=2, max_iter=1, step=50e6)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            alloc.ce_batch([grid], cfg, [np.random.default_rng(0)], **{**ce_kwargs(), name: value})
+
     @pytest.mark.parametrize("band, step", [((100e9, 200e9), 50e6), (BAND, 100e6)],
                              ids=["band", "step"])
     def test_refuses_grids_of_different_bands_or_steps(self, band, step):
@@ -1276,8 +1309,8 @@ class TestCEOptimize:
         rng = np.random.default_rng(9)
         cfg = CEConfig(n_sub=10, samples=8, elites=2, max_iter=3)
         for _ in range(10):
-            ap = AccessPoint(0, rng.uniform(1, 50), rng.uniform(0.1, 1.4))
-            grid = sampled_grid(lambda f: link_rss(f, ap, P, CFG), BAND, cfg.step)
+            d, theta = rng.uniform(1, 50), rng.uniform(0.1, 1.4)
+            grid = sampled_grid(lambda f: link_rss(f, d, theta, P, CFG), BAND, cfg.step)
             res = ce_optimize(grid, cfg, rng, **ce_kwargs())
             res.plan.validate(BAND)
             res.incumbent_plan.validate(BAND)
@@ -1372,7 +1405,7 @@ class TestPlanRecords:
         assert recs[1]["rate_bps"] == 0.0
         assert recs[1]["rss_w_per_hz"] == 0.0
 
-    @pytest.mark.parametrize("noise", [0.0, -1.0])
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf])
     def test_noise_must_be_positive(self, noise):
         plan = SubchannelPlan([150e9], [1e9], 16e9)
         with pytest.raises(ValueError, match="noise_psd"):

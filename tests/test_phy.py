@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cfthz import phy
 from cfthz.phy import AntennaConfig
-from cfthz.selection import AccessPoint
+from cfthz.selection import Drop
 from cfthz.sim import ScenarioConfig
 from oracles import link_rss
 
@@ -46,7 +46,7 @@ def complex_sinc(z):
     return complex(out[0]) if z_in.ndim == 0 else out
 
 
-def oracle_link_rss(f, ap, p, cfg):
+def oracle_link_rss(f, d, theta, p, cfg):
     """p * |xi * L * sinc(z)| * (c / (4*pi*f*d))^2 in complex arithmetic,
     z = (-j*atten - k0*cos(theta) + beta) * L/2, with the guided phase
     constant beta = k0 * sqrt(1 - (f_co/f)^2)."""
@@ -54,9 +54,9 @@ def oracle_link_rss(f, ap, p, cfg):
     k0 = 2.0 * np.pi * f / C
     ratio = cfg.f_co / f
     beta = k0 * np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
-    z = (-1j * cfg.atten - k0 * np.cos(ap.angle) + beta) * (cfg.aperture / 2.0)
+    z = (-1j * cfg.atten - k0 * np.cos(theta) + beta) * (cfg.aperture / 2.0)
     gain = np.abs(cfg.efficiency * cfg.aperture * complex_sinc(z))
-    amp = C / (4.0 * np.pi * f * ap.distance)
+    amp = C / (4.0 * np.pi * f * d)
     return p * gain * amp * amp
 
 
@@ -74,7 +74,8 @@ def path_gain(f, d, theta=0.7):
     """The free-space factor (c / (4*pi*f*d))^2 of a `phy.link_psd` row:
     the row of an AP at (d, theta) over p times the antenna gain."""
     cfg, p = default_antenna(), 1e-11
-    (row,) = phy.link_psd([f], [AccessPoint(0, d, theta)], p, cfg)
+    drop = Drop([d], [theta])
+    (row,) = phy.link_psd([f], drop.distance, drop.angle, p, cfg)
     return float(row[0]) / (p * phy.antenna_gain(f, theta, cfg))
 
 
@@ -223,25 +224,24 @@ class TestLinkRssRows:
     def test_each_link_matches_complex_oracle(self, theta, distance, f_band, atten):
         # a band frequency, the cutoff, and the exact peak f_co/sin(theta)
         cfg = default_antenna(f_co=self.SCENARIO.antenna.f_co, atten=atten)
-        ap = AccessPoint(0, distance, theta)
         f = np.array([f_band, cfg.f_co, phy.peak_frequency(theta, cfg.f_co)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            (got,) = phy.link_psd(f, [ap], self.SCENARIO.p, cfg)
-        want = oracle_link_rss(f, ap, self.SCENARIO.p, cfg)
+            (got,) = phy.link_psd(f, [distance], [theta], self.SCENARIO.p, cfg)
+        want = oracle_link_rss(f, distance, theta, self.SCENARIO.p, cfg)
         assert np.all(np.abs(got - want) <= 8 * EPS * want), (got - want) / want / EPS
 
     def test_one_frequency_row_per_ap(self):
         cfg = default_antenna()
-        aps = [AccessPoint(i, 4.0 * (i + 1), 0.3 + 0.2 * i) for i in range(4)]
+        aps = Drop(4.0 * np.arange(1, 5), 0.3 + 0.2 * np.arange(4))
         f = np.linspace(110e9, 290e9, 12).reshape(4, 3)
-        for ap, fi, row in zip(aps, f, phy.link_psd(f, aps, 1e-11, cfg)):
-            assert row.tobytes() == link_rss(fi, ap, 1e-11, cfg).tobytes()
+        rows = phy.link_psd(f, aps.distance, aps.angle, 1e-11, cfg)
+        for d, theta, fi, row in zip(aps.distance, aps.angle, f, rows):
+            assert row.tobytes() == link_rss(fi, d, theta, 1e-11, cfg).tobytes()
 
     def test_rows_are_independent_arrays(self):
         cfg = default_antenna()
-        aps = [AccessPoint(0, 5.0, 0.5), AccessPoint(1, 5.0, 0.5)]
-        first, second = phy.link_psd(np.array([150e9, 200e9]), aps, 1e-11, cfg)
+        first, second = phy.link_psd(np.array([150e9, 200e9]), [5.0, 5.0], [0.5, 0.5], 1e-11, cfg)
         first[:] = 0.0
         assert np.all(second > 0)
 
@@ -252,24 +252,24 @@ class TestLinkRssRows:
     ], ids=["shared-row", "per-ap-column", "per-ap-rows"])
     def test_f_broadcasts_against_a_column_of_aps(self, f):
         cfg = default_antenna()
-        aps = [AccessPoint(i, 4.0 * (i + 1), 0.3 + 0.2 * i) for i in range(3)]
-        got = phy.link_psd(f, aps, 1e-11, cfg)
+        aps = Drop(4.0 * np.arange(1, 4), 0.3 + 0.2 * np.arange(3))
+        got = phy.link_psd(f, aps.distance, aps.angle, 1e-11, cfg)
         assert got.shape == (3, f.shape[-1])
-        for ap, fi, row in zip(aps, np.broadcast_to(f, got.shape), got):
-            assert row.tobytes() == link_rss(fi, ap, 1e-11, cfg).tobytes()
+        for d, theta, fi, row in zip(aps.distance, aps.angle, np.broadcast_to(f, got.shape), got):
+            assert row.tobytes() == link_rss(fi, d, theta, 1e-11, cfg).tobytes()
 
-    @pytest.mark.parametrize("aps", [[AccessPoint(0, 5.0, 0.5)], []])
+    @pytest.mark.parametrize("aps", [([5.0], [0.5]), ([], [])])
     def test_bad_input_rejected_when_called(self, aps):
         # also with no APs; NaN is not at or above the cutoff
         cfg = default_antenna()
         with pytest.raises(phy.BelowCutoffError):
-            phy.link_psd(np.array([150e9, 99e9]), aps, 1e-11, cfg)
+            phy.link_psd(np.array([150e9, 99e9]), *aps, 1e-11, cfg)
         with pytest.raises(ValueError, match="p must be positive"):
-            phy.link_psd(np.array([150e9]), aps, 0.0, cfg)
+            phy.link_psd(np.array([150e9]), *aps, 0.0, cfg)
         with pytest.raises(phy.BelowCutoffError):
-            phy.link_psd(np.array([np.nan]), aps, 1e-11, cfg)
+            phy.link_psd(np.array([np.nan]), *aps, 1e-11, cfg)
         with pytest.raises(ValueError, match="1-D or 2-D"):
-            phy.link_psd(np.ones((1, 1, 2)) * 150e9, aps, 1e-11, cfg)
+            phy.link_psd(np.ones((1, 1, 2)) * 150e9, *aps, 1e-11, cfg)
 
 
 class TestAntennaGain:
@@ -331,23 +331,20 @@ class TestPathGain:
 class TestLinkRss:
     def test_linearity_in_psd(self):
         cfg = default_antenna()
-        ap = AccessPoint(0, 12.0, 0.8)
-        assert link_rss(150e9, ap, 2e-11, cfg) == pytest.approx(
-            2 * link_rss(150e9, ap, 1e-11, cfg)
+        assert link_rss(150e9, 12.0, 0.8, 2e-11, cfg) == pytest.approx(
+            2 * link_rss(150e9, 12.0, 0.8, 1e-11, cfg)
         )
 
     def test_product_of_audited_factors(self):
         cfg = default_antenna()
-        ap = AccessPoint(0, 10.0, np.pi / 4)
         p = 1.0 / 16e9  # 1 W over 16 GHz
         expected = p * GAIN_REGRESSION * (C / (4 * np.pi * 150e9 * 10.0)) ** 2
-        assert link_rss(150e9, ap, p, cfg) == pytest.approx(expected)
+        assert link_rss(150e9, 10.0, np.pi / 4, p, cfg) == pytest.approx(expected)
 
     def test_nonnegative(self):
         cfg = default_antenna()
-        ap = AccessPoint(0, 30.0, 1.2)
         f = np.linspace(100e9, 300e9, 101)
-        assert np.all(link_rss(f, ap, 1e-11, cfg) >= 0)
+        assert np.all(link_rss(f, 30.0, 1.2, 1e-11, cfg) >= 0)
 
 
 class TestDbConversions:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cfthz import alloc, phy, selection, sim
 from cfthz.phy import AntennaConfig
-from cfthz.selection import AccessPoint
-from oracles import link_rss, log_uniform
+from cfthz.selection import Drop
+from oracles import ap_pairs, best_nsel_ids, first_max_id, link_rss, log_uniform, nearest_id
 
 CFG = AntennaConfig(f_co=100e9)
 P = 1.0 / 16e9
@@ -18,10 +18,19 @@ GAMMA_TH = phy.dbm_per_hz_to_w_per_hz(-174.5)
 
 
 def random_aps(rng, n):
-    return [
-        AccessPoint(i, rng.uniform(0.5, 50.0), rng.uniform(0.01, np.pi / 2 - 0.01))
-        for i in range(n)
-    ]
+    """A drop of n APs, each drawn as (distance, angle) in turn."""
+    pairs = [(rng.uniform(0.5, 50.0), rng.uniform(0.01, np.pi / 2 - 0.01)) for _ in range(n)]
+    return Drop(*zip(*pairs))
+
+
+def with_aps(drop, distance, angle):
+    """The drop with APs at the given distances and angles appended."""
+    return Drop(np.append(drop.distance, distance), np.append(drop.angle, angle))
+
+
+def reordered(drop, order):
+    """The drop's APs in the given order (AP k is the drop's AP order[k])."""
+    return Drop(drop.distance[order], drop.angle[order])
 
 
 def constant_gain(x, cfg):
@@ -46,10 +55,20 @@ def one_row(sel, aps, f, gamma_th):
     return selection.combined_rss_rows([sel], aps, np.atleast_1d(f), P, CFG, gamma_th)[0]
 
 
+@st.composite
+def tied_pairs(draw):
+    """(distance, angle) pairs drawn from at most three distances and three
+    angles, so APs repeat a distance, or a whole geometry and every RSS."""
+    distances = draw(st.lists(st.floats(0.5, 50.0), min_size=1, max_size=3))
+    angles = draw(st.lists(st.floats(0.01, np.pi / 2 - 0.01), min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from(distances), st.sampled_from(angles)),
+                         min_size=1, max_size=8))
+
+
 class TestSelectMrt:
     def test_single_ap(self):
-        ids = selection.select_mrt([AccessPoint(1, 5.0, 0.6)])
-        assert ids == {1} and type(ids) is frozenset
+        ids = selection.select_mrt(Drop([5.0], [0.6]))
+        assert ids == {0} and type(ids) is frozenset
 
     def test_all_selected(self):
         aps = random_aps(np.random.default_rng(0), 20)
@@ -57,11 +76,11 @@ class TestSelectMrt:
 
     def test_order_invariant(self):
         aps = random_aps(np.random.default_rng(1), 6)
-        assert selection.select_mrt(aps) == selection.select_mrt(aps[::-1])
+        assert selection.select_mrt(aps) == selection.select_mrt(reordered(aps, np.s_[::-1]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            selection.select_mrt([])
+            selection.select_mrt(Drop([], []))
 
 
 class TestSelectBestNsel:
@@ -71,24 +90,19 @@ class TestSelectBestNsel:
         assert full == selection.select_mrt(aps)
 
     def test_closer_ap_wins_at_equal_angle(self):
-        aps = [AccessPoint(0, 5.0, 0.7), AccessPoint(1, 40.0, 0.7)]
+        aps = Drop([5.0, 40.0], [0.7, 0.7])
         assert selection.select_best_nsel(aps, 1, P, CFG, F_UPPER) == {0}
 
     def test_matches_exhaustive_ranking(self):
         aps = random_aps(np.random.default_rng(3), 5)
         # brute-force oracle: evaluate every AP at its clamped peak frequency
         scored = sorted(
-            aps,
-            key=lambda ap: (
-                -link_rss(
-                    min(phy.peak_frequency(ap.angle, CFG.f_co), F_UPPER), ap, P, CFG
-                ),
-                ap.id,
-            ),
+            (-link_rss(min(phy.peak_frequency(theta, CFG.f_co), F_UPPER), d, theta, P, CFG), i)
+            for i, (d, theta) in enumerate(ap_pairs(aps))
         )
         for n_sel in (1, 2, 3):
             ids = selection.select_best_nsel(aps, n_sel, P, CFG, F_UPPER)
-            assert ids == {ap.id for ap in scored[:n_sel]} and type(ids) is frozenset
+            assert ids == {i for _, i in scored[:n_sel]} and type(ids) is frozenset
 
     def test_out_of_range_rejected(self):
         aps = random_aps(np.random.default_rng(4), 3)
@@ -99,74 +113,78 @@ class TestSelectBestNsel:
 
 class TestSelectBestAt:
     def test_single_ap(self):
-        assert selection.select_best_at([AccessPoint(3, 9.0, 0.5)], 150e9, P, CFG) == 3
+        assert selection.select_best_at(Drop([9.0], [0.5]), 150e9, P, CFG) == 0
 
     def test_distance_decides_at_equal_angle(self):
-        aps = [AccessPoint(0, 40.0, 0.7), AccessPoint(1, 5.0, 0.7)]
+        aps = Drop([40.0, 5.0], [0.7, 0.7])
         for f in (110e9, 150e9, 250e9):
             assert selection.select_best_at(aps, f, P, CFG) == 1
 
     def test_matches_exhaustive_argmax(self):
         aps = random_aps(np.random.default_rng(5), 5)
         f = 250e9
-        rss = [link_rss(f, ap, P, CFG) for ap in aps]
+        rss = [link_rss(f, d, theta, P, CFG) for d, theta in ap_pairs(aps)]
         assert selection.select_best_at(aps, f, P, CFG) == int(np.argmax(rss))
 
     def test_below_band_rejected(self):
         with pytest.raises(phy.BelowCutoffError):
-            selection.select_best_at([AccessPoint(0, 5.0, 0.5)], 90e9, P, CFG)
+            selection.select_best_at(Drop([5.0], [0.5]), 90e9, P, CFG)
         with pytest.raises(phy.BelowCutoffError):
-            selection.select_best_at([AccessPoint(0, 5.0, 0.5)], [150e9, 90e9], P, CFG)
+            selection.select_best_at(Drop([5.0], [0.5]), [150e9, 90e9], P, CFG)
 
     def test_array_equals_per_frequency_argmax(self):
         # one call over an array of frequencies picks, at each of them, the
         # AP a scalar query picks; a scalar query returns a plain int
-        aps = random_aps(np.random.default_rng(14), 40)[::-1]
+        aps = reordered(random_aps(np.random.default_rng(14), 40), np.s_[::-1])
         f = np.linspace(100.5e9, 299.5e9, 97)
         got = selection.select_best_at(aps, f, P, CFG)
         assert got.shape == f.shape
         for fi, best in zip(f, got):
-            rss = {ap.id: link_rss(fi, ap, P, CFG) for ap in aps}
-            assert best == max(sorted(rss), key=lambda i: rss[i])
+            rss = [link_rss(fi, d, theta, P, CFG) for d, theta in ap_pairs(aps)]
+            assert best == first_max_id(rss)
             scalar = selection.select_best_at(aps, fi, P, CFG)
             assert type(scalar) is int and scalar == best
         assert selection.select_best_at(aps, f.reshape(1, -1), P, CFG).shape == (1, 97)
         assert selection.select_best_at(aps, f[:0], P, CFG).size == 0
 
     def test_tie_goes_to_lower_id_whatever_the_order(self):
-        # identical geometries tie at every frequency
-        aps = [AccessPoint(5, 9.0, 0.7), AccessPoint(2, 9.0, 0.7), AccessPoint(7, 30.0, 0.7)]
+        # identical geometries (the first two) tie at every frequency
+        aps = Drop([9.0, 9.0, 30.0], [0.7, 0.7, 0.7])
         f = np.array([120e9, 180e9, 260e9])
-        for order in (aps, aps[::-1], aps[1:] + aps[:1]):
-            assert selection.select_best_at(order, f, P, CFG).tolist() == [2, 2, 2]
-            assert selection.select_best_at(order, 180e9, P, CFG) == 2
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            tied = min(order.index(0), order.index(1))
+            drop = reordered(aps, order)
+            assert selection.select_best_at(drop, f, P, CFG).tolist() == [tied] * 3
+            assert selection.select_best_at(drop, 180e9, P, CFG) == tied
 
 
 class TestSelectNearest:
     def test_min_distance(self):
-        aps = [AccessPoint(0, 12.0, 0.5), AccessPoint(1, 3.0, 0.9), AccessPoint(2, 44.0, 1.1)]
+        aps = Drop([12.0, 3.0, 44.0], [0.5, 0.9, 1.1])
         assert selection.select_nearest(aps) == {1}
 
     def test_permutation_invariant(self):
+        # the same AP is nearest in reverse order, at its mirrored id
         aps = random_aps(np.random.default_rng(6), 8)
-        assert selection.select_nearest(aps) == selection.select_nearest(aps[::-1])
+        (nearest,) = selection.select_nearest(aps)
+        assert selection.select_nearest(reordered(aps, np.s_[::-1])) == {7 - nearest}
 
     def test_tie_breaks_to_lower_id(self):
-        aps = [AccessPoint(0, 7.0, 0.5), AccessPoint(1, 7.0, 0.9)]
+        aps = Drop([7.0, 7.0], [0.5, 0.9])
         assert selection.select_nearest(aps) == {0}
 
 
 class TestCombinedRss:
     def test_zero_when_all_below_threshold(self):
-        aps = [AccessPoint(0, 49.0, 0.3), AccessPoint(1, 48.0, 1.2)]
+        aps = Drop([49.0, 48.0], [0.3, 1.2])
         sel = summed(selection.select_mrt(aps))
         # absurdly high threshold annihilates every link
         assert one_row(sel, aps, 150e9, 1.0).tolist() == [0.0]
 
     def test_mrt_additivity_two_identical_aps(self):
-        aps = [AccessPoint(0, 10.0, 0.8), AccessPoint(1, 10.0, 0.8)]
+        aps = Drop([10.0, 10.0], [0.8, 0.8])
         sel = summed(selection.select_mrt(aps))
-        single = link_rss(150e9, aps[0], P, CFG)
+        single = link_rss(150e9, 10.0, 0.8, P, CFG)
         (got,) = one_row(sel, aps, 150e9, 0.0)
         assert got == pytest.approx(2 * single)
 
@@ -176,7 +194,7 @@ class TestCombinedRss:
         f = 180e9
         expected = sum(
             rss
-            for rss in (link_rss(f, ap, P, CFG) for ap in aps)
+            for rss in (link_rss(f, d, theta, P, CFG) for d, theta in ap_pairs(aps))
             if rss >= GAMMA_TH
         )
         (got,) = one_row(sel, aps, f, GAMMA_TH)
@@ -185,7 +203,7 @@ class TestCombinedRss:
     def test_best_per_subchannel_is_max_form(self):
         aps = random_aps(np.random.default_rng(8), 5)
         f = 220e9
-        rss = np.array([link_rss(f, ap, P, CFG) for ap in aps])
+        rss = np.array([link_rss(f, d, theta, P, CFG) for d, theta in ap_pairs(aps)])
         rss[rss < GAMMA_TH] = 0.0
         (got,) = one_row(best_per_subchannel(aps), aps, f, GAMMA_TH)
         assert got == pytest.approx(rss.max())
@@ -203,7 +221,8 @@ def materialized_combined_rss(sel, aps, f, gamma_th, p=P, cfg=CFG):
     """Reference: the (links x points) matrix of the selected APs, gated, then
     reduced at once by the selection's rule (sum or max)."""
     ids, combine = sel
-    per_link = np.array([link_rss(f, ap, p, cfg) for ap in aps if ap.id in ids])
+    per_link = np.array([link_rss(f, d, theta, p, cfg)
+                         for i, (d, theta) in enumerate(ap_pairs(aps)) if i in ids])
     per_link[per_link < gamma_th] = 0.0
     return per_link.max(axis=0) if combine is np.maximum else per_link.sum(axis=0)
 
@@ -213,17 +232,16 @@ class TestStreamingCombinedRss:
 
     @pytest.mark.parametrize("n_aps", [1, 2, 20, 160])
     def test_equals_materialized_reduction_bitwise(self, n_aps):
-        aps = random_aps(np.random.default_rng(n_aps), n_aps)
         # far, steep-angled APs fall below gamma_th over the whole band
-        aps += [AccessPoint(n_aps + i, 50.0, 1.55) for i in range(2)]
+        aps = with_aps(random_aps(np.random.default_rng(n_aps), n_aps), [50.0] * 2, [1.55] * 2)
         sels = [
             summed(selection.select_mrt(aps)),
-            summed(selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER)),
+            summed(selection.select_best_nsel(aps, min(2, aps.distance.size), P, CFG, F_UPPER)),
             best_per_subchannel(aps),
             summed(selection.select_nearest(aps)),
             summed(frozenset({n_aps, n_aps + 1})),
         ]
-        assert np.all(link_rss(self.F, aps[-1], P, CFG) < GAMMA_TH)
+        assert np.all(link_rss(self.F, 50.0, 1.55, P, CFG) < GAMMA_TH)
         for i, sel in enumerate(sels):
             got = one_row(sel, aps, self.F, GAMMA_TH)
             expected = materialized_combined_rss(sel, aps, self.F, GAMMA_TH)
@@ -235,15 +253,14 @@ class TestStreamingCombinedRss:
     def test_one_pass_equals_per_mask_bitwise(self, n_aps):
         # a co-located run of identical geometries and two dead links ride
         # along
-        aps = random_aps(np.random.default_rng(100 + n_aps), n_aps)
-        aps += [AccessPoint(n_aps + i, 7.0, 0.9) for i in range(n_aps)]
-        aps += [AccessPoint(2 * n_aps + i, 50.0, 1.55) for i in range(2)]
+        aps = with_aps(random_aps(np.random.default_rng(100 + n_aps), n_aps),
+                       [7.0] * n_aps + [50.0] * 2, [0.9] * n_aps + [1.55] * 2)
         sels = [
             summed(selection.select_mrt(aps)),
-            summed(selection.select_best_nsel(aps, min(2, len(aps)), P, CFG, F_UPPER)),
+            summed(selection.select_best_nsel(aps, min(2, aps.distance.size), P, CFG, F_UPPER)),
             best_per_subchannel(aps),
             summed(selection.select_nearest(aps)),
-            summed(frozenset(ap.id for ap in aps[n_aps:2 * n_aps])),
+            summed(frozenset(range(n_aps, 2 * n_aps))),
             summed(frozenset({2 * n_aps, 2 * n_aps + 1})),
         ]
         rows = selection.combined_rss_rows(sels, aps, self.F, P, CFG, GAMMA_TH)
@@ -264,9 +281,9 @@ class TestStreamingCombinedRss:
         calls = []
         real = phy.gated_link_rows
 
-        def counting(f, aps, *args, **kwargs):
-            for ap, window in zip(aps, real(f, aps, *args, **kwargs)):
-                calls.append(ap.id)
+        def counting(f, distance, angle, *args, **kwargs):
+            for d, window in zip(distance, real(f, distance, angle, *args, **kwargs)):
+                calls.append(d)
                 yield window
 
         monkeypatch.setattr(phy, "gated_link_rows", counting)
@@ -278,7 +295,7 @@ class TestStreamingCombinedRss:
             summed(frozenset({1, 3})),
         ]
         selection.combined_rss_rows(sels, aps, self.F, P, CFG, GAMMA_TH)
-        assert calls == [0, 1, 2, 3, 4, 5]
+        assert calls == aps.distance.tolist()  # APs 0 to 5, each once
 
     def test_below_cutoff_rejected_even_with_no_ap_selected(self):
         aps = random_aps(np.random.default_rng(7), 3)
@@ -349,15 +366,15 @@ class TestLiveWindow:
         except ValueError:
             return
         ant, p = cfg.antenna, cfg.p
-        aps = [AccessPoint(i, d, theta) for i, (d, theta) in enumerate(links)]
+        aps = Drop(*zip(*links))
         sels = [summed(selection.select_mrt(aps)), best_per_subchannel(aps),
                 summed(frozenset({0}))]
         rng = np.random.default_rng(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            full = phy.link_psd(self.F, aps, p, ant)
-            for row, (start, window) in zip(full, phy.gated_link_rows(self.F, aps, p, ant,
-                                                                       gamma_th)):
+            full = phy.link_psd(self.F, aps.distance, aps.angle, p, ant)
+            for row, (start, window) in zip(full, phy.gated_link_rows(
+                    self.F, aps.distance, aps.angle, p, ant, gamma_th)):
                 stop = start + window.size
                 assert np.all(row[:start] < gamma_th) and np.all(row[stop:] < gamma_th)
                 gated = np.where(row < gamma_th, 0.0, row)
@@ -423,17 +440,47 @@ class TestProperties:
                 selection.select_best_at(aps, 211e9, P, CFG)
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=tied_pairs(), rank=st.integers(0, 7),
+           f=st.lists(st.floats(100e9, 300e9), min_size=1, max_size=4))
+    @example(pairs=[(9.0, 0.7)] * 3 + [(4.0, 1.2), (4.0, 0.3)], rank=1, f=[150e9, 300e9])
+    def test_rules_match_tuple_oracles_under_ties(self, pairs, rank, f):
+        drop = Drop(*zip(*pairs))
+        n_sel = 1 + rank % len(pairs)
+        peaks = np.minimum(phy.peak_frequency(drop.angle, CFG.f_co), F_UPPER)
+        rss = phy.link_psd(peaks[:, None], drop.distance, drop.angle, P, CFG).ravel().tolist()
+        best = selection.select_best_nsel(drop, n_sel, P, CFG, F_UPPER)
+        assert best == best_nsel_ids(rss, n_sel)
+        assert selection.select_nearest(drop) == {nearest_id(drop.distance.tolist())}
+        rows = phy.link_psd(np.array(f), drop.distance, drop.angle, P, CFG)
+        assert selection.select_best_at(drop, f, P, CFG).tolist() == [
+            first_max_id(column) for column in rows.T.tolist()]
 
 class TestAccessPoint:
     @pytest.mark.parametrize("distance", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_bad_distance_rejected(self, distance):
-        with pytest.raises(ValueError, match="distance must be finite and > 0"):
-            AccessPoint(0, distance, 0.7)
+        with pytest.raises(ValueError, match="^AP 1: distance must be finite and > 0"):
+            Drop([5.0, distance], [0.7, 0.7])
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, 0.0, np.pi / 2])
     def test_bad_angle_rejected(self, angle):
-        with pytest.raises(ValueError, match="angle must be in"):
-            AccessPoint(0, 5.0, angle)
+        with pytest.raises(ValueError, match="^AP 1: angle must be in"):
+            Drop([5.0, 5.0], [0.7, angle])
+
+    @pytest.mark.parametrize("distance, angle", [
+        ([], []), ([5.0], [0.7, 0.8]), ([[5.0]], [[0.7]]), (5.0, 0.7),
+    ], ids=["empty", "unequal", "2-D", "scalar"])
+    def test_bad_shape_rejected(self, distance, angle):
+        with pytest.raises(ValueError, match="non-empty 1-D arrays of one length"):
+            Drop(distance, angle)
+
+    def test_holds_read_only_copies(self):
+        distance, angle = np.array([5.0, 9.0]), np.array([0.7, 0.8])
+        drop = Drop(distance, angle)
+        distance[0] = angle[0] = 1.0
+        assert drop.distance.tolist() == [5.0, 9.0] and drop.angle.tolist() == [0.7, 0.8]
+        with pytest.raises(ValueError, match="read-only"):
+            drop.distance[0] = 1.0
 
     @pytest.mark.parametrize("select", [
         lambda aps, p, cfg: selection.select_best_at(aps, [150e9], p, cfg),
@@ -442,6 +489,6 @@ class TestAccessPoint:
     def test_ap_whose_link_overflows_rejected(self, select):
         # 1e-160 m overflows the path gain (c / (4*pi*f*d))^2: once a
         # RuntimeWarning and an inf row, now a ValueError naming the AP
-        aps = [AccessPoint(0, 1e-160, 0.7), AccessPoint(1, 20.0, 0.3)]
+        aps = Drop([1e-160, 20.0], [0.7, 0.3])
         with pytest.raises(ValueError, match=r"^AP 0: link PSD at distance 1e-160 m is not finite"):
             select(aps, sim.ScenarioConfig().p, AntennaConfig())

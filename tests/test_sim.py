@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from cfthz import alloc, phy, selection, sim
 from cfthz.alloc import CEConfig
 from cfthz.sim import ScenarioConfig
-from oracles import link_rss, log_uniform
+from cfthz.selection import Drop
+from oracles import ap_pairs, link_rss, log_uniform, nearest_id
 
 
 def fast_cfg(**kw):
@@ -53,15 +54,14 @@ class TestGenerateScenario:
     def test_support(self):
         cfg = fast_cfg(n_aps=200)
         aps = sim.generate_scenario(np.random.default_rng(0), cfg)
-        d = np.array([ap.distance for ap in aps])
-        theta = np.array([ap.angle for ap in aps])
+        d, theta = aps.distance, aps.angle
         assert np.all((d > cfg.d_min) & (d <= cfg.radius))
         assert np.all((theta > 0) & (theta < np.pi / 2))
 
     def test_mean_distance(self):
         cfg = fast_cfg(n_aps=100000)
         aps = sim.generate_scenario(np.random.default_rng(1), cfg)
-        d = np.mean([ap.distance for ap in aps])
+        d = np.mean(aps.distance)
         expected = (cfg.d_min + cfg.radius) / 2
         assert abs(d - expected) / expected < 0.01
 
@@ -69,7 +69,7 @@ class TestGenerateScenario:
         cfg = fast_cfg()
         a = sim.generate_scenario(np.random.default_rng(42), cfg)
         b = sim.generate_scenario(np.random.default_rng(42), cfg)
-        assert a == b
+        assert ap_pairs(a) == ap_pairs(b)
 
 
 class TestRunTrial:
@@ -187,10 +187,10 @@ class TestEqualAllocationBaseline:
 class TestColocatedBaseline:
     def test_identical_links_combine_to_n_gamma(self):
         cfg = fast_cfg(n_aps=6)
-        aps = [selection.AccessPoint(i, 10.0, 0.8) for i in range(6)]
+        aps = Drop([10.0] * 6, [0.8] * 6)
         mrt = (selection.select_mrt(aps), np.add)
         f = 150e9
-        one = link_rss(f, aps[0], cfg.p, cfg.antenna)
+        one = link_rss(f, 10.0, 0.8, cfg.p, cfg.antenna)
         (combined,) = selection.combined_rss_rows([mrt], aps, [f], cfg.p, cfg.antenna, 0.0)
         assert combined == pytest.approx(6 * one)
 
@@ -208,22 +208,23 @@ class TestColocatedBaseline:
         draw_rng = np.random.default_rng(21)
         site = (draw_rng.uniform(cfg.d_min, cfg.radius),
                 draw_rng.uniform(cfg.angle_guard, np.pi / 2 - cfg.angle_guard))
-        aps = [selection.AccessPoint(i, *site) for i in range(n_aps)]
+        aps = Drop([site[0]] * n_aps, [site[1]] * n_aps)
         ids, rss = sim.scheme_rss(["mrt"], aps, cfg)["mrt"]
         expected = solo_trial(aps, "mrt", cfg, np.random.default_rng(22), (ids, rss))
         assert expected.plan_rate > 0
         links = []
         real_rows = phy.gated_link_rows
 
-        def counting(f, aps, *args, **kwargs):
-            for ap, window in zip(aps, real_rows(f, aps, *args, **kwargs)):
-                links.append((ap, f.size))
+        def counting(f, distance, angle, *args, **kwargs):
+            windows = real_rows(f, distance, angle, *args, **kwargs)
+            for link, window in zip(zip(distance, angle), windows):
+                links.append((link, f.size))
                 yield window
 
         monkeypatch.setattr(phy, "gated_link_rows", counting)
         got_aps, (got_ids, got_rss) = sim.colocated_site(np.random.default_rng(21), cfg)
-        assert links == [(aps[0], rss.size)]
-        assert got_aps == aps
+        assert links == [(site, rss.size)]
+        assert ap_pairs(got_aps) == ap_pairs(aps)
         assert got_ids == ids
         assert got_rss.tobytes() == rss.tobytes()
         got = solo_trial(got_aps, "colocated", cfg, np.random.default_rng(22), (got_ids, got_rss))
@@ -235,7 +236,8 @@ class TestColocatedBaseline:
         cfg = fast_cfg(n_aps=n_aps, radius=8.0)
         aps, (ids, rss) = sim.colocated_site(np.random.default_rng(3), cfg)
         assert ids == set(range(n_aps))
-        row = link_rss(alloc.grid_freqs(cfg.band, cfg.ce.step), aps[0], cfg.p, cfg.antenna)
+        row = link_rss(alloc.grid_freqs(cfg.band, cfg.ce.step), *ap_pairs(aps)[0], cfg.p,
+                       cfg.antenna)
         row[row < cfg.gamma_th] = 0.0
         want = np.zeros(row.size)
         for _ in range(n_aps):
@@ -363,7 +365,7 @@ class TestLinkPsdBound:
     def test_ap_closer_than_d_min_rejected(self):
         # once an overflow warning and an inf row
         with pytest.raises(ValueError, match=r"^AP 0: distance 1e-160 m is below d_min 0\.5 m"):
-            sim.scheme_rss(["mrt"], [selection.AccessPoint(0, 1e-160, 0.7)], ScenarioConfig())
+            sim.scheme_rss(["mrt"], Drop([1e-160], [0.7]), ScenarioConfig())
 
     @settings(max_examples=100, deadline=None)
     @given(distance=st.floats(0.0, 50.0, exclude_min=True) | log_uniform(-320.0, 1.0),
@@ -373,7 +375,7 @@ class TestLinkPsdBound:
     @example(distance=0.5, angle=np.arcsin(0.5))  # at d_min, peaking at 200 GHz
     def test_scheme_rss_refuses_an_ap_or_gives_finite_rows(self, distance, angle):
         cfg = fast_cfg()
-        aps = [selection.AccessPoint(0, 20.0, 0.3), selection.AccessPoint(1, distance, angle)]
+        aps = Drop([20.0, distance], [0.3, angle])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -390,10 +392,9 @@ class TestLinkPsdBound:
         # the largest link comes within a few percent of it
         cfg = fast_cfg(n_aps=40, radius=0.6)
         peak = phy.peak_link_psd(cfg.p, cfg.antenna, cfg.f_upper, cfg.d_min)
-        aps = [selection.AccessPoint(i, cfg.d_min, a)
-               for i, a in enumerate(np.linspace(0.05, 1.5, 40))]
+        aps = Drop(np.full(40, cfg.d_min), np.linspace(0.05, 1.5, 40))
         f = alloc.grid_freqs(cfg.band, 10e6)
-        top = phy.link_psd(f, aps, cfg.p, cfg.antenna).max()
+        top = phy.link_psd(f, aps.distance, aps.angle, cfg.p, cfg.antenna).max()
         assert 0.9 * peak < top <= peak
 
     # about half of these configs build; most of the rest overflow sinh
@@ -423,12 +424,11 @@ class TestLinkPsdBound:
         except ValueError:
             return
         # no AP closer than d_min, which every link-PSD bound assumes
-        aps = [selection.AccessPoint(0, cfg.d_min, 0.7), selection.AccessPoint(1, 19.0, 0.2),
-               selection.AccessPoint(2, max(1.0, cfg.d_min), 1.4)]
+        aps = Drop([cfg.d_min, 19.0, max(1.0, cfg.d_min)], [0.7, 0.2, 1.4])
         f = alloc.grid_freqs(cfg.band, cfg.ce.step)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for row in phy.link_psd(f, aps, cfg.p, cfg.antenna):
+            for row in phy.link_psd(f, aps.distance, aps.angle, cfg.p, cfg.antenna):
                 assert np.isfinite(row).all()
             for _, row in sim.scheme_rss(sim.CE_SCHEMES, aps, cfg).values():
                 assert np.isfinite(row).all()
@@ -625,11 +625,11 @@ class TestSharedLinkPass:
         cfg = fast_cfg(n_aps=n_aps, radius=8.0)
         aps = sim.generate_scenario(np.random.default_rng(n_aps), cfg)
         f = alloc.grid_freqs(cfg.band, cfg.ce.step)
-        links = np.array([link_rss(f, ap, cfg.p, cfg.antenna) for ap in aps])
+        links = np.array([link_rss(f, d, theta, cfg.p, cfg.antenna) for d, theta in ap_pairs(aps)])
         links[links < cfg.gamma_th] = 0.0
         best = sorted(selection.select_best_nsel(
             aps, min(cfg.n_sel, n_aps), cfg.p, cfg.antenna, cfg.f_upper))
-        nearest = min(aps, key=lambda ap: (ap.distance, ap.id)).id
+        nearest = nearest_id(aps.distance.tolist())
         expected = {
             "mrt": (set(range(n_aps)), links.sum(axis=0)),
             "best_nsel": (set(best), links[best].sum(axis=0)),
