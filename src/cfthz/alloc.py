@@ -382,7 +382,7 @@ def integrated_rate(plan: SubchannelPlan, grid: GridRss, noise_psd):
         n_pts = max(2, int(np.ceil(width / grid.step)) + 1)
         f = np.linspace(low, high, n_pts)
         spectral = np.log2(1.0 + grid(f) / noise_psd)
-        rate += np.trapezoid(spectral, f)
+        rate += float(np.trapezoid(spectral, f))
     return rate
 
 

@@ -169,8 +169,8 @@ def cmd_simulate(cfg, axis, values, out_dir, threads=1):
 
 def cmd_gain(cfg, thetas, f_start, f_stop, f_count, out):
     """Dump the antenna-gain surface (theta, f, gain) as CSV."""
-    if f_count < 1:
-        raise ConfigError(f"--f-count must be >= 1, got {f_count}")
+    if not 1 <= f_count <= sim.MAX_GRID_POINTS:
+        raise ConfigError(f"--f-count must be 1 to {sim.MAX_GRID_POINTS}, got {f_count}")
     if not (math.isfinite(f_start) and math.isfinite(f_stop) and f_start <= f_stop):
         raise ConfigError(f"need finite --f-start <= --f-stop, got {f_start} and {f_stop}")
     for theta in thetas:

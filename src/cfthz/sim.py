@@ -105,6 +105,9 @@ class ScenarioConfig:
 
 @dataclass
 class TrialResult:
+    """One scheme's emitted plan in one trial cell, rated on its own grid.
+    `integrated_rate` is the rate a sweep averages, for every scheme."""
+
     scheme: str
     plan_rate: float  # bit/s, center-RSS objective of the emitted plan
     integrated_rate: float  # bit/s, trapezoidal spectral integral
@@ -181,52 +184,50 @@ def scheme_rss(schemes, drop, cfg: ScenarioConfig):
     return {s: (ids, row) for (s, (ids, _)), row in zip(selections.items(), rows)}
 
 
-def run_trial(drop, scheme, cfg: ScenarioConfig, result: alloc.CEResult, ids_rss) -> TrialResult:
-    """Rate a CE run's plan on the scheme's combined RSS: both rate metrics
-    plus the active-AP count.
-
-    `result` is the CE run on the scheme's grid (`ce_optimize`, or its run
-    of `ce_batch`), and `ids_rss` the scheme's (ids, RSS on the band grid)
-    pair, as `scheme_rss` returns it.
-    """
+def _rated(scheme, drop, cfg: ScenarioConfig, plan, ids_rss, incumbent_value=None):
+    """The one rater of every TrialResult: `plan` on a GridRss built from
+    the scheme's (ids, RSS on the band grid) pair, by both rate metrics,
+    plus the active-AP count. A plan with no incumbent value is its own
+    incumbent, rated by its integral."""
     ids, rss = ids_rss
     grid = GridRss(rss, cfg.band, cfg.ce.step)
+    rate = alloc.integrated_rate(plan, grid, cfg.noise_psd)
     return TrialResult(
         scheme=scheme,
-        plan_rate=result.plan_value,
-        integrated_rate=alloc.integrated_rate(result.plan, grid, cfg.noise_psd),
-        active_aps=_active_count(scheme, ids, drop, cfg, result.plan),
-        plan=result.plan,
-        incumbent_value=result.incumbent_value,
+        plan_rate=alloc.plan_rate(plan, grid, cfg.noise_psd),
+        integrated_rate=rate,
+        active_aps=_active_count(scheme, ids, drop, cfg, plan),
+        plan=plan,
+        incumbent_value=rate if incumbent_value is None else incumbent_value,
         scenario_digest=scenario_digest(drop),
     )
 
 
-def equal_allocation_trial(drop, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
-    """MRT over all APs with n_sub equal-width, evenly spaced subchannels.
+def run_trial(drop, scheme, cfg: ScenarioConfig, result: alloc.CEResult, ids_rss) -> TrialResult:
+    """Rate a CE run's final-means plan on the scheme's combined RSS.
 
-    Rated by the integrated metric: the equal plan ignores the flatness
-    constraint, so the center-RSS objective would overstate its rate.
+    `result` is the CE run on the scheme's grid (`ce_optimize`, or its run
+    of `ce_batch`), and `ids_rss` the scheme's (ids, RSS on the band grid)
+    pair, as `scheme_rss` returns it. `plan_rate` equals the run's
+    `plan_value`.
+    """
+    return _rated(scheme, drop, cfg, result.plan, ids_rss, result.incumbent_value)
+
+
+def equal_allocation_trial(drop, cfg: ScenarioConfig, mrt_rss) -> TrialResult:
+    """MRT over all APs with n_sub equal-width, evenly spaced subchannels
+    that ignore the flatness constraint, rated as every scheme is; the
+    plan is its own incumbent.
+
     `mrt_rss` is the MRT RSS on the band grid. A config that lists
     equal_mrt has a budget whose equal plan does not overlap.
     """
     n_sub = cfg.ce.n_sub
     f_co, f_upper = cfg.band
     spacing = (f_upper - f_co) / n_sub
-    width = cfg.b_total / n_sub
-    grid = GridRss(mrt_rss, cfg.band, cfg.ce.step)
     centers = f_co + (np.arange(1, n_sub + 1) - 0.5) * spacing
-    plan = alloc.SubchannelPlan(centers, np.full(n_sub, width), cfg.b_total)
-    irate = alloc.integrated_rate(plan, grid, cfg.noise_psd)
-    return TrialResult(
-        scheme="equal_mrt",
-        plan_rate=alloc.plan_rate(plan, grid, cfg.noise_psd),
-        integrated_rate=irate,
-        active_aps=drop.distance.size,
-        plan=plan,
-        incumbent_value=irate,
-        scenario_digest=scenario_digest(drop),
-    )
+    plan = alloc.SubchannelPlan(centers, np.full(n_sub, cfg.b_total / n_sub), cfg.b_total)
+    return _rated("equal_mrt", drop, cfg, plan, (selection.select_mrt(drop), mrt_rss))
 
 
 def colocated_site(draw_rng, cfg: ScenarioConfig):
@@ -244,11 +245,6 @@ def colocated_site(draw_rng, cfg: ScenarioConfig):
     for _ in range(cfg.n_aps):
         rss[start:start + row.size] += row
     return drop, (selection.select_mrt(drop), rss)
-
-
-def _headline_rate(result: TrialResult) -> float:
-    # equal_mrt is rated by the integral; everything else by the objective
-    return result.integrated_rate if result.scheme == "equal_mrt" else result.plan_rate
 
 
 def substream(seed, axis_idx, trial_idx, stream):
@@ -310,10 +306,12 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
 
     Results are a deterministic function of (cfg, seed): every trial owns
     its substreams, keyed by the value's position in `values` and the
-    trial index. Cells run in (value, trial) order on the calling thread;
-    `threads` is an upper bound on workers, which this one worker always
-    meets. A value that gives an invalid config raises AxisValueError,
-    and threads below 1 ValueError, before any cell runs.
+    trial index. A row's mean and standard error are over its trials'
+    `integrated_rate`, the one metric of every scheme. Cells run in
+    (value, trial) order on the calling thread; `threads` is an upper
+    bound on workers, which this one worker always meets. A value that
+    gives an invalid config raises AxisValueError, and threads below 1
+    ValueError, before any cell runs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -322,7 +320,7 @@ def monte_carlo(cfg: ScenarioConfig, axis, values, threads=1) -> SweepResult:
     for axis_idx, (value, cfg_v) in enumerate(zip(values, configs)):
         cells = [_trial_cell(cfg_v, axis_idx, t) for t in range(cfg_v.trials)]
         for scheme in cfg_v.schemes:
-            rates = np.array([_headline_rate(cell[scheme]) for cell in cells])
+            rates = np.array([cell[scheme].integrated_rate for cell in cells])
             active = np.array([cell[scheme].active_aps for cell in cells], dtype=float)
             stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
             rows.append(SweepRow(axis=axis, axis_value=float(value), scheme=scheme,

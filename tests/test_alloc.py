@@ -816,6 +816,15 @@ class TestRates:
         with pytest.raises(ValueError, match="^noise_psd must be finite and > 0"):
             integrated_rate(plan, sampled_grid(flat_rss(), BAND, STEP), noise)
 
+    @pytest.mark.parametrize("widths", [[3e9, 5e9], [0.0, 0.0]], ids=["live", "empty"])
+    def test_rates_are_python_floats(self, widths):
+        # integrated_rate once returned np.float64 for a live plan and float
+        # for an all-zero one
+        plan = SubchannelPlan([150e9, 200e9], widths, 16e9)
+        grid = sampled_grid(flat_rss(), BAND, STEP)
+        assert type(integrated_rate(plan, grid, NOISE)) is float
+        assert type(plan_rate(plan, grid, NOISE)) is float
+
     def test_integrated_equals_plan_rate_when_flat(self):
         plan = SubchannelPlan([150e9, 200e9], [3e9, 5e9], 16e9)
         pr = scalar_plan_rate(plan, flat_rss(), NOISE)

@@ -780,6 +780,10 @@ class TestMainErrors:
               "--f-count", "0"], None, "--f-count"),
             (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
               "--f-count", "-3"], None, "--f-count"),
+            # once a numpy allocation error ("Unable to allocate 7.11 PiB")
+            # with a traceback; numpy refuses this count without allocating
+            (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9",
+              "--f-count", "1000000000000000"], None, "--f-count must be 1 to 2000001"),
             (["gain", "--thetas", "0.5", "--f-start", "nan", "--f-stop", "290e9"], None,
              "--f-start"),
             (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "inf"], None,
@@ -803,7 +807,7 @@ class TestMainErrors:
             (["gain", "--thetas", "0.5", "--f-start", "110e9", "--f-stop", "290e9"],
              "seed = -1\n", "seed must be >= 0, got -1"),
         ],
-        ids=["values-abc", "values-empty", "thetas-abc", "f-count-0", "f-count-neg",
+        ids=["values-abc", "values-empty", "thetas-abc", "f-count-0", "f-count-neg", "f-count-huge",
              "f-start-nan", "f-stop-inf", "f-stop-below-start", "theta-nan", "theta-0",
              "theta-above-pi/2", "threads-0", "seed-trial", "seed-simulate",
              "seed-allocate", "seed-gain"],

@@ -93,6 +93,22 @@ class TestRunTrial:
         bps = trial(aps, "best_per_subchannel", cfg, np.random.default_rng(5))
         assert 1 <= bps.active_aps <= 5
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scheme", sim.CE_SCHEMES)
+    def test_plan_rate_is_the_runs_plan_value(self, scheme, seed):
+        # the rater scores the final plan on the grid again; that equals the
+        # value the CE run gave it bit for bit, so trial.json's
+        # plan_rate_bps is the run's final rate
+        cfg = fast_cfg(n_aps=5, radius=8.0)
+        aps = sim.generate_scenario(np.random.default_rng(seed), cfg)
+        ids_rss = sim.scheme_rss([scheme], aps, cfg)[scheme]
+        grid = alloc.GridRss(ids_rss[1], cfg.band, cfg.ce.step)
+        result = alloc.ce_optimize(grid, cfg.ce, np.random.default_rng(seed + 10),
+                                   eps_db=cfg.eps_db, total_budget=cfg.b_total,
+                                   noise_psd=cfg.noise_psd)
+        assert result.plan_value > 0
+        assert sim.run_trial(aps, scheme, cfg, result, ids_rss).plan_rate == result.plan_value
+
     def test_all_links_dead_gives_zero_rate(self):
         cfg = fast_cfg(gamma_th=1.0)  # 1 W/Hz sensitivity kills everything
         aps = sim.generate_scenario(np.random.default_rng(6), cfg)
@@ -248,11 +264,15 @@ class TestColocatedBaseline:
 
 class TestMonteCarlo:
     def test_single_trial_mean_is_trial_value(self):
-        cfg = fast_cfg(trials=1, schemes=("mrt",))
+        # every scheme, equal_mrt and the CE schemes alike, is averaged by
+        # the integral of the plan it emits
+        cfg = fast_cfg(trials=1)
         sweep = sim.monte_carlo(cfg, "n_aps", [4])
         cell = sim._trial_cell(cfg, 0, 0)
-        assert sweep.rows[0].mean_rate == cell["mrt"].plan_rate
-        assert sweep.rows[0].stderr_rate == 0.0
+        assert [row.scheme for row in sweep.rows] == list(sim.ALL_SCHEMES)
+        for row in sweep.rows:
+            assert row.mean_rate == cell[row.scheme].integrated_rate, row.scheme
+            assert row.stderr_rate == 0.0
 
     def test_substream_determinism_under_more_trials(self):
         cfg3 = fast_cfg(trials=3, schemes=("mrt",))
@@ -295,7 +315,7 @@ class TestMonteCarlo:
         cfg = fast_cfg(trials=6, schemes=("nearest",))
         row = sim.monte_carlo(cfg, "n_aps", [4]).rows[0]
         rates = np.array(
-            [sim._trial_cell(cfg, 0, t)["nearest"].plan_rate for t in range(6)]
+            [sim._trial_cell(cfg, 0, t)["nearest"].integrated_rate for t in range(6)]
         )
         assert row.mean_rate == pytest.approx(rates.mean())
         assert row.stderr_rate == pytest.approx(rates.std(ddof=1) / np.sqrt(6))
@@ -310,7 +330,7 @@ class TestMonteCarlo:
         rows = sim.monte_carlo(cfg, "n_aps", [3, 4]).rows
         for axis_idx, (n_aps, row) in enumerate(zip([3, 4], rows)):
             cfg_v = fast_cfg(trials=2, schemes=("mrt",), n_aps=n_aps)
-            rates = np.array([sim._trial_cell(cfg_v, axis_idx, t)["mrt"].plan_rate
+            rates = np.array([sim._trial_cell(cfg_v, axis_idx, t)["mrt"].integrated_rate
                               for t in range(2)])
             assert row.mean_rate == rates.mean()
 
